@@ -1,70 +1,57 @@
 """Merging-path construction: the four fusing strategies.
 
 All strategies produce a :class:`MergingPath` of k nested models, from the
-full model (one cluster per level) down to a single cluster.  Model fits go
-through a shared thread-safe counter so the evaluation-cost contracts of
-each strategy can be asserted:
+full model (one cluster per level) down to a single cluster:
 
-* ``adaptive``       refits every candidate pair at every step,
-* ``fast-adaptive``  orders levels once and tries only adjacent pairs,
+* ``adaptive``       scores every candidate pair at every step,
+* ``fast-adaptive``  orders levels once and scores only adjacent pairs,
 * ``fixed``          builds one pairwise LRT distance matrix and runs
                      complete-linkage clustering on it,
 * ``fast-fixed``     keeps complete-linkage distances only between adjacent
                      clusters in the initial order, refreshing a single
                      distance per merge.
 
-``FACTORFUSE_THREADS`` caps the candidate-fit thread pool for the adaptive
-strategies; results are reduced in candidate order so tie-breaking is
-identical with or without threads.
+Candidates are scored in one batch per step from per-cluster sufficient
+statistics (:func:`~factorfuse.families.score_pairs`); only the chosen
+partition is fitted.  An :class:`EvalCounter` counts candidates scored and
+path models fitted, so the evaluation-cost contract of each strategy can be
+asserted.  Every strategy picks its pair with :func:`_select`: scores within
+``NEAR_TIE`` of the best are tied and the lexicographically smallest pair of
+cluster labels wins.
 """
 
 from __future__ import annotations
 
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Grouping, Partition, ResponseData, GAUSSIAN_1D, GAUSSIAN_ND, BINOMIAL, SURVIVAL
 from .errors import InvalidStrategy
-from .families import FittedModel, LevelStats, fit_stats
+from .families import FittedModel, LevelStats, cluster_sums, fit_stats, score_pairs
 from .mds import mds_project_1d
 
 STRATEGIES = ("adaptive", "fast-adaptive", "fixed", "fast-fixed")
 
+# candidate scores this close to the best are tied (absolute, in loglik units)
+NEAR_TIE = 1e-9
+
 
 class EvalCounter:
-    """Thread-safe model-evaluation counter with a per-category breakdown."""
+    """Candidates scored and models fitted, per category."""
 
     def __init__(self):
-        self._lock = threading.Lock()
         self._counts: dict[str, int] = {}
 
-    def increment(self, category: str = "fit"):
-        with self._lock:
-            self._counts[category] = self._counts.get(category, 0) + 1
+    def increment(self, category: str = "fit", n: int = 1):
+        self._counts[category] = self._counts.get(category, 0) + n
 
     @property
     def total(self) -> int:
-        with self._lock:
-            return sum(self._counts.values())
+        return sum(self._counts.values())
 
     def breakdown(self) -> dict[str, int]:
-        with self._lock:
-            return dict(self._counts)
-
-
-class _TaggedCounter:
-    """Routes increments from fit_stats into one category of a counter."""
-
-    def __init__(self, counter: EvalCounter, category: str):
-        self._counter = counter
-        self._category = category
-
-    def increment(self):
-        self._counter.increment(self._category)
+        return dict(self._counts)
 
 
 @dataclass(frozen=True)
@@ -95,23 +82,6 @@ class MergingPath:
 
     def model_at(self, step: int) -> FittedModel:
         return self.steps[step].model
-
-
-def _thread_budget() -> int:
-    raw = os.environ.get("FACTORFUSE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _fit_candidates(stats, partitions, counter):
-    """Fit a list of candidate partitions, preserving input order."""
-    threads = _thread_budget()
-    if threads <= 1 or len(partitions) <= 1:
-        return [fit_stats(stats, p, counter) for p in partitions]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda p: fit_stats(stats, p, counter), partitions))
 
 
 # ------------------------------------------------------------------ #
@@ -179,44 +149,52 @@ def merge_factors(
     raise InvalidStrategy(strategy)
 
 
-def _candidate_pairs(partition: Partition, adjacent_only: bool):
-    labels = partition.labels
-    if adjacent_only:
-        return [(labels[i], labels[i + 1]) for i in range(len(labels) - 1)]
-    return [
-        (labels[i], labels[j])
-        for i in range(len(labels))
-        for j in range(i + 1, len(labels))
-    ]
+def _select(scores: np.ndarray, labels, i: np.ndarray, j: np.ndarray) -> int:
+    """Index of the best candidate pair (``labels[i[t]]``, ``labels[j[t]]``).
+
+    Higher scores are better.  Scores within ``NEAR_TIE`` of the best are
+    tied, so exact analytic ties that rounding splits still resolve to the
+    lexicographically smallest pair of labels.
+    """
+    tied = np.flatnonzero(scores >= scores.max() - NEAR_TIE)
+    return int(min(tied, key=lambda t: (labels[i[t]], labels[j[t]])))
 
 
-def _drive_adaptive(data, grouping, adjacent_only: bool) -> MergingPath:
-    stats = LevelStats(data, grouping)
-    counter = EvalCounter()
-    ordering: tuple[str, ...] = ()
-    path_counter = _TaggedCounter(counter, "path")
-    if adjacent_only:
-        ordering, part, model0 = _ordered_full_model(data, grouping, stats, path_counter)
-    else:
-        part = Partition.singletons(grouping.levels)
-        model0 = fit_stats(stats, part, path_counter)
+class _Clusters:
+    """The current partition with its per-cluster sums, merged in step."""
 
-    steps = [PathStep(None, model0)]
-    cand_counter = _TaggedCounter(counter, "candidates")
-    while part.size > 1:
-        pairs = _candidate_pairs(part, adjacent_only)
-        parts = [part.merge(a, b) for a, b in pairs]
-        models = _fit_candidates(stats, parts, cand_counter)
-        best = min(
-            range(len(pairs)),
-            key=lambda i: (-models[i].loglik, pairs[i][0], pairs[i][1]),
-        )
-        part = parts[best]
-        model = fit_stats(stats, part, path_counter)
-        steps.append(PathStep(pairs[best], model))
+    def __init__(self, stats: LevelStats, partition: Partition):
+        self.stats = stats
+        self.partition = partition
+        self.sums = cluster_sums(stats, partition)
+
+    @property
+    def size(self) -> int:
+        return self.partition.size
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        return self.partition.labels
+
+    def score(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Log-likelihood after merging each pair (i[t], j[t])."""
+        return score_pairs(self.stats, self.sums, self.partition, i, j)
+
+    def merge(self, a: int, b: int, counter: EvalCounter) -> PathStep:
+        """Merge the clusters at positions a < b and fit the result."""
+        labels = self.labels
+        self.partition = self.partition.merge(labels[a], labels[b])
+        for name, s in self.sums.items():
+            s[a] += s[b]
+            self.sums[name] = np.delete(s, b, axis=0)
+        counter.increment("path")
+        return PathStep((labels[a], labels[b]), fit_stats(self.stats, self.partition))
+
+
+def _result(steps, strategy, counter, ordering, data, grouping) -> MergingPath:
     return MergingPath(
         steps=tuple(steps),
-        strategy="fast-adaptive" if adjacent_only else "adaptive",
+        strategy=strategy,
         evaluations=counter.total,
         evaluation_breakdown=counter.breakdown(),
         ordering=ordering,
@@ -225,140 +203,126 @@ def _drive_adaptive(data, grouping, adjacent_only: bool) -> MergingPath:
     )
 
 
-def _ordered_full_model(data, grouping, stats, path_counter):
+def _adjacent(size: int) -> tuple[np.ndarray, np.ndarray]:
+    i = np.arange(size - 1)
+    return i, i + 1
+
+
+def _drive_adaptive(data, grouping, adjacent_only: bool) -> MergingPath:
+    stats = LevelStats(data, grouping)
+    counter = EvalCounter()
+    if adjacent_only:
+        ordering, part, model0 = _ordered_full_model(data, grouping, stats, counter)
+    else:
+        ordering, part = (), Partition.singletons(grouping.levels)
+        model0 = fit_stats(stats, part)
+        counter.increment("path")
+    clusters = _Clusters(stats, part)
+    steps = [PathStep(None, model0)]
+    while clusters.size > 1:
+        if adjacent_only:
+            i, j = _adjacent(clusters.size)
+        else:
+            i, j = np.triu_indices(clusters.size, k=1)
+        counter.increment("candidates", len(i))
+        best = _select(clusters.score(i, j), clusters.labels, i, j)
+        steps.append(clusters.merge(i[best], j[best], counter))
+    strategy = "fast-adaptive" if adjacent_only else "adaptive"
+    return _result(steps, strategy, counter, ordering, data, grouping)
+
+
+def _ordered_full_model(data, grouping, stats, counter):
     """Full model plus the level ordering used by the fast strategies.
 
     For survival the ordering statistic needs the full fit itself, so that
     fit is done first (counted) and reused; the reordered singleton model is
     a re-evaluation of the same likelihood and is not counted.
     """
+    base = None
     if data.kind == SURVIVAL:
-        base = fit_stats(stats, Partition.singletons(grouping.levels), path_counter)
-        ordering = ordering_statistic(data, grouping, stats=stats, full_model=base)
-        part = Partition.singletons(ordering)
-        model0 = fit_stats(stats, part)
-    else:
-        ordering = ordering_statistic(data, grouping, stats=stats)
-        part = Partition.singletons(ordering)
-        model0 = fit_stats(stats, part, path_counter)
+        base = fit_stats(stats, Partition.singletons(grouping.levels))
+    ordering = ordering_statistic(data, grouping, stats=stats, full_model=base)
+    part = Partition.singletons(ordering)
+    model0 = fit_stats(stats, part)
+    counter.increment("path")
     return ordering, part, model0
 
 
-def _lrt_distance(base_loglik: float, merged_loglik: float) -> float:
-    return max(0.0, 2.0 * (base_loglik - merged_loglik))
+def _lrt_distance(base_loglik: float, merged_loglik):
+    return np.maximum(0.0, 2.0 * (base_loglik - merged_loglik))
 
 
 def _drive_fixed(data, grouping) -> MergingPath:
     stats = LevelStats(data, grouping)
     counter = EvalCounter()
-    levels = grouping.levels
-    part = Partition.singletons(levels)
-    path_counter = _TaggedCounter(counter, "path")
-    dist_counter = _TaggedCounter(counter, "distances")
-    model0 = fit_stats(stats, part, path_counter)
+    clusters = _Clusters(stats, Partition.singletons(grouping.levels))
+    model0 = fit_stats(stats, clusters.partition)
+    counter.increment("path")
 
     # static pairwise LRT distances: merge (i, j) with all others singleton
-    dist: dict[frozenset[str], float] = {}
-    for i in range(len(levels)):
-        for j in range(i + 1, len(levels)):
-            merged = part.merge(f"({levels[i]})", f"({levels[j]})")
-            m = fit_stats(stats, merged, dist_counter)
-            dist[frozenset((levels[i], levels[j]))] = _lrt_distance(
-                model0.loglik, m.loglik
-            )
-
-    def linkage(ca, cb) -> float:
-        return max(
-            dist[frozenset((a, b))] for a in ca.members for b in cb.members
-        )
+    k = grouping.k
+    i, j = np.triu_indices(k, k=1)
+    counter.increment("distances", len(i))
+    dist = np.zeros((k, k))
+    dist[i, j] = dist[j, i] = _lrt_distance(model0.loglik, clusters.score(i, j))
 
     steps = [PathStep(None, model0)]
-    while part.size > 1:
-        clusters = part.clusters
-        best = None
-        for i in range(len(clusters)):
-            for j in range(i + 1, len(clusters)):
-                key = (
-                    linkage(clusters[i], clusters[j]),
-                    clusters[i].label,
-                    clusters[j].label,
-                )
-                if best is None or key < best[0]:
-                    best = (key, clusters[i].label, clusters[j].label)
-        _, la, lb = best
-        part = part.merge(la, lb)
-        model = fit_stats(stats, part, path_counter)
-        steps.append(PathStep((la, lb), model))
-    return MergingPath(
-        steps=tuple(steps),
-        strategy="fixed",
-        evaluations=counter.total,
-        evaluation_breakdown=counter.breakdown(),
-        ordering=(),
-        levels=levels,
-        n_obs=data.n,
-    )
+    while clusters.size > 1:
+        i, j = np.triu_indices(clusters.size, k=1)
+        best = _select(-dist[i, j], clusters.labels, i, j)
+        a, b = i[best], j[best]
+        # Lance-Williams update for complete linkage: the merged cluster is as
+        # far from each other cluster as the farther of its two children
+        dist[a] = dist[:, a] = np.maximum(dist[a], dist[b])
+        dist = np.delete(np.delete(dist, b, axis=0), b, axis=1)
+        steps.append(clusters.merge(a, b, counter))
+    return _result(steps, "fixed", counter, (), data, grouping)
 
 
 def _drive_fast_fixed(data, grouping) -> MergingPath:
     stats = LevelStats(data, grouping)
     counter = EvalCounter()
-    path_counter = _TaggedCounter(counter, "path")
-    dist_counter = _TaggedCounter(counter, "distances")
+    ordering, part, model0 = _ordered_full_model(data, grouping, stats, counter)
+    clusters = _Clusters(stats, part)
 
-    ordering, part, model0 = _ordered_full_model(data, grouping, stats, path_counter)
-
-    labels = list(part.labels)
-    dist = []
-    for i in range(len(labels) - 1):
-        m = fit_stats(stats, part.merge(labels[i], labels[i + 1]), dist_counter)
-        dist.append(_lrt_distance(model0.loglik, m.loglik))
+    i, j = _adjacent(clusters.size)
+    counter.increment("distances", len(i))
+    dist = _lrt_distance(model0.loglik, clusters.score(i, j)).tolist()
 
     steps = [PathStep(None, model0)]
-    while part.size > 1:
-        i = min(
-            range(len(dist)),
-            key=lambda j: (dist[j], labels[j], labels[j + 1]),
-        )
-        la, lb = labels[i], labels[i + 1]
-        d_ab = dist[i]
-        part = part.merge(la, lb)
-        model = fit_stats(stats, part, path_counter)
-        steps.append(PathStep((la, lb), model))
-        labels[i : i + 2] = [la + lb]
-        left = dist[i - 1] if i > 0 else None
-        right = dist[i + 1] if i + 1 < len(dist) else None
-        dist[i : i + 2] = []  # drop the merged adjacency; reinsert below
+    while clusters.size > 1:
+        i, j = _adjacent(clusters.size)
+        best = _select(-np.array(dist), clusters.labels, i, j)
+        d_ab = dist[best]
+        step = clusters.merge(best, best + 1, counter)
+        steps.append(step)
+        left = dist[best - 1] if best > 0 else None
+        right = dist[best + 1] if best + 1 < len(dist) else None
+        dist[best : best + 2] = []  # drop the merged adjacency; reinsert below
         # Complete-linkage update for the two refreshed adjacencies.  Only
-        # one fresh LRT distance per merge keeps the O(k) fit budget: the
+        # one fresh LRT distance per merge keeps the O(k) scoring budget: the
         # tighter inherited side is re-measured against the new cluster, the
         # other side falls back to the merged pair's own distance.
         new_left = new_right = None
         if left is not None and (right is None or left <= right):
-            fresh = _fresh_distance(stats, part, labels[i - 1], labels[i], model, dist_counter)
+            fresh = _fresh_distance(clusters, best - 1, step.model, counter)
             new_left = max(left, fresh)
             if right is not None:
                 new_right = max(right, d_ab)
         elif right is not None:
-            fresh = _fresh_distance(stats, part, labels[i], labels[i + 1], model, dist_counter)
+            fresh = _fresh_distance(clusters, best, step.model, counter)
             new_right = max(right, fresh)
             if left is not None:
                 new_left = max(left, d_ab)
         if new_right is not None:
-            dist.insert(i, new_right)
+            dist.insert(best, new_right)
         if new_left is not None:
-            dist[i - 1] = new_left
-    return MergingPath(
-        steps=tuple(steps),
-        strategy="fast-fixed",
-        evaluations=counter.total,
-        evaluation_breakdown=counter.breakdown(),
-        ordering=ordering,
-        levels=grouping.levels,
-        n_obs=data.n,
-    )
+            dist[best - 1] = new_left
+    return _result(steps, "fast-fixed", counter, ordering, data, grouping)
 
 
-def _fresh_distance(stats, part, label_a, label_b, base_model, counter) -> float:
-    m = fit_stats(stats, part.merge(label_a, label_b), counter)
-    return _lrt_distance(base_model.loglik, m.loglik)
+def _fresh_distance(clusters, a, base_model, counter) -> float:
+    """LRT distance between the adjacent clusters at positions a and a + 1."""
+    counter.increment("distances")
+    merged = clusters.score(np.array([a]), np.array([a + 1]))[0]
+    return float(_lrt_distance(base_model.loglik, merged))

@@ -7,6 +7,11 @@ a single fit costs O(number of clusters).  Per-level reductions are done on
 value-sorted observations, which makes log-likelihoods invariant under row
 permutations of the input (bitwise, not just up to rounding).
 
+:func:`score_pairs` gives the log-likelihood after merging each of many
+cluster pairs at once, from per-cluster sums (:func:`cluster_sums`), with
+the same formulas as the fits.  The engine scores candidates with it and
+fits only the partition it chooses.
+
 The shared nuisance parameters (sigma^2 for gaussian1d, the pooled
 covariance for gaussianNd) are profiled: each partition gets the pooled MLE
 so that nested partitions differ by exactly one degree of freedom per merge.
@@ -169,6 +174,55 @@ def fit_stats(stats: LevelStats, partition: Partition, counter=None) -> FittedMo
     return _fit_cox(stats, partition)
 
 
+# per-cluster sums each family's pair scorer reads; survival has none
+_SUMS = {
+    GAUSSIAN_1D: ("sw", "swy", "swy2"),
+    GAUSSIAN_ND: ("sw", "swy", "swyyt"),
+    BINOMIAL: ("sw", "swy"),
+    SURVIVAL: (),
+}
+
+
+def cluster_sums(stats: LevelStats, partition: Partition) -> dict[str, np.ndarray]:
+    """Level statistics summed per cluster: one row per cluster of ``partition``.
+
+    A merge of clusters a and b turns into ``row a += row b`` and dropping
+    row b, so the engine keeps these up to date without refitting.
+    """
+    rows = stats.cluster_rows(partition)
+    return {
+        name: np.array([getattr(stats, name)[r].sum(axis=0) for r in rows])
+        for name in _SUMS[stats.kind]
+    }
+
+
+def score_pairs(
+    stats: LevelStats,
+    sums: dict[str, np.ndarray],
+    partition: Partition,
+    i: np.ndarray,
+    j: np.ndarray,
+) -> np.ndarray:
+    """Log-likelihood of ``partition`` with clusters ``i[t]`` and ``j[t]``
+    merged, for every t.
+
+    ``sums`` are the :func:`cluster_sums` of ``partition``.  Each value
+    equals ``fit_stats(stats, merged).loglik`` up to rounding.
+    """
+    if stats.kind == GAUSSIAN_1D:
+        return _score_gaussian_1d(stats, sums, i, j)
+    if stats.kind == GAUSSIAN_ND:
+        return _score_gaussian_nd(stats, sums, i, j)
+    if stats.kind == BINOMIAL:
+        return _score_binomial(sums, i, j)
+    return _score_cox(stats, partition, i, j)
+
+
+def _ward(sw: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """w_i w_j / (w_i + w_j): the scatter a merge adds per squared mean gap."""
+    return sw[i] * sw[j] / (sw[i] + sw[j])
+
+
 # ------------------------------------------------------------------ #
 # Gaussian
 # ------------------------------------------------------------------ #
@@ -202,6 +256,17 @@ def _fit_gaussian_1d(stats: LevelStats, partition: Partition) -> FittedModel:
     )
 
 
+def _score_gaussian_1d(stats: LevelStats, sums, i, j) -> np.ndarray:
+    # merging adds the Ward term w_i w_j / (w_i + w_j) * (mu_i - mu_j)^2 to the RSS
+    sw, swy, swy2 = sums["sw"], sums["swy"], sums["swy2"]
+    n = float(stats.sw.sum())
+    rss = float(np.sum(swy2 - swy * swy / sw))
+    mu = swy / sw
+    sigma2 = np.maximum(rss + _ward(sw, i, j) * (mu[i] - mu[j]) ** 2, 0.0) / n
+    sigma2 = np.maximum(sigma2, stats.var_floor)
+    return -0.5 * n * (LOG_2PI + np.log(sigma2) + 1.0)
+
+
 def _fit_gaussian_nd(stats: LevelStats, partition: Partition) -> FittedModel:
     rows = stats.cluster_rows(partition)
     n = float(stats.sw.sum())
@@ -228,14 +293,31 @@ def _fit_gaussian_nd(stats: LevelStats, partition: Partition) -> FittedModel:
     )
 
 
+def _score_gaussian_nd(stats: LevelStats, sums, i, j) -> np.ndarray:
+    # merging adds the Ward scatter w_i w_j / (w_i + w_j) * delta delta^T
+    sw, swy, swyyt = sums["sw"], sums["swy"], sums["swyyt"]
+    n = float(stats.sw.sum())
+    d = stats.data.dim
+    scatter = (swyyt - swy[:, :, None] * swy[:, None, :] / sw[:, None, None]).sum(axis=0)
+    mu = swy / sw[:, None]
+    delta = mu[i] - mu[j]
+    ward = _ward(sw, i, j)[:, None, None] * delta[:, :, None] * delta[:, None, :]
+    cov, _ = _ensure_nonsingular((scatter + ward) / n, d)
+    _, logdet = np.linalg.slogdet(cov)
+    return -0.5 * n * (d * LOG_2PI + logdet + d)
+
+
 def _ensure_nonsingular(cov: np.ndarray, d: int) -> tuple[np.ndarray, tuple[str, ...]]:
-    tol = 1e-10 * max(1.0, float(np.trace(cov)) / d)
-    if np.linalg.eigvalsh(cov).min() > tol:
+    """Ridge the covariance matrices (shape ``(..., d, d)``) that are
+    numerically singular; raise if one stays singular."""
+    trace = np.trace(cov, axis1=-2, axis2=-1) / d
+    singular = np.linalg.eigvalsh(cov).min(axis=-1) <= 1e-10 * np.maximum(1.0, trace)
+    if not singular.any():
         return cov, ()
     # one ridge attempt, then give up
-    ridge = 1e-8 * max(float(np.trace(cov)) / d, 1e-8)
-    fixed = cov + ridge * np.eye(d)
-    if np.linalg.eigvalsh(fixed).min() > 0:
+    ridge = np.where(singular, 1e-8 * np.maximum(trace, 1e-8), 0.0)
+    fixed = cov + ridge[..., None, None] * np.eye(d)
+    if np.linalg.eigvalsh(fixed[singular]).min() > 0:
         return fixed, ("ridged_covariance",)
     raise SingularCovariance("pooled covariance singular after ridge")
 
@@ -274,6 +356,21 @@ def _fit_binomial(stats: LevelStats, partition: Partition) -> FittedModel:
         estimates=est,
         nuisance=None,
     )
+
+
+def _binomial_loglik(sw: np.ndarray, swy: np.ndarray) -> np.ndarray:
+    """Per-cluster binomial log-likelihood with 0*log 0 == 0, as in the fit."""
+    p = swy / sw
+    ll = np.where(p > 0.0, swy * np.log(np.where(p > 0.0, p, 1.0)), 0.0)
+    return ll + np.where(p < 1.0, (sw - swy) * np.log(np.where(p < 1.0, 1.0 - p, 1.0)), 0.0)
+
+
+def _score_binomial(sums, i, j) -> np.ndarray:
+    # only the merged pair's own term changes
+    sw, swy = sums["sw"], sums["swy"]
+    ll = _binomial_loglik(sw, swy)
+    merged = _binomial_loglik(sw[i] + sw[j], swy[i] + swy[j])
+    return float(ll.sum()) - ll[i] - ll[j] + merged
 
 
 # ------------------------------------------------------------------ #
@@ -371,6 +468,15 @@ def _fit_cox(stats: LevelStats, partition: Partition) -> FittedModel:
         estimates=est,
         nuisance=None,
     )
+
+
+def _score_cox(stats: LevelStats, partition: Partition, i, j) -> np.ndarray:
+    # the partial likelihood has no closed-form merge update: fit each candidate
+    labels = partition.labels
+    return np.array([
+        fit_stats(stats, partition.merge(labels[a], labels[b])).loglik
+        for a, b in zip(i.tolist(), j.tolist())
+    ])
 
 
 # ------------------------------------------------------------------ #

@@ -56,6 +56,15 @@ def random_gaussian_dataset(rng, k, n_per_group, spread=2.0):
     return make_gaussian_data(by)
 
 
+def make_gaussian_nd_data(values_by_level: dict[str, np.ndarray]):
+    vals, labels = [], []
+    for lv, vs in values_by_level.items():
+        vals.append(np.asarray(vs, float))
+        labels.extend([lv] * len(vs))
+    data = ResponseData("gaussianNd", np.concatenate(vals))
+    return data, Grouping(tuple(labels))
+
+
 def random_binomial_dataset(rng, k, n_per_group):
     probs = rng.uniform(0.1, 0.9, k)
     by = {}
@@ -74,6 +83,15 @@ def oracle_gaussian_loglik(groups: list[np.ndarray]) -> float:
     rss = sum(float(((g - g.mean()) ** 2).sum()) for g in groups)
     s2 = rss / n
     return -n / 2.0 * (math.log(2 * math.pi) + math.log(s2) + 1.0)
+
+
+def oracle_pooled_scatter_loglik(groups: list[np.ndarray]) -> float:
+    """Pooled-covariance profile loglik, -n/2 * (d log 2pi + log det(W/n) + d),
+    with W the sum of each cluster's scatter about its own mean."""
+    n, d = sum(len(g) for g in groups), groups[0].shape[1]
+    scatter = sum((g - g.mean(axis=0)).T @ (g - g.mean(axis=0)) for g in groups)
+    _, logdet = np.linalg.slogdet(scatter / n)
+    return -n / 2.0 * (d * math.log(2 * math.pi) + logdet + d)
 
 
 def oracle_binomial_loglik(groups: list[np.ndarray]) -> float:
@@ -161,6 +179,8 @@ def _oracle_fit_loglik(kind, values_by_level, partition_members) -> float:
         return oracle_gaussian_loglik(groups)
     if kind == "binomial":
         return oracle_binomial_loglik(groups)
+    if kind == "gaussianNd":
+        return oracle_pooled_scatter_loglik(groups)
     raise ValueError(kind)
 
 

@@ -3,14 +3,17 @@
 import numpy as np
 import pytest
 
-from factorfuse import merge_factors, ordering_statistic
-from factorfuse.data import Grouping, ResponseData
+from factorfuse import fit, merge_factors, ordering_statistic
+from factorfuse.data import Grouping, Partition, ResponseData
+from factorfuse.engine import NEAR_TIE
 from factorfuse.errors import InvalidStrategy
 
 from conftest import (
     make_binomial_data,
     make_gaussian_data,
+    make_gaussian_nd_data,
     make_survival_data,
+    oracle_gaussian_loglik,
     oracle_greedy_path,
     random_binomial_dataset,
     random_gaussian_dataset,
@@ -84,6 +87,32 @@ def test_adaptive_matches_greedy_oracle(kind, rng):
             data, g = make_binomial_data(by)
         path = merge_factors(data, g, "adaptive")
         assert path_merge_sequence(path) == oracle_greedy_path(kind, by)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_adaptive_gaussian_nd_matches_greedy_oracle(d, rng):
+    for _ in range(6):
+        k = int(rng.integers(3, 7))
+        by = {
+            f"G{i + 1}": rng.normal(rng.uniform(0, 3, d), 1.0, (10, d))
+            for i in range(k)
+        }
+        data, g = make_gaussian_nd_data(by)
+        path = merge_factors(data, g, "adaptive")
+        assert path_merge_sequence(path) == oracle_greedy_path("gaussianNd", by)
+
+
+def test_near_tie_merges_lexicographic_pair():
+    # Level means 0, 0.3 and 0.6 with equal spreads: merging (A, B) or (B, C)
+    # is an exact analytic tie, which rounding splits in favour of (B, C).
+    by = {"A": [-0.25, 0.25], "B": [0.05, 0.55], "C": [0.35, 0.85]}
+    data, g = make_gaussian_data(by)
+    full = Partition.singletons(g.levels)
+    ab, bc = (fit(data, g, full.merge(a, b)).loglik for a, b in (("(A)", "(B)"), ("(B)", "(C)")))
+    assert 0.0 < bc - ab < NEAR_TIE
+    for strategy in STRATEGIES:
+        path = merge_factors(data, g, strategy)
+        assert path.steps[1].merged_pair == ("(A)", "(B)"), strategy
 
 
 def test_identical_clusters_merge_first(rng):
@@ -195,6 +224,35 @@ def test_first_merge_agreement_adaptive_vs_fixed(rng):
         a = merge_factors(data, g, "adaptive")
         f = merge_factors(data, g, "fixed")
         assert a.steps[1].merged_pair == f.steps[1].merged_pair
+
+
+def test_fixed_matches_scipy_complete_linkage(rng):
+    hierarchy = pytest.importorskip("scipy.cluster.hierarchy")
+    for _ in range(5):
+        k = 7
+        by = {f"G{i + 1}": list(rng.normal(rng.uniform(0, 4), 1.0, 8)) for i in range(k)}
+        data, g = make_gaussian_data(by)
+        groups = [np.array(by[lv]) for lv in g.levels]
+        full = oracle_gaussian_loglik(groups)
+        # condensed LRT distance matrix: merge (a, b), every other level alone
+        dist = []
+        for a in range(k):
+            for b in range(a + 1, k):
+                rest = [x for t, x in enumerate(groups) if t not in (a, b)]
+                merged = oracle_gaussian_loglik(rest + [np.concatenate([groups[a], groups[b]])])
+                dist.append(2.0 * (full - merged))
+        assert np.diff(np.sort(dist)).min() > 1e-6  # distinct distances
+        members = {t: frozenset([lv]) for t, lv in enumerate(g.levels)}
+        want = []
+        for t, (x, y) in enumerate(hierarchy.linkage(np.array(dist), method="complete")[:, :2]):
+            members[k + t] = members[int(x)] | members[int(y)]
+            want.append({members[int(x)], members[int(y)]})
+        path = merge_factors(data, g, "fixed")
+        got = []
+        for prev, step in zip(path.steps, path.steps[1:]):
+            of = {c.label: c.member_set for c in prev.model.partition.clusters}
+            got.append({of[label] for label in step.merged_pair})
+        assert got == want
 
 
 def test_all_strategies_share_endpoints(rng):

@@ -1,6 +1,7 @@
 """Family fits: closed-form cases, invariants, and error paths."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from factorfuse import fit, group_summary, kaplan_meier
 from factorfuse.data import Grouping, Partition, ResponseData
+from factorfuse.families import LevelStats, cluster_sums, fit_stats, score_pairs
 from factorfuse.errors import (
     DegeneratePoints,
     EmptyCluster,
@@ -386,3 +388,126 @@ class TestMds:
         a = mds_project_1d(pts)
         b = mds_project_1d(pts.copy())
         assert np.array_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
+# pair scorer: every candidate merge scored from cluster sums equals its fit
+
+
+def assert_scores_match_fits(data, g, merges=()):
+    """Score every pair of a partition of ``g`` and compare with the fits.
+
+    ``merges`` coarsens the singleton partition first, each entry merging the
+    cluster at that position (modulo the size) with its right neighbour.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stats = LevelStats(data, g)
+        part = singletons_of(g)
+        for x in merges:
+            if part.size <= 2:
+                break
+            a = x % (part.size - 1)
+            part = part.merge(part.labels[a], part.labels[a + 1])
+        i, j = np.triu_indices(part.size, k=1)
+        got = score_pairs(stats, cluster_sums(stats, part), part, i, j)
+        fits = [fit_stats(stats, part.merge(part.labels[a], part.labels[b])) for a, b in zip(i, j)]
+    for score, m in zip(got, fits):
+        assert abs(score - m.loglik) <= 1e-9 + 1e-12 * abs(m.loglik)
+    return fits
+
+
+def _labelled(sizes):
+    return tuple(f"L{t}" for t, size in enumerate(sizes) for _ in range(size))
+
+
+# The fits compute a cluster's scatter as swyy - swy^2/sw, whose rounding error
+# grows with the ratio of sum(w y^2) to the scatter; the scorer adds the exact
+# Ward term instead.  Small integer responses keep that ratio bounded, so the
+# comparison measures the scorer rather than the fit's cancellation error.
+INTS = st.integers(-5, 5).map(float)
+SIZES = st.lists(st.integers(1, 5), min_size=2, max_size=6)
+MERGES = st.lists(st.integers(0, 10), max_size=3)
+
+
+def _weights(draw, n):
+    return draw(st.one_of(st.none(), st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n)))
+
+
+@st.composite
+def gaussian_levels(draw):
+    sizes = draw(SIZES)
+    n = sum(sizes)
+    y = draw(st.lists(INTS, min_size=n, max_size=n))
+    w = _weights(draw, n)
+    return ResponseData("gaussian1d", np.array(y), weights=w), Grouping(_labelled(sizes))
+
+
+@st.composite
+def collinear_levels(draw):
+    # equal power-of-two level sizes keep every cluster sum and mean exact,
+    # so both computations pass the same matrix to the ridge
+    d = draw(st.integers(2, 3))
+    k = draw(st.integers(2, 5))
+    size = draw(st.sampled_from([1, 2, 4]))
+    x = np.array(draw(st.lists(INTS, min_size=k * size * (d - 1), max_size=k * size * (d - 1))))
+    x = x.reshape(k * size, d - 1)
+    y = np.column_stack([x, 2.0 * x.sum(axis=1)])  # last column is a linear combination
+    return ResponseData("gaussianNd", y), Grouping(_labelled([size] * k))
+
+
+@st.composite
+def binomial_levels(draw):
+    # every level is all 0, all 1 or mixed
+    kinds = draw(st.lists(st.sampled_from(["zeros", "ones", "mixed"]), min_size=2, max_size=6))
+    sizes = draw(st.lists(st.integers(1, 5), min_size=len(kinds), max_size=len(kinds)))
+    y = []
+    for kind, size in zip(kinds, sizes):
+        if kind == "mixed":
+            y += draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=size, max_size=size))
+        else:
+            y += [float(kind == "ones")] * size
+    w = _weights(draw, len(y))
+    return ResponseData("binomial", np.array(y), weights=w), Grouping(_labelled(sizes))
+
+
+class TestPairScorer:
+    @given(case=gaussian_levels(), merges=MERGES)
+    @settings(max_examples=100, deadline=None)
+    def test_gaussian_1d(self, case, merges):
+        assert_scores_match_fits(*case, merges)
+
+    @given(value=st.floats(-10, 10), sizes=SIZES)
+    @settings(max_examples=30, deadline=None)
+    def test_constant_data_takes_variance_floor(self, value, sizes):
+        g = Grouping(_labelled(sizes))
+        data = ResponseData("gaussian1d", np.full(g.n, value))
+        for m in assert_scores_match_fits(data, g):
+            assert "degenerate_variance" in m.flags
+
+    @given(case=collinear_levels())
+    @settings(max_examples=40, deadline=None)
+    def test_collinear_gaussian_nd_is_ridged(self, case):
+        for m in assert_scores_match_fits(*case):
+            assert "ridged_covariance" in m.flags
+
+    @given(case=binomial_levels(), merges=MERGES)
+    @settings(max_examples=100, deadline=None)
+    def test_binomial(self, case, merges):
+        assert_scores_match_fits(*case, merges)
+
+    def test_gaussian_nd(self, rng):
+        for d in (2, 3):
+            sizes = rng.integers(3, 8, 5)
+            y = rng.normal(0, 1, (sizes.sum(), d)) + np.repeat(rng.uniform(0, 3, (5, d)), sizes, axis=0)
+            data, g = ResponseData("gaussianNd", y), Grouping(_labelled(sizes))
+            for merges in ((), (0, 1)):
+                for m in assert_scores_match_fits(data, g, merges):
+                    assert m.flags == ()
+
+    def test_survival_scores_are_fits(self, rng):
+        rows = {
+            f"G{i}": [(float(t), int(e)) for t, e in zip(rng.exponential(1 + i, 6), rng.uniform(size=6) > 0.2)]
+            for i in range(4)
+        }
+        assert_scores_match_fits(*make_survival_data(rows), merges=(1,))
