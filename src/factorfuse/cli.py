@@ -32,6 +32,7 @@ from .errors import (
     NumericalInconsistency,
     SingularCovariance,
 )
+from .families import FAMILIES
 from .fixtures import make_fixture
 from .inference import (
     SelectionCriterion,
@@ -260,7 +261,7 @@ def cmd_merge(args) -> int:
     criterion = SelectionCriterion(args.criterion, args.value)
     spec = PlotSpec(
         panels=ALL_PANELS,
-        response_panel=args.response_panel or _default_panel(data.kind),
+        response_panel=args.response_panel or FAMILIES[data.kind].panels[0],
         nodes_spacing=args.nodes_spacing,
         panel_grid=args.panel_grid,
         show_split=args.show_split,
@@ -358,15 +359,6 @@ def cmd_merge(args) -> int:
     return 0
 
 
-def _default_panel(kind: str) -> str:
-    return {
-        GAUSSIAN_1D: "means",
-        GAUSSIAN_ND: "frequency",
-        BINOMIAL: "proportion",
-        SURVIVAL: "survival",
-    }[kind]
-
-
 def cmd_fixture(args) -> int:
     if args.k < 2 or args.n_per_group < 2:
         raise ConfigError("fixture needs k >= 2 and n-per-group >= 2")
@@ -383,7 +375,7 @@ def cmd_fixture(args) -> int:
         for (t, e), g in zip(fx.data.values, fx.grouping.labels):
             lines.append(f"{float(t)!r},{int(e)},{g}")
     elif fx.data.kind == GAUSSIAN_ND:
-        d = fx.data.dim
+        d = fx.data.values.shape[1]
         lines.append(",".join(f"y{j + 1}" for j in range(d)) + ",group")
         for row, g in zip(fx.data.values, fx.grouping.labels):
             lines.append(",".join(repr(float(v)) for v in row) + f",{g}")

@@ -67,10 +67,6 @@ class ResponseData:
     def n(self) -> int:
         return self.values.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.values.shape[1] if self.kind == GAUSSIAN_ND else 1
-
 
 @dataclass(frozen=True)
 class Grouping:

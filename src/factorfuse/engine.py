@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Grouping, Partition, ResponseData, GAUSSIAN_1D, GAUSSIAN_ND, BINOMIAL, SURVIVAL
+from .data import Grouping, Partition, ResponseData
 from .errors import InvalidStrategy
 from .families import FittedModel, LevelStats, cluster_sums, fit_stats, score_pairs
 from .mds import mds_project_1d
@@ -99,31 +99,12 @@ def ordering_statistic(
 
     gaussian1d -> group mean; binomial -> success proportion; gaussianNd ->
     group mean of the 1-D non-metric MDS projection of the observations;
-    survival -> log hazard ratio from the full model.  Ties keep the
-    original level order.
+    survival -> log hazard ratio from the full model (``full_model`` if
+    given).  Ties keep the original level order.
     """
     stats = stats or LevelStats(data, grouping)
-    levels = grouping.levels
-    if data.kind in (GAUSSIAN_1D, BINOMIAL):
-        value = {lv: stats.swy[i] / stats.sw[i] for i, lv in enumerate(levels)}
-    elif data.kind == GAUSSIAN_ND:
-        proj = mds_project_1d(data.values)
-        w = data.weights if data.weights is not None else np.ones(data.n)
-        idx = grouping.indices()
-        value = {
-            lv: float((proj[idx[lv]] * w[idx[lv]]).sum() / w[idx[lv]].sum())
-            for lv in levels
-        }
-    elif data.kind == SURVIVAL:
-        if full_model is None:
-            full_model = fit_stats(stats, Partition.singletons(levels))
-        value = {
-            lv: full_model.estimates[f"({lv})"]["alpha"] for lv in levels
-        }
-    else:  # pragma: no cover - ResponseData validates kinds
-        raise InvalidStrategy(data.kind)
-    order = {lv: i for i, lv in enumerate(levels)}
-    return tuple(sorted(levels, key=lambda lv: (value[lv], order[lv])))
+    value = stats.family.order_value(stats, full_model, mds_project_1d)
+    return tuple(grouping.levels[t] for t in np.argsort(value, kind="stable"))
 
 
 # ------------------------------------------------------------------ #
@@ -234,14 +215,10 @@ def _drive_adaptive(data, grouping, adjacent_only: bool) -> MergingPath:
 def _ordered_full_model(data, grouping, stats, counter):
     """Full model plus the level ordering used by the fast strategies.
 
-    For survival the ordering statistic needs the full fit itself, so that
-    fit is done first (counted) and reused; the reordered singleton model is
-    a re-evaluation of the same likelihood and is not counted.
+    The full model in the new order is counted as a path fit; a full fit
+    that the ordering statistic itself needs (survival) is not.
     """
-    base = None
-    if data.kind == SURVIVAL:
-        base = fit_stats(stats, Partition.singletons(grouping.levels))
-    ordering = ordering_statistic(data, grouping, stats=stats, full_model=base)
+    ordering = ordering_statistic(data, grouping, stats=stats)
     part = Partition.singletons(ordering)
     model0 = fit_stats(stats, part)
     counter.increment("path")

@@ -1,16 +1,20 @@
 """Maximum-likelihood fits for the four model families.
 
+What differs between the families is kept in one :class:`Family` record per
+response kind, in :data:`FAMILIES`: how per-level statistics are built,
+which of them are summed per cluster, the fit, the pair score, the per-level
+ordering value, the estimate :func:`group_summary` reports, and the response
+panels the plot accepts.  The engine, the plots and the CLI read the record
+instead of switching on the kind.
+
 Every fit is a pure function of (response data, grouping, partition).  The
 Gaussian and binomial families reduce to per-level sufficient statistics,
-computed once per dataset in :class:`LevelStats` and summed per cluster, so
-a single fit costs O(number of clusters).  Per-level reductions are done on
-value-sorted observations, which makes log-likelihoods invariant under row
-permutations of the input (bitwise, not just up to rounding).
-
-:func:`score_pairs` gives the log-likelihood after merging each of many
-cluster pairs at once, from per-cluster sums (:func:`cluster_sums`), with
-the same formulas as the fits.  The engine scores candidates with it and
-fits only the partition it chooses.
+computed once per dataset in :class:`LevelStats` from observations sorted by
+value and then weight, which makes log-likelihoods invariant under row
+permutations of the input (bitwise, not just up to rounding).  Fits and
+:func:`score_pairs`, which scores many candidate merges at once, read the
+same per-cluster sums (:func:`cluster_sums`) through the same log-likelihood
+helpers; the engine fits only the partition it chooses.
 
 The shared nuisance parameters (sigma^2 for gaussian1d, the pooled
 covariance for gaussianNd) are profiled: each partition gets the pooled MLE
@@ -21,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -50,6 +55,11 @@ COX_TOL = 1e-8
 COX_MAX_ITER = 50
 COX_ALPHA_CAP = 20.0
 
+# The fits take logarithms with math.log and the scorers with numpy's
+# vectorised log, which can differ from it in the last bit; the fits keep
+# math.log so that path log-likelihoods do not change.
+_math_log = np.vectorize(math.log, otypes=[float])
+
 
 @dataclass(frozen=True)
 class FittedModel:
@@ -67,6 +77,26 @@ class FittedModel:
             raise DegenerateData("non-finite log-likelihood")
 
 
+@dataclass(frozen=True)
+class Family:
+    """What one model family adds to the shared merging machinery."""
+
+    # (stats, observation rows per level) -> None: sets the per-level statistics
+    level_stats: Callable
+    # per-level statistics that cluster_sums adds up per cluster
+    sums: tuple[str, ...]
+    # (stats, partition, cluster sums) -> FittedModel
+    fit: Callable
+    # (stats, cluster sums, partition, i, j) -> loglik with each pair merged
+    score: Callable
+    # (stats, full model or None, 1-D projection) -> ordering value per level
+    order_value: Callable
+    # the estimate group_summary reports per cluster
+    estimate: str
+    # response panels the plot accepts for this family, default first
+    panels: tuple[str, ...]
+
+
 class LevelStats:
     """Per-level sufficient statistics for a (data, grouping) pair."""
 
@@ -75,60 +105,10 @@ class LevelStats:
             raise DegenerateData("response and grouping lengths differ")
         self.data = data
         self.grouping = grouping
-        self.kind = data.kind
+        self.family = FAMILIES[data.kind]
         self.levels = grouping.levels
         self._index = {lv: i for i, lv in enumerate(self.levels)}
-        idx = grouping.indices()
-
-        w = data.weights
-        if self.kind == SURVIVAL and w is not None:
-            raise WeightsNotSupported("survival fits do not accept weights")
-
-        if self.kind in (GAUSSIAN_1D, BINOMIAL):
-            y = data.values
-            self.sw = np.empty(len(self.levels))
-            self.swy = np.empty(len(self.levels))
-            self.swy2 = np.empty(len(self.levels))
-            for i, lv in enumerate(self.levels):
-                rows = idx[lv]
-                yl = y[rows]
-                wl = np.ones_like(yl) if w is None else w[rows]
-                order = np.lexsort((wl, yl))
-                yl, wl = yl[order], wl[order]
-                self.sw[i] = wl.sum()
-                self.swy[i] = (wl * yl).sum()
-                self.swy2[i] = (wl * yl * yl).sum()
-            if self.kind == GAUSSIAN_1D:
-                rng = float(y.max() - y.min()) if data.n else 0.0
-                self.var_floor = 1e-12 * rng * rng if rng > 0 else 1e-12
-        elif self.kind == GAUSSIAN_ND:
-            y = data.values
-            d = data.dim
-            self.sw = np.empty(len(self.levels))
-            self.swy = np.empty((len(self.levels), d))
-            self.swyyt = np.empty((len(self.levels), d, d))
-            for i, lv in enumerate(self.levels):
-                rows = idx[lv]
-                yl = y[rows]
-                wl = np.ones(len(rows)) if w is None else w[rows]
-                order = np.lexsort(tuple(yl[:, j] for j in reversed(range(d))))
-                yl, wl = yl[order], wl[order]
-                self.sw[i] = wl.sum()
-                self.swy[i] = (wl[:, None] * yl).sum(axis=0)
-                self.swyyt[i] = np.einsum("i,ij,ik->jk", wl, yl, yl)
-        else:  # survival
-            t = data.values[:, 0]
-            e = data.values[:, 1]
-            self.times = {}
-            self.events = {}
-            n_events = 0
-            for lv in self.levels:
-                rows = idx[lv]
-                order = np.lexsort((e[rows], t[rows]))
-                self.times[lv] = t[rows][order]
-                self.events[lv] = e[rows][order]
-                n_events += int(e[rows].sum())
-            self.n_events = n_events
+        self.family.level_stats(self, grouping.indices())
 
     def cluster_rows(self, partition: Partition) -> list[np.ndarray]:
         """Member level indices per cluster, in declared level order."""
@@ -141,12 +121,7 @@ class LevelStats:
         return out
 
 
-def fit(
-    data: ResponseData,
-    grouping: Grouping,
-    partition: Partition,
-    counter=None,
-) -> FittedModel:
+def fit(data: ResponseData, grouping: Grouping, partition: Partition, counter=None) -> FittedModel:
     """Fit the family determined by ``data.kind`` on ``partition``."""
     stats = LevelStats(data, grouping)
     return fit_stats(stats, partition, counter)
@@ -165,22 +140,7 @@ def fit_stats(stats: LevelStats, partition: Partition, counter=None) -> FittedMo
         raise DegenerateData("partition does not cover the grouping levels")
     if counter is not None:
         counter.increment()
-    if stats.kind == GAUSSIAN_1D:
-        return _fit_gaussian_1d(stats, partition)
-    if stats.kind == GAUSSIAN_ND:
-        return _fit_gaussian_nd(stats, partition)
-    if stats.kind == BINOMIAL:
-        return _fit_binomial(stats, partition)
-    return _fit_cox(stats, partition)
-
-
-# per-cluster sums each family's pair scorer reads; survival has none
-_SUMS = {
-    GAUSSIAN_1D: ("sw", "swy", "swy2"),
-    GAUSSIAN_ND: ("sw", "swy", "swyyt"),
-    BINOMIAL: ("sw", "swy"),
-    SURVIVAL: (),
-}
+    return stats.family.fit(stats, partition, cluster_sums(stats, partition))
 
 
 def cluster_sums(stats: LevelStats, partition: Partition) -> dict[str, np.ndarray]:
@@ -190,32 +150,38 @@ def cluster_sums(stats: LevelStats, partition: Partition) -> dict[str, np.ndarra
     row b, so the engine keeps these up to date without refitting.
     """
     rows = stats.cluster_rows(partition)
+    # add.reduce sums along the first axis like .sum(axis=0), with less call overhead
     return {
-        name: np.array([getattr(stats, name)[r].sum(axis=0) for r in rows])
-        for name in _SUMS[stats.kind]
+        name: np.array([np.add.reduce(getattr(stats, name)[r]) for r in rows])
+        for name in stats.family.sums
     }
 
 
-def score_pairs(
-    stats: LevelStats,
-    sums: dict[str, np.ndarray],
-    partition: Partition,
-    i: np.ndarray,
-    j: np.ndarray,
-) -> np.ndarray:
+def score_pairs(stats: LevelStats, sums: dict[str, np.ndarray], partition: Partition,
+                i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """Log-likelihood of ``partition`` with clusters ``i[t]`` and ``j[t]``
     merged, for every t.
 
     ``sums`` are the :func:`cluster_sums` of ``partition``.  Each value
     equals ``fit_stats(stats, merged).loglik`` up to rounding.
     """
-    if stats.kind == GAUSSIAN_1D:
-        return _score_gaussian_1d(stats, sums, i, j)
-    if stats.kind == GAUSSIAN_ND:
-        return _score_gaussian_nd(stats, sums, i, j)
-    if stats.kind == BINOMIAL:
-        return _score_binomial(sums, i, j)
-    return _score_cox(stats, partition, i, j)
+    return stats.family.score(stats, sums, partition, i, j)
+
+
+def _sorted_level(data: ResponseData, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One level's responses and weights, sorted by response and then by
+    weight, so that sums over them do not depend on the input row order."""
+    y = data.values[rows]
+    w = np.ones(len(rows)) if data.weights is None else data.weights[rows]
+    keys = (y,) if y.ndim == 1 else y.T[::-1]  # lexsort sorts by the last key first
+    order = np.lexsort((w, *keys))
+    return y[order], w[order]
+
+
+def _pooled(per_cluster: np.ndarray) -> np.ndarray:
+    """Sum over clusters, strictly left to right as the fits have always
+    summed, so that path log-likelihoods keep their values to the bit."""
+    return np.cumsum(per_cluster, axis=0)[-1]
 
 
 def _ward(sw: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -223,88 +189,104 @@ def _ward(sw: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     return sw[i] * sw[j] / (sw[i] + sw[j])
 
 
+def _level_means(stats: LevelStats, full_model, project) -> np.ndarray:
+    return stats.swy / stats.sw
+
+
 # ------------------------------------------------------------------ #
 # Gaussian
 # ------------------------------------------------------------------ #
 
 
-def _fit_gaussian_1d(stats: LevelStats, partition: Partition) -> FittedModel:
-    rows = stats.cluster_rows(partition)
+def _moment_stats(stats: LevelStats, idx: dict) -> None:
+    """Weighted count, sum and sum of squares of a scalar response per level."""
+    k = len(stats.levels)
+    stats.sw, stats.swy, stats.swy2 = np.empty(k), np.empty(k), np.empty(k)
+    for i, lv in enumerate(stats.levels):
+        y, w = _sorted_level(stats.data, idx[lv])
+        stats.sw[i] = w.sum()
+        stats.swy[i] = (w * y).sum()
+        stats.swy2[i] = (w * y * y).sum()
+
+
+def _gaussian_1d_stats(stats: LevelStats, idx: dict) -> None:
+    _moment_stats(stats, idx)
+    y = stats.data.values
+    rng = float(y.max() - y.min()) if len(y) else 0.0
+    # tiny keeps the floor positive where rng**2 underflows
+    stats.var_floor = max(1e-12 * rng * rng, np.finfo(float).tiny) if rng > 0 else 1e-12
+
+
+def _rss_loglik(stats: LevelStats, sums, log, added=0.0):
+    """Log-likelihood and sigma^2, clamped at the variance floor, of the
+    pooled residual sum of squares of ``sums`` plus ``added``."""
     n = float(stats.sw.sum())
-    rss = 0.0
-    means = {}
-    for c, r in zip(partition.clusters, rows):
-        sw = float(stats.sw[r].sum())
-        swy = float(stats.swy[r].sum())
-        swy2 = float(stats.swy2[r].sum())
-        mu = swy / sw
-        rss += swy2 - swy * swy / sw
-        means[c.label] = {"mean": mu}
-    sigma2 = max(rss, 0.0) / n
-    flags = ()
-    if sigma2 < stats.var_floor:
-        sigma2 = stats.var_floor
-        flags = ("degenerate_variance",)
-    loglik = -0.5 * n * (LOG_2PI + math.log(sigma2) + 1.0)
+    rss = _pooled(sums["swy2"] - sums["swy"] * sums["swy"] / sums["sw"]) + added
+    sigma2 = np.maximum(np.maximum(rss, 0.0) / n, stats.var_floor)
+    return -0.5 * n * (LOG_2PI + log(sigma2) + 1.0), sigma2
+
+
+def _fit_gaussian_1d(stats: LevelStats, partition: Partition, sums) -> FittedModel:
+    loglik, sigma2 = _rss_loglik(stats, sums, math.log)
+    means = (sums["swy"] / sums["sw"]).tolist()
     return FittedModel(
         family=GAUSSIAN_1D,
         partition=partition,
         loglik=loglik,
-        estimates=means,
-        nuisance={"sigma2": sigma2},
-        flags=flags,
+        estimates={c.label: {"mean": mu} for c, mu in zip(partition.clusters, means)},
+        nuisance={"sigma2": float(sigma2)},
+        flags=("degenerate_variance",) if sigma2 == stats.var_floor else (),
     )
 
 
-def _score_gaussian_1d(stats: LevelStats, sums, i, j) -> np.ndarray:
+def _score_gaussian_1d(stats: LevelStats, sums, partition, i, j) -> np.ndarray:
     # merging adds the Ward term w_i w_j / (w_i + w_j) * (mu_i - mu_j)^2 to the RSS
-    sw, swy, swy2 = sums["sw"], sums["swy"], sums["swy2"]
-    n = float(stats.sw.sum())
-    rss = float(np.sum(swy2 - swy * swy / sw))
-    mu = swy / sw
-    sigma2 = np.maximum(rss + _ward(sw, i, j) * (mu[i] - mu[j]) ** 2, 0.0) / n
-    sigma2 = np.maximum(sigma2, stats.var_floor)
-    return -0.5 * n * (LOG_2PI + np.log(sigma2) + 1.0)
+    sw = sums["sw"]
+    mu = sums["swy"] / sw
+    return _rss_loglik(stats, sums, np.log, _ward(sw, i, j) * (mu[i] - mu[j]) ** 2)[0]
 
 
-def _fit_gaussian_nd(stats: LevelStats, partition: Partition) -> FittedModel:
-    rows = stats.cluster_rows(partition)
-    n = float(stats.sw.sum())
-    d = stats.data.dim
-    scatter = np.zeros((d, d))
-    means = {}
-    for c, r in zip(partition.clusters, rows):
-        sw = float(stats.sw[r].sum())
-        swy = stats.swy[r].sum(axis=0)
-        swyyt = stats.swyyt[r].sum(axis=0)
-        mu = swy / sw
-        scatter += swyyt - np.outer(swy, swy) / sw
-        means[c.label] = {"mean": mu}
-    cov, flags = _ensure_nonsingular(scatter / n, d)
+def _gaussian_nd_stats(stats: LevelStats, idx: dict) -> None:
+    k, d = len(stats.levels), stats.data.values.shape[1]
+    stats.sw, stats.swy, stats.swyyt = np.empty(k), np.empty((k, d)), np.empty((k, d, d))
+    for i, lv in enumerate(stats.levels):
+        y, w = _sorted_level(stats.data, idx[lv])
+        stats.sw[i] = w.sum()
+        stats.swy[i] = (w[:, None] * y).sum(axis=0)
+        stats.swyyt[i] = np.einsum("i,ij,ik->jk", w, y, y)
+
+
+def _scatter_loglik(stats: LevelStats, sums, added=0.0):
+    """Log-likelihood, covariance and ridge flags of the pooled scatter
+    matrix of ``sums`` plus ``added`` (shape ``(d, d)`` or ``(m, d, d)``)."""
+    swy, sw = sums["swy"], sums["sw"]
+    n, d = float(stats.sw.sum()), swy.shape[1]
+    scatter = _pooled(sums["swyyt"] - swy[:, :, None] * swy[:, None, :] / sw[:, None, None])
+    cov, flags = _ensure_nonsingular((scatter + added) / n, d)
     _, logdet = np.linalg.slogdet(cov)
-    loglik = -0.5 * n * (d * LOG_2PI + logdet + d)
+    return -0.5 * n * (d * LOG_2PI + logdet + d), cov, flags
+
+
+def _fit_gaussian_nd(stats: LevelStats, partition: Partition, sums) -> FittedModel:
+    loglik, cov, flags = _scatter_loglik(stats, sums)
+    means = sums["swy"] / sums["sw"][:, None]
     return FittedModel(
         family=GAUSSIAN_ND,
         partition=partition,
         loglik=loglik,
-        estimates=means,
+        estimates={c.label: {"mean": mu} for c, mu in zip(partition.clusters, means)},
         nuisance={"cov": cov},
         flags=flags,
     )
 
 
-def _score_gaussian_nd(stats: LevelStats, sums, i, j) -> np.ndarray:
+def _score_gaussian_nd(stats: LevelStats, sums, partition, i, j) -> np.ndarray:
     # merging adds the Ward scatter w_i w_j / (w_i + w_j) * delta delta^T
-    sw, swy, swyyt = sums["sw"], sums["swy"], sums["swyyt"]
-    n = float(stats.sw.sum())
-    d = stats.data.dim
-    scatter = (swyyt - swy[:, :, None] * swy[:, None, :] / sw[:, None, None]).sum(axis=0)
-    mu = swy / sw[:, None]
+    sw = sums["sw"]
+    mu = sums["swy"] / sw[:, None]
     delta = mu[i] - mu[j]
     ward = _ward(sw, i, j)[:, None, None] * delta[:, :, None] * delta[:, None, :]
-    cov, _ = _ensure_nonsingular((scatter + ward) / n, d)
-    _, logdet = np.linalg.slogdet(cov)
-    return -0.5 * n * (d * LOG_2PI + logdet + d)
+    return _scatter_loglik(stats, sums, ward)[0]
 
 
 def _ensure_nonsingular(cov: np.ndarray, d: int) -> tuple[np.ndarray, tuple[str, ...]]:
@@ -322,50 +304,42 @@ def _ensure_nonsingular(cov: np.ndarray, d: int) -> tuple[np.ndarray, tuple[str,
     raise SingularCovariance("pooled covariance singular after ridge")
 
 
+def _projected_means(stats: LevelStats, full_model, project) -> np.ndarray:
+    """Weighted level means of the 1-D projection of all observations."""
+    proj = project(stats.data.values)
+    w = stats.data.weights if stats.data.weights is not None else np.ones(stats.data.n)
+    idx = stats.grouping.indices()
+    return np.array([(proj[idx[lv]] * w[idx[lv]]).sum() / w[idx[lv]].sum() for lv in stats.levels])
+
+
 # ------------------------------------------------------------------ #
 # Binomial
 # ------------------------------------------------------------------ #
 
 
-def _fit_binomial(stats: LevelStats, partition: Partition) -> FittedModel:
-    rows = stats.cluster_rows(partition)
-    loglik = 0.0
+def _binomial_loglik(sw: np.ndarray, swy: np.ndarray, log=np.log) -> np.ndarray:
+    """Per-cluster binomial log-likelihood with 0*log 0 == 0."""
+    p = swy / sw
+    ll = np.where(p > 0.0, swy * log(np.where(p > 0.0, p, 1.0)), 0.0)
+    return ll + np.where(p < 1.0, (sw - swy) * log(np.where(p < 1.0, 1.0 - p, 1.0)), 0.0)
+
+
+def _fit_binomial(stats: LevelStats, partition: Partition, sums) -> FittedModel:
+    sw, swy = sums["sw"], sums["swy"]
     est = {}
-    for c, r in zip(partition.clusters, rows):
-        sw = float(stats.sw[r].sum())
-        swy = float(stats.swy[r].sum())
-        p = swy / sw
-        # 0*log 0 == 0 convention keeps degenerate proportions finite
-        ll = 0.0
-        if p > 0.0:
-            ll += swy * math.log(p)
-        if p < 1.0:
-            ll += (sw - swy) * math.log(1.0 - p)
-        loglik += ll
-        if p <= 0.0:
-            logit = -math.inf
-        elif p >= 1.0:
-            logit = math.inf
-        else:
-            logit = math.log(p / (1.0 - p))
+    for c, p in zip(partition.clusters, (swy / sw).tolist()):
+        logit = -math.inf if p <= 0.0 else math.inf if p >= 1.0 else math.log(p / (1.0 - p))
         est[c.label] = {"p": p, "logit": logit}
     return FittedModel(
         family=BINOMIAL,
         partition=partition,
-        loglik=loglik,
+        loglik=float(_pooled(_binomial_loglik(sw, swy, _math_log))),
         estimates=est,
         nuisance=None,
     )
 
 
-def _binomial_loglik(sw: np.ndarray, swy: np.ndarray) -> np.ndarray:
-    """Per-cluster binomial log-likelihood with 0*log 0 == 0, as in the fit."""
-    p = swy / sw
-    ll = np.where(p > 0.0, swy * np.log(np.where(p > 0.0, p, 1.0)), 0.0)
-    return ll + np.where(p < 1.0, (sw - swy) * np.log(np.where(p < 1.0, 1.0 - p, 1.0)), 0.0)
-
-
-def _score_binomial(sums, i, j) -> np.ndarray:
+def _score_binomial(stats: LevelStats, sums, partition, i, j) -> np.ndarray:
     # only the merged pair's own term changes
     sw, swy = sums["sw"], sums["swy"]
     ll = _binomial_loglik(sw, swy)
@@ -376,6 +350,19 @@ def _score_binomial(sums, i, j) -> np.ndarray:
 # ------------------------------------------------------------------ #
 # Cox proportional hazards (Breslow ties)
 # ------------------------------------------------------------------ #
+
+
+def _survival_stats(stats: LevelStats, idx: dict) -> None:
+    if stats.data.weights is not None:
+        raise WeightsNotSupported("survival fits do not accept weights")
+    t, e = stats.data.values.T
+    stats.times, stats.events = {}, {}
+    for lv in stats.levels:
+        rows = idx[lv]
+        order = np.lexsort((e[rows], t[rows]))
+        stats.times[lv] = t[rows][order]
+        stats.events[lv] = e[rows][order]
+    stats.n_events = int(e.sum())
 
 
 def _cox_arrays(stats: LevelStats, partition: Partition):
@@ -420,7 +407,7 @@ def _cox_loglik_grad_hess(alpha, t, e, g, n_clusters):
     return loglik, grad, hess
 
 
-def _fit_cox(stats: LevelStats, partition: Partition) -> FittedModel:
+def _fit_cox(stats: LevelStats, partition: Partition, sums) -> FittedModel:
     if stats.n_events == 0:
         raise NoEvents("survival data has no uncensored events")
     t, e, g = _cox_arrays(stats, partition)
@@ -470,7 +457,7 @@ def _fit_cox(stats: LevelStats, partition: Partition) -> FittedModel:
     )
 
 
-def _score_cox(stats: LevelStats, partition: Partition, i, j) -> np.ndarray:
+def _score_cox(stats: LevelStats, sums, partition: Partition, i, j) -> np.ndarray:
     # the partial likelihood has no closed-form merge update: fit each candidate
     labels = partition.labels
     return np.array([
@@ -479,22 +466,45 @@ def _score_cox(stats: LevelStats, partition: Partition, i, j) -> np.ndarray:
     ])
 
 
+def _log_hazard_ratios(stats: LevelStats, full_model, project) -> np.ndarray:
+    if full_model is None:
+        full_model = fit_stats(stats, Partition.singletons(stats.levels))
+    return np.array([full_model.estimates[f"({lv})"]["alpha"] for lv in stats.levels])
+
+
 # ------------------------------------------------------------------ #
-# Summaries
+# The family records
 # ------------------------------------------------------------------ #
+
+
+FAMILIES = {
+    GAUSSIAN_1D: Family(
+        level_stats=_gaussian_1d_stats, sums=("sw", "swy", "swy2"), fit=_fit_gaussian_1d,
+        score=_score_gaussian_1d, order_value=_level_means, estimate="mean",
+        panels=("means", "boxplot", "frequency"),
+    ),
+    GAUSSIAN_ND: Family(
+        level_stats=_gaussian_nd_stats, sums=("sw", "swy", "swyyt"), fit=_fit_gaussian_nd,
+        score=_score_gaussian_nd, order_value=_projected_means, estimate="mean",
+        panels=("frequency",),
+    ),
+    BINOMIAL: Family(
+        level_stats=_moment_stats, sums=("sw", "swy"), fit=_fit_binomial,
+        score=_score_binomial, order_value=_level_means, estimate="p",
+        panels=("proportion", "frequency"),
+    ),
+    SURVIVAL: Family(
+        level_stats=_survival_stats, sums=(), fit=_fit_cox,
+        score=_score_cox, order_value=_log_hazard_ratios, estimate="hazard_ratio",
+        panels=("survival", "frequency"),
+    ),
+}
 
 
 def group_summary(model: FittedModel) -> dict:
     """Per-cluster scalar (or vector) summary keyed by cluster label."""
-    out = {}
-    for label, est in model.estimates.items():
-        if model.family in (GAUSSIAN_1D, GAUSSIAN_ND):
-            out[label] = est["mean"]
-        elif model.family == BINOMIAL:
-            out[label] = est["p"]
-        else:
-            out[label] = est["hazard_ratio"]
-    return out
+    key = FAMILIES[model.family].estimate
+    return {label: est[key] for label, est in model.estimates.items()}
 
 
 def kaplan_meier(times: np.ndarray, events: np.ndarray):

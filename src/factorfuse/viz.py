@@ -14,18 +14,10 @@ from xml.sax.saxutils import escape, quoteattr
 
 import numpy as np
 
-from .data import (
-    BINOMIAL,
-    GAUSSIAN_1D,
-    GAUSSIAN_ND,
-    SURVIVAL,
-    Grouping,
-    Partition,
-    ResponseData,
-)
+from .data import Grouping, Partition, ResponseData
 from .engine import MergingPath, ordering_statistic
 from .errors import IncompatiblePanel
-from .families import fit, group_summary, kaplan_meier
+from .families import FAMILIES, fit, group_summary, kaplan_meier
 from .inference import (
     GicProfile,
     HistoryRow,
@@ -57,14 +49,6 @@ ALL_PANELS = ("tree", "response", "gic", "globalTest")
 RESPONSE_PANELS = ("frequency", "means", "boxplot", "proportion", "survival")
 UNIMPLEMENTED_PANELS = ("tukey", "heatmap", "profile")
 
-_PANEL_FAMILIES = {
-    "frequency": (GAUSSIAN_1D, GAUSSIAN_ND, BINOMIAL, SURVIVAL),
-    "means": (GAUSSIAN_1D,),
-    "boxplot": (GAUSSIAN_1D,),
-    "proportion": (BINOMIAL,),
-    "survival": (SURVIVAL,),
-}
-
 
 @dataclass(frozen=True)
 class PlotSpec:
@@ -83,9 +67,9 @@ def check_panel_compat(kind: str, response_panel: str) -> None:
         raise IncompatiblePanel(
             f"response panel {response_panel!r} is not implemented"
         )
-    if response_panel not in _PANEL_FAMILIES:
+    if response_panel not in RESPONSE_PANELS:
         raise IncompatiblePanel(f"unknown response panel {response_panel!r}")
-    if kind not in _PANEL_FAMILIES[response_panel]:
+    if response_panel not in FAMILIES[kind].panels:
         raise IncompatiblePanel(
             f"response panel {response_panel!r} is not valid for {kind} data"
         )
@@ -160,19 +144,6 @@ class TreeLayout:
     split_x: float | None = None
 
 
-def _leaf_effects(data: ResponseData, grouping: Grouping, path: MergingPath) -> dict:
-    """Scalar display value per level, in the spirit of the ordering stats."""
-    full = path.full_model
-    summ = group_summary(full)
-    out = {}
-    for lv in grouping.levels:
-        v = summ[f"({lv})"]
-        if data.kind == GAUSSIAN_ND:
-            v = float(np.asarray(v)[0])
-        out[lv] = float(v)
-    return out
-
-
 def _optimal_colors(path: MergingPath, gic: GicProfile, palette) -> dict:
     """level -> color, keyed to the GIC-optimal partition."""
     part = path.steps[gic.argmin_step].model.partition
@@ -193,7 +164,9 @@ def layout_tree(
     gic: GicProfile,
 ) -> TreeLayout:
     order = path.ordering or ordering_statistic(data, grouping)
-    effects = _leaf_effects(data, grouping, path)
+    # display value per level; a vector summary shows its first coordinate
+    summary = group_summary(path.full_model)
+    effects = {lv: float(np.ravel(summary[f"({lv})"])[0]) for lv in grouping.levels}
     palette = PALETTES.get(spec.palette, DEFAULT_PALETTE)
     colors = _optimal_colors(path, gic, palette)
 

@@ -11,6 +11,8 @@ from factorfuse.cli import (
     format_history_csv,
     main,
 )
+from factorfuse.errors import IncompatiblePanel
+from factorfuse.viz import RESPONSE_PANELS, check_panel_compat
 
 
 def run(argv):
@@ -288,6 +290,43 @@ def test_fixture_roundtrip_recovery(tmp_path):
         got.setdefault(row["pred"], set()).add(row["orig"])
     planted = {frozenset(c) for c in truth["clusters"]}
     assert {frozenset(v) for v in got.values()} == planted
+
+
+# ---------------------------------------------------------------------------
+# response panels per family
+
+# fixture kind -> (response kind, accepted panels with the default first, merge flags)
+FAMILY_PANELS = {
+    "gaussian": ("gaussian1d", ("means", "boxplot", "frequency"),
+                 ["--family", "gaussian", "--response", "y"]),
+    "gaussianNd": ("gaussianNd", ("frequency",),
+                   ["--family", "gaussian", "--response", "y1", "--response", "y2"]),
+    "binomial": ("binomial", ("proportion", "frequency"),
+                 ["--family", "binomial", "--response", "y"]),
+    "survival": ("survival", ("survival", "frequency"),
+                 ["--family", "survival", "--time", "time", "--event", "event"]),
+}
+
+
+@pytest.mark.parametrize("panel", RESPONSE_PANELS)
+@pytest.mark.parametrize("fixture_kind", sorted(FAMILY_PANELS))
+def test_family_panel_table(fixture_kind, panel, tmp_path):
+    kind, accepted, flags = FAMILY_PANELS[fixture_kind]
+    if panel in accepted:
+        check_panel_compat(kind, panel)
+    else:
+        with pytest.raises(IncompatiblePanel, match="not valid"):
+            check_panel_compat(kind, panel)
+    if panel != accepted[0]:
+        return
+    # merge without --response-panel uses the family's default
+    fx, out = tmp_path / "fx", tmp_path / "out"
+    assert run(["fixture", "--kind", fixture_kind, "--k", "3", "--n-per-group", "10",
+                "--out", fx]) == 0
+    assert run(["merge", "--input", fx / "data.csv", *flags, "--factor", "group",
+                "--method", "fixed", "--out", out]) == 0
+    result = json.loads((out / "result.json").read_text())
+    assert result["config"]["responsePanel"] == panel
 
 
 # ---------------------------------------------------------------------------

@@ -269,17 +269,29 @@ def test_all_strategies_share_endpoints(rng):
 # determinism
 
 
+def permutation_cases(rng):
+    """gaussian1d, then weighted gaussian1d, gaussianNd and binomial data whose
+    small integer responses repeat within a level under different weights."""
+    yield random_gaussian_dataset(rng, 5, 9)
+    g = Grouping(tuple(f"G{i % 5}" for i in range(40)))
+    w = rng.uniform(0.5, 2.0, 40)
+    yield ResponseData("gaussian1d", rng.integers(0, 4, 40).astype(float), w), g
+    yield ResponseData("gaussianNd", rng.integers(0, 3, (40, 2)).astype(float), w), g
+    yield ResponseData("binomial", rng.integers(0, 2, 40).astype(float), w), g
+
+
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_row_permutation_invariance(strategy, rng):
-    data, g = random_gaussian_dataset(rng, 5, 9)
-    perm = rng.permutation(data.n)
-    data2 = ResponseData("gaussian1d", data.values[perm])
-    g2 = Grouping(tuple(np.array(g.labels)[perm]))
-    p1 = merge_factors(data, g, strategy)
-    p2 = merge_factors(data2, g2, strategy)
-    assert path_merge_sequence(p1) == path_merge_sequence(p2)
-    for s1, s2 in zip(p1.steps, p2.steps):
-        assert s1.model.loglik == s2.model.loglik  # bitwise equal
+    for data, g in permutation_cases(rng):
+        perm = rng.permutation(data.n)
+        weights = None if data.weights is None else data.weights[perm]
+        data2 = ResponseData(data.kind, data.values[perm], weights)
+        g2 = Grouping(tuple(np.array(g.labels)[perm]))
+        p1 = merge_factors(data, g, strategy)
+        p2 = merge_factors(data2, g2, strategy)
+        assert path_merge_sequence(p1) == path_merge_sequence(p2), data.kind
+        for s1, s2 in zip(p1.steps, p2.steps):
+            assert s1.model.loglik == s2.model.loglik, data.kind  # bitwise equal
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -289,17 +301,6 @@ def test_repeat_runs_identical(strategy, rng):
     p2 = merge_factors(data, g, strategy)
     assert path_merge_sequence(p1) == path_merge_sequence(p2)
     assert [s.model.loglik for s in p1.steps] == [s.model.loglik for s in p2.steps]
-
-
-def test_thread_env_does_not_change_result(rng, monkeypatch):
-    data, g = random_gaussian_dataset(rng, 6, 8)
-    base = merge_factors(data, g, "adaptive")
-    monkeypatch.setenv("FACTORFUSE_THREADS", "1")
-    single = merge_factors(data, g, "adaptive")
-    monkeypatch.setenv("FACTORFUSE_THREADS", "4")
-    quad = merge_factors(data, g, "adaptive")
-    assert path_merge_sequence(base) == path_merge_sequence(single) == path_merge_sequence(quad)
-    assert [s.model.loglik for s in base.steps] == [s.model.loglik for s in quad.steps]
 
 
 # ---------------------------------------------------------------------------

@@ -485,6 +485,13 @@ class TestPairScorer:
         for m in assert_scores_match_fits(data, g):
             assert "degenerate_variance" in m.flags
 
+    def test_variance_floor_stays_positive_for_subnormal_range(self):
+        # 1e-12 * range**2 underflows to 0 here; the floor must still clamp
+        data, g = make_gaussian_data({"a": [0.0], "b": [1.1e-308]})
+        for m in assert_scores_match_fits(data, g):
+            assert math.isfinite(m.loglik)
+            assert "degenerate_variance" in m.flags
+
     @given(case=collinear_levels())
     @settings(max_examples=40, deadline=None)
     def test_collinear_gaussian_nd_is_ridged(self, case):
