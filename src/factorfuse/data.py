@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -75,30 +76,36 @@ class Grouping:
     ``levels`` is the ordered list of distinct level names.  When not given
     it defaults to the sorted distinct labels, which keeps every downstream
     tie-break invariant under row permutations of the input.
+
+    Each row's level is worked out once, here: ``codes[r]`` is the index into
+    ``levels`` of row r's label, from which every per-level statistic is built;
+    ``code_of`` maps a level to its index and ``counts`` to its number of rows.
     """
 
     labels: tuple[str, ...]
     levels: tuple[str, ...] = field(default=())
+    codes: np.ndarray = field(init=False, repr=False, compare=False)
+    code_of: dict[str, int] = field(init=False, repr=False, compare=False)
+    counts: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        labels = tuple(str(x) for x in self.labels)
+        labels = tuple(map(str, self.labels))
         object.__setattr__(self, "labels", labels)
-        if not self.levels:
-            object.__setattr__(self, "levels", tuple(sorted(set(labels))))
-        else:
-            object.__setattr__(self, "levels", tuple(str(x) for x in self.levels))
-        known = set(self.levels)
-        if len(known) != len(self.levels):
+        levels = tuple(map(str, self.levels)) if self.levels else tuple(sorted(set(labels)))
+        object.__setattr__(self, "levels", levels)
+        code_of = {lv: i for i, lv in enumerate(levels)}
+        if len(code_of) != len(levels):
             raise FactorFuseError("duplicate level names")
-        for lab in labels:
-            if lab not in known:
-                raise FactorFuseError(f"label {lab!r} not among declared levels")
-        counts = {lv: 0 for lv in self.levels}
-        for lab in labels:
-            counts[lab] += 1
-        if any(c == 0 for c in counts.values()):
-            empty = [lv for lv, c in counts.items() if c == 0]
+        codes = np.fromiter(map(code_of.get, labels, repeat(-1)), dtype=np.intp, count=len(labels))
+        unknown = np.flatnonzero(codes < 0)
+        if len(unknown):
+            raise FactorFuseError(f"label {labels[unknown[0]]!r} not among declared levels")
+        counts = dict(zip(levels, np.bincount(codes, minlength=len(levels)).tolist()))
+        empty = [lv for lv, c in counts.items() if c == 0]
+        if empty:
             raise FactorFuseError(f"levels with no observations: {empty}")
+        object.__setattr__(self, "codes", codes)
+        object.__setattr__(self, "code_of", code_of)
         object.__setattr__(self, "counts", counts)
 
     @property
@@ -110,9 +117,9 @@ class Grouping:
         return len(self.labels)
 
     def indices(self) -> dict[str, np.ndarray]:
-        """Observation index array per level."""
-        labels = np.asarray(self.labels, dtype=object)
-        return {lv: np.flatnonzero(labels == lv) for lv in self.levels}
+        """Observation index array per level, in ascending row order."""
+        rows = np.argsort(self.codes, kind="stable")
+        return dict(zip(self.levels, np.split(rows, np.cumsum(list(self.counts.values()))[:-1])))
 
 
 def cluster_label(members_in_merge_order: tuple[str, ...]) -> str:
@@ -158,10 +165,7 @@ class Partition:
         return len(self.clusters)
 
     def level_set(self) -> frozenset[str]:
-        out: set[str] = set()
-        for c in self.clusters:
-            out.update(c.members)
-        return frozenset(out)
+        return frozenset(m for c in self.clusters for m in c.members)
 
     def label_of(self, level: str) -> str:
         for c in self.clusters:
@@ -192,10 +196,7 @@ class Partition:
 
     def is_coarsening_of(self, finer: "Partition") -> bool:
         """True if every cluster of ``finer`` is contained in one of ours."""
-        if self.level_set() != finer.level_set():
+        cluster_of = {m: i for i, c in enumerate(self.clusters) for m in c.members}
+        if cluster_of.keys() != finer.level_set():
             return False
-        mine = [c.member_set for c in self.clusters]
-        for fc in finer.clusters:
-            if not any(fc.member_set <= m for m in mine):
-                return False
-        return True
+        return all(len({cluster_of[m] for m in fc.members}) <= 1 for fc in finer.clusters)

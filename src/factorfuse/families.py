@@ -9,9 +9,9 @@ instead of switching on the kind.
 
 Every fit is a pure function of (response data, grouping, partition).  The
 Gaussian and binomial families reduce to per-level sufficient statistics,
-computed once per dataset in :class:`LevelStats` from observations sorted by
-value and then weight, which makes log-likelihoods invariant under row
-permutations of the input (bitwise, not just up to rounding).  Fits and
+computed once per dataset in :class:`LevelStats` from one sort of the rows by
+level, then value, then weight, which makes log-likelihoods invariant under
+row permutations of the input (bitwise, not just up to rounding).  Fits and
 :func:`score_pairs`, which scores many candidate merges at once, read the
 same per-cluster sums (:func:`cluster_sums`) through the same log-likelihood
 helpers; the engine fits only the partition it chooses.
@@ -81,7 +81,7 @@ class FittedModel:
 class Family:
     """What one model family adds to the shared merging machinery."""
 
-    # (stats, observation rows per level) -> None: sets the per-level statistics
+    # (stats) -> None: sets the per-level statistics
     level_stats: Callable
     # per-level statistics that cluster_sums adds up per cluster
     sums: tuple[str, ...]
@@ -107,14 +107,13 @@ class LevelStats:
         self.grouping = grouping
         self.family = FAMILIES[data.kind]
         self.levels = grouping.levels
-        self._index = {lv: i for i, lv in enumerate(self.levels)}
-        self.family.level_stats(self, grouping.indices())
+        self.family.level_stats(self)
 
     def cluster_rows(self, partition: Partition) -> list[np.ndarray]:
         """Member level indices per cluster, in declared level order."""
         out = []
         for c in partition.clusters:
-            rows = sorted(self._index[m] for m in c.members)
+            rows = sorted(self.grouping.code_of[m] for m in c.members)
             if not rows:
                 raise EmptyCluster(c.label)
             out.append(np.asarray(rows, dtype=int))
@@ -168,14 +167,15 @@ def score_pairs(stats: LevelStats, sums: dict[str, np.ndarray], partition: Parti
     return stats.family.score(stats, sums, partition, i, j)
 
 
-def _sorted_level(data: ResponseData, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One level's responses and weights, sorted by response and then by
-    weight, so that sums over them do not depend on the input row order."""
-    y = data.values[rows]
-    w = np.ones(len(rows)) if data.weights is None else data.weights[rows]
+def _sorted_rows(stats: LevelStats) -> tuple[np.ndarray, np.ndarray, list[slice]]:
+    """Responses and weights sorted by level, then response, then weight, and
+    each level's slice: sums over a slice do not depend on the row order."""
+    y, grouping = stats.data.values, stats.grouping
+    w = np.ones(len(y)) if stats.data.weights is None else stats.data.weights
     keys = (y,) if y.ndim == 1 else y.T[::-1]  # lexsort sorts by the last key first
-    order = np.lexsort((w, *keys))
-    return y[order], w[order]
+    order = np.lexsort((w, *keys, grouping.codes))
+    ends = np.cumsum(list(grouping.counts.values())).tolist()
+    return y[order], w[order], [slice(a, b) for a, b in zip([0] + ends, ends)]
 
 
 def _pooled(per_cluster: np.ndarray) -> np.ndarray:
@@ -198,23 +198,33 @@ def _level_means(stats: LevelStats, full_model, project) -> np.ndarray:
 # ------------------------------------------------------------------ #
 
 
-def _moment_stats(stats: LevelStats, idx: dict) -> None:
+def _moment_stats(stats: LevelStats) -> None:
     """Weighted count, sum and sum of squares of a scalar response per level."""
-    k = len(stats.levels)
-    stats.sw, stats.swy, stats.swy2 = np.empty(k), np.empty(k), np.empty(k)
-    for i, lv in enumerate(stats.levels):
-        y, w = _sorted_level(stats.data, idx[lv])
-        stats.sw[i] = w.sum()
-        stats.swy[i] = (w * y).sum()
-        stats.swy2[i] = (w * y * y).sum()
+    y, w, levels = _sorted_rows(stats)
+    wy = w * y
+    stats.sw = np.array([w[s].sum() for s in levels])
+    stats.swy = np.array([wy[s].sum() for s in levels])
+    stats.swy2 = np.array([(wy[s] * y[s]).sum() for s in levels])
 
 
-def _gaussian_1d_stats(stats: LevelStats, idx: dict) -> None:
-    _moment_stats(stats, idx)
+# The variance floor lies above the rounding noise of swy2 - swy^2/sw.  A sum
+# whose terms pass through at most h additions errs by at most h*u times the
+# sum of their moduli, u = eps/2 (Higham 2002, sec. 4.2).  Per cluster, the
+# errors of swy2 (terms rounded twice), swy (signed terms, bounded through
+# Cauchy-Schwarz by sqrt(sw swy2)), sw, the square and the division add up to
+# (h+2 + 2(h+1) + h + 2)u swy2 = (2h+3)eps swy2, so sigma^2 = RSS/sum(w) errs
+# by at most (2h+3)eps sum(w y^2)/sum(w).  numpy's sum takes a term through at
+# most 26 additions in a run of 128 and one more per halving beyond: h <= 50
+# within a level of < 2^31 rows, plus k - 1 to join levels into a cluster,
+# summed at once or merged one by one.  Hence the multiple 2(k + 49) + 3.
+def _gaussian_1d_stats(stats: LevelStats) -> None:
+    _moment_stats(stats)
     y = stats.data.values
     rng = float(y.max() - y.min()) if len(y) else 0.0
-    # tiny keeps the floor positive where rng**2 underflows
-    stats.var_floor = max(1e-12 * rng * rng, np.finfo(float).tiny) if rng > 0 else 1e-12
+    mean_square = float(stats.swy2.sum() / stats.sw.sum()) if len(y) else 0.0
+    noise = (2 * (len(stats.levels) + 49) + 3) * np.finfo(float).eps * mean_square
+    # tiny keeps the floor positive where rng**2 and the noise underflow
+    stats.var_floor = max(1e-12 * rng * rng if rng > 0 else 1e-12, np.finfo(float).tiny, noise)
 
 
 def _rss_loglik(stats: LevelStats, sums, log, added=0.0):
@@ -246,14 +256,12 @@ def _score_gaussian_1d(stats: LevelStats, sums, partition, i, j) -> np.ndarray:
     return _rss_loglik(stats, sums, np.log, _ward(sw, i, j) * (mu[i] - mu[j]) ** 2)[0]
 
 
-def _gaussian_nd_stats(stats: LevelStats, idx: dict) -> None:
-    k, d = len(stats.levels), stats.data.values.shape[1]
-    stats.sw, stats.swy, stats.swyyt = np.empty(k), np.empty((k, d)), np.empty((k, d, d))
-    for i, lv in enumerate(stats.levels):
-        y, w = _sorted_level(stats.data, idx[lv])
-        stats.sw[i] = w.sum()
-        stats.swy[i] = (w[:, None] * y).sum(axis=0)
-        stats.swyyt[i] = np.einsum("i,ij,ik->jk", w, y, y)
+def _gaussian_nd_stats(stats: LevelStats) -> None:
+    y, w, levels = _sorted_rows(stats)
+    wy = w[:, None] * y
+    stats.sw = np.array([w[s].sum() for s in levels])
+    stats.swy = np.array([wy[s].sum(axis=0) for s in levels])
+    stats.swyyt = np.array([np.einsum("i,ij,ik->jk", w[s], y[s], y[s]) for s in levels])
 
 
 def _scatter_loglik(stats: LevelStats, sums, added=0.0):
@@ -352,29 +360,19 @@ def _score_binomial(stats: LevelStats, sums, partition, i, j) -> np.ndarray:
 # ------------------------------------------------------------------ #
 
 
-def _survival_stats(stats: LevelStats, idx: dict) -> None:
+def _survival_stats(stats: LevelStats) -> None:
     if stats.data.weights is not None:
         raise WeightsNotSupported("survival fits do not accept weights")
-    t, e = stats.data.values.T
-    stats.times, stats.events = {}, {}
-    for lv in stats.levels:
-        rows = idx[lv]
-        order = np.lexsort((e[rows], t[rows]))
-        stats.times[lv] = t[rows][order]
-        stats.events[lv] = e[rows][order]
-    stats.n_events = int(e.sum())
 
 
 def _cox_arrays(stats: LevelStats, partition: Partition):
-    times, events, cluster_ix = [], [], []
-    for j, c in enumerate(partition.clusters):
-        for m in sorted(c.members, key=stats._index.__getitem__):
-            times.append(stats.times[m])
-            events.append(stats.events[m])
-            cluster_ix.append(np.full(len(stats.times[m]), j, dtype=int))
-    t = np.concatenate(times)
-    e = np.concatenate(events)
-    g = np.concatenate(cluster_ix)
+    """Time, event and cluster position of every row, sorted by all three:
+    rows tied on all three are interchangeable, so row order does not matter."""
+    cluster_of = np.empty(len(stats.levels), dtype=int)
+    for j, levels in enumerate(stats.cluster_rows(partition)):
+        cluster_of[levels] = j
+    t, e = stats.data.values.T
+    g = cluster_of[stats.grouping.codes]
     order = np.lexsort((g, e, t))
     return t[order], e[order], g[order]
 
@@ -408,7 +406,7 @@ def _cox_loglik_grad_hess(alpha, t, e, g, n_clusters):
 
 
 def _fit_cox(stats: LevelStats, partition: Partition, sums) -> FittedModel:
-    if stats.n_events == 0:
+    if not stats.data.values[:, 1].any():
         raise NoEvents("survival data has no uncensored events")
     t, e, g = _cox_arrays(stats, partition)
     c = partition.size

@@ -163,7 +163,7 @@ def layout_tree(
     grouping: Grouping,
     gic: GicProfile,
 ) -> TreeLayout:
-    order = path.ordering or ordering_statistic(data, grouping)
+    order = path.ordering or ordering_statistic(data, grouping, full_model=path.full_model)
     # display value per level; a vector summary shows its first coordinate
     summary = group_summary(path.full_model)
     effects = {lv: float(np.ravel(summary[f"({lv})"])[0]) for lv in grouping.levels}

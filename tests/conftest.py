@@ -213,6 +213,55 @@ def oracle_greedy_path(kind, values_by_level: dict[str, list[float]]):
 
 
 # ---------------------------------------------------------------------------
+# per-level statistics reference: each level's rows found by comparing labels,
+# then sorted and summed on their own
+
+
+def _reference_sorted_level(data, rows):
+    y = data.values[rows]
+    w = np.ones(len(rows)) if data.weights is None else data.weights[rows]
+    keys = (y,) if y.ndim == 1 else y.T[::-1]  # lexsort sorts by the last key first
+    order = np.lexsort((w, *keys))
+    return y[order], w[order]
+
+
+def reference_level_stats(data, grouping) -> dict[str, np.ndarray]:
+    """Per-level sums of a gaussian1d, binomial or gaussianNd response, one
+    level at a time, sorted by response and then weight within the level."""
+    labels = np.asarray(grouping.labels, dtype=object)
+    sums: dict[str, list] = {"sw": [], "swy": [], "swy2" if data.values.ndim == 1 else "swyyt": []}
+    for lv in grouping.levels:
+        y, w = _reference_sorted_level(data, np.flatnonzero(labels == lv))
+        sums["sw"].append(w.sum())
+        if y.ndim == 1:
+            sums["swy"].append((w * y).sum())
+            sums["swy2"].append((w * y * y).sum())
+        else:
+            sums["swy"].append((w[:, None] * y).sum(axis=0))
+            sums["swyyt"].append(np.einsum("i,ij,ik->jk", w, y, y))
+    return {name: np.array(v) for name, v in sums.items()}
+
+
+def reference_cox_arrays(data, grouping, partition):
+    """Time, event and cluster position of every row, concatenated level by
+    level within each cluster and sorted by time, event and cluster."""
+    labels = np.asarray(grouping.labels, dtype=object)
+    t_all, e_all = data.values.T
+    position = {lv: i for i, lv in enumerate(grouping.levels)}
+    times, events, cluster_ix = [], [], []
+    for j, c in enumerate(partition.clusters):
+        for m in sorted(c.members, key=position.__getitem__):
+            rows = np.flatnonzero(labels == m)
+            order = np.lexsort((e_all[rows], t_all[rows]))
+            times.append(t_all[rows][order])
+            events.append(e_all[rows][order])
+            cluster_ix.append(np.full(len(rows), j, dtype=int))
+    t, e, g = np.concatenate(times), np.concatenate(events), np.concatenate(cluster_ix)
+    order = np.lexsort((g, e, t))
+    return t[order], e[order], g[order]
+
+
+# ---------------------------------------------------------------------------
 # pytest fixtures
 
 

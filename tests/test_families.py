@@ -5,15 +5,16 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from factorfuse import fit, group_summary, kaplan_meier
 from factorfuse.data import Grouping, Partition, ResponseData
-from factorfuse.families import LevelStats, cluster_sums, fit_stats, score_pairs
+from factorfuse.families import LevelStats, _cox_arrays, cluster_sums, fit_stats, score_pairs
 from factorfuse.errors import (
     DegeneratePoints,
     EmptyCluster,
+    FactorFuseError,
     NoEvents,
     WeightsNotSupported,
 )
@@ -27,6 +28,8 @@ from conftest import (
     oracle_cox_alpha,
     oracle_cox_partial_loglik,
     oracle_gaussian_loglik,
+    reference_cox_arrays,
+    reference_level_stats,
     singletons_of,
 )
 
@@ -477,7 +480,8 @@ class TestPairScorer:
     def test_gaussian_1d(self, case, merges):
         assert_scores_match_fits(*case, merges)
 
-    @given(value=st.floats(-10, 10), sizes=SIZES)
+    @given(value=st.floats(-1e6, 1e6), sizes=SIZES)
+    @example(value=102.224, sizes=[3, 4])  # RSS rounding noise 2.08e-12 above a 1e-12 floor
     @settings(max_examples=30, deadline=None)
     def test_constant_data_takes_variance_floor(self, value, sizes):
         g = Grouping(_labelled(sizes))
@@ -518,3 +522,86 @@ class TestPairScorer:
             for i in range(4)
         }
         assert_scores_match_fits(*make_survival_data(rows), merges=(1,))
+
+
+# ---------------------------------------------------------------------------
+# grouping codes and level statistics against the one-level-at-a-time reference
+
+
+class TestGrouping:
+    def test_codes_counts_and_indices(self, rng):
+        labels = tuple(rng.choice(["b", "a", "c"], 50))
+        g = Grouping(labels, ("c", "a", "b"))
+        assert [g.levels[c] for c in g.codes] == list(labels)
+        assert g.code_of == {"c": 0, "a": 1, "b": 2}
+        assert g.counts == {lv: labels.count(lv) for lv in g.levels}
+        idx = g.indices()
+        for lv in g.levels:
+            assert np.array_equal(idx[lv], np.flatnonzero(np.array(labels) == lv))
+
+    def test_codes_do_not_enter_equality(self):
+        assert Grouping(("a", "b")) == Grouping(("a", "b"))
+        assert hash(Grouping(("a", "b"))) == hash(Grouping(("a", "b")))
+
+    @pytest.mark.parametrize("labels, levels, message", [
+        (("a", "b"), ("a", "b", "a"), "duplicate level names"),
+        (("a", "x", "b", "y"), ("a", "b"), "label 'x' not among declared levels"),
+        (("b",), ("a", "b", "c"), "levels with no observations: ['a', 'c']"),
+    ])
+    def test_errors(self, labels, levels, message):
+        with pytest.raises(FactorFuseError) as err:
+            Grouping(labels, levels)
+        assert str(err.value) == message
+
+
+def _reference_case(rng, kind, weighted):
+    k = int(rng.integers(1, 7))
+    # one level long enough for numpy's blocked pairwise summation
+    sizes = rng.integers(1, 12, k)
+    sizes[rng.integers(k)] = rng.integers(100, 400)
+    n = int(sizes.sum())
+    if kind == "gaussian1d":
+        y = rng.integers(-3, 4, n) * rng.choice([1.0, 0.37, 1e3])  # repeats within a level
+    elif kind == "binomial":
+        y = rng.integers(0, 2, n).astype(float)
+    else:
+        y = rng.integers(-3, 4, (n, int(rng.integers(2, 4)))) * 0.37
+    w = rng.choice([0.5, 1.25, 2.0], n) if weighted else None
+    return ResponseData(kind, y, w), Grouping(_labelled(sizes))
+
+
+def _permuted(rng, data, g):
+    perm = rng.permutation(data.n)
+    w = None if data.weights is None else data.weights[perm]
+    return ResponseData(data.kind, data.values[perm], w), Grouping(tuple(np.array(g.labels)[perm]))
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("kind", ["gaussian1d", "binomial", "gaussianNd"])
+def test_level_stats_match_reference_bitwise(kind, weighted, rng):
+    for _ in range(15):
+        data, g = _reference_case(rng, kind, weighted)
+        for d, gg in ((data, g), _permuted(rng, data, g)):
+            stats = LevelStats(d, gg)
+            for name, want in reference_level_stats(d, gg).items():
+                assert np.array_equal(getattr(stats, name), want), name
+
+
+def test_cox_arrays_match_reference_bitwise(rng):
+    for _ in range(20):
+        k = int(rng.integers(2, 7))
+        sizes = rng.integers(1, 9, k)
+        n = int(sizes.sum())
+        # integer times tie across levels; events tie with censorings
+        values = np.column_stack([rng.integers(1, 6, n), rng.integers(0, 2, n)]).astype(float)
+        data, g = ResponseData("survival", values), Grouping(_labelled(sizes))
+        for d, gg in ((data, g), _permuted(rng, data, g)):
+            stats = LevelStats(d, gg)
+            part = singletons_of(gg)
+            while True:
+                want = reference_cox_arrays(d, gg, part)
+                assert all(map(np.array_equal, _cox_arrays(stats, part), want))
+                if part.size == 1:
+                    break
+                a, b = rng.choice(part.size, 2, replace=False)  # either order
+                part = part.merge(part.labels[a], part.labels[b])

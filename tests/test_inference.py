@@ -19,6 +19,7 @@ from factorfuse import (
     merging_history,
     optimal_partition_table,
 )
+from factorfuse.data import Cluster, Partition
 from factorfuse.errors import NotNested, NumericalInconsistency
 from factorfuse.inference import chi_square_quantile, cut_step
 
@@ -116,6 +117,19 @@ class TestLrt:
         m_bc = fit(data, g, fine.merge("(b)", "(c)"))
         with pytest.raises(NotNested):
             lrt(m_ab, m_bc)
+
+    @pytest.mark.parametrize("coarse, fine, expect", [
+        ((("a", "b"), ("c",)), (("a",), ("b",), ("c",)), True),
+        ((("a", "b"), ("c",)), (("a", "b"), ("c",)), True),  # equal partitions
+        ((("a", "b"), ("c",)), (("a",), ("b", "c")), False),  # (b)(c) straddles two clusters
+        ((("a", "b"), ("c",)), (("a",), ("b",)), False),  # different level sets
+        ((("a", "b"),), (("a",), ("b",), ("c",)), False),
+    ])
+    def test_is_coarsening_of(self, coarse, fine, expect):
+        def partition(clusters):
+            return Partition(tuple(Cluster(c) for c in clusters))
+
+        assert partition(coarse).is_coarsening_of(partition(fine)) is expect
 
     def test_large_negative_raises(self):
         import dataclasses

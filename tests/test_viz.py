@@ -16,8 +16,10 @@ from factorfuse import (
     render_merging_path_svg,
     render_response_panel,
 )
+from factorfuse import families
 from factorfuse.data import Grouping, ResponseData
 from factorfuse.errors import IncompatiblePanel
+from factorfuse.families import fit_stats
 from factorfuse.inference import chi_square_quantile
 from factorfuse.viz import _stars, layout_tree
 
@@ -180,6 +182,23 @@ def test_survival_all_censored_flat():
     frag = render_response_panel(data, g, singletons_of(g), "survival")
     ET.fromstring("<r>" + frag + "</r>")
     assert 'id="panel-b"' in frag
+
+
+@pytest.mark.parametrize("strategy", ["adaptive", "fixed"])
+def test_render_reuses_the_full_model(strategy, rng, monkeypatch):
+    rows = {f"G{i}": [(float(t), 1) for t in rng.exponential(1 + i, 8)] for i in range(4)}
+    data, g = make_survival_data(rows)
+    path = merge_factors(data, g, strategy)
+    history, gic = merging_history(path), gic_profile(path, 2.0)
+    fitted = []
+
+    def counting_fit_stats(stats, partition, counter=None):
+        fitted.append(partition)
+        return fit_stats(stats, partition, counter)
+
+    monkeypatch.setattr(families, "fit_stats", counting_fit_stats)
+    render_merging_path_svg(path, history, gic, data, g, PlotSpec())
+    assert fitted == []  # the tree's level order comes from the path's full model
 
 
 def test_stars_ladder():
