@@ -11,6 +11,7 @@ import csv
 import json
 import sys
 import time
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -113,124 +114,114 @@ def abbreviate_levels(levels) -> dict[str, str]:
 # ------------------------------------------------------------------ #
 
 
-def _parse_float(raw: str) -> float | None:
-    raw = raw.strip()
-    if raw.lower() in _MISSING:
-        return None
+def _parse_float(raw: str) -> float:
+    """The number in a cell; NaN where the cell is missing or not a number
+    (``float`` gives NaN for "nan" and fails on the other missing tokens)."""
     try:
-        v = float(raw)
+        return float(raw.strip())
     except ValueError:
-        return None
-    if v != v:  # NaN
-        return None
-    return v
+        return np.nan
 
 
-def _load_csv(path: Path) -> tuple[list[str], list[dict]]:
+def _load_csv(path: Path) -> tuple[list[str], list[list[str]]]:
+    """Header and data rows; blank lines are dropped, as ``csv.DictReader``
+    drops them, and take no row number."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
                 raise DataError(f"{path}: empty file")
-            rows = list(reader)
-            return list(reader.fieldnames), rows
+            return header, [row for row in reader if row]
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
 
 
+def _column(header: list[str], rows: list[list[str]], name: str) -> list[str]:
+    """Cells of column ``name``: a repeated name reads its last column, and a
+    row too short to reach it reads an empty cell."""
+    j = {h: i for i, h in enumerate(header)}[name]
+    return [row[j] if j < len(row) else "" for row in rows]
+
+
+# per family: the rows whose responses lie outside its domain, and the error
+_DOMAIN = {
+    "gaussian": (lambda v: np.zeros(len(v), dtype=bool), ""),
+    "binomial": (lambda v: ~np.isin(v[:, 0], (0, 1)), "binomial response must be 0 or 1"),
+    "survival": (lambda v: (v[:, 0] <= 0) | ~np.isin(v[:, 1], (0, 1)),
+                 "invalid survival time/event pair"),
+}
+
+
 def _build_dataset(args) -> tuple[ResponseData, Grouping, dict]:
+    """Response data, grouping and ingest report of the ``merge`` input.
+
+    A row is rejected when its label, a response or its weight is missing;
+    out-of-domain responses and weights <= 0 raise, naming the first such
+    row.  Within a row the checks run in that order: label, response, domain,
+    weight present, weight positive.
+    """
     header, rows = _load_csv(Path(args.input))
 
     if args.family == "survival":
         if not args.time or not args.event:
             raise ConfigError("survival needs --time and --event columns")
-        needed = [args.time, args.event, args.factor]
-        response_cols = []
+        response_cols = [args.time, args.event]
     else:
         response_cols = args.response or []
         if not response_cols:
             raise ConfigError("--response is required for this family")
         if args.family == "binomial" and len(response_cols) != 1:
             raise ConfigError("binomial takes exactly one --response column")
-        needed = [*response_cols, args.factor]
+    needed = [*response_cols, args.factor]
     if args.weights:
         needed.append(args.weights)
     missing_cols = [c for c in needed if c not in header]
     if missing_cols:
         raise DataError(f"missing columns: {missing_cols}")
 
-    values, labels, weights, rejected = [], [], [], []
-    for i, row in enumerate(rows, start=1):
-        lab = (row.get(args.factor) or "").strip()
-        if not lab or lab.lower() in _MISSING:
-            rejected.append(i)
-            continue
-        if args.family == "survival":
-            t = _parse_float(row.get(args.time) or "")
-            e = _parse_float(row.get(args.event) or "")
-            if t is None or e is None:
-                rejected.append(i)
-                continue
-            if t <= 0 or e not in (0.0, 1.0):
-                raise DataError(f"row {i}: invalid survival time/event pair")
-            vals = [t, e]
-        else:
-            vals = []
-            ok = True
-            for c in response_cols:
-                v = _parse_float(row.get(c) or "")
-                if v is None:
-                    ok = False
-                    break
-                vals.append(v)
-            if not ok:
-                rejected.append(i)
-                continue
-            if args.family == "binomial" and vals[0] not in (0.0, 1.0):
-                raise DataError(f"row {i}: binomial response must be 0 or 1")
-        if args.weights:
-            w = _parse_float(row.get(args.weights) or "")
-            if w is None:
-                rejected.append(i)
-                continue
-            if w <= 0:
-                raise DataError(f"row {i}: weights must be positive")
-            weights.append(w)
-        labels.append(lab)
-        values.append(vals)
+    def numbers(name: str) -> np.ndarray:
+        return np.fromiter(map(_parse_float, _column(header, rows, name)), float, len(rows))
 
-    if not values:
+    labels = [cell.strip() for cell in _column(header, rows, args.factor)]
+    values = np.column_stack([numbers(c) for c in response_cols])
+    usable = np.fromiter((lab.lower() not in _MISSING for lab in labels), bool, len(rows))
+    usable &= ~np.isnan(values).any(axis=1)
+    out_of_domain, domain_error = _DOMAIN[args.family]
+    bad_domain = usable & out_of_domain(values)
+    w = numbers(args.weights) if args.weights else np.ones(len(rows))
+    raising = np.flatnonzero(bad_domain | (usable & (w <= 0)))
+    if len(raising):
+        i = raising[0]
+        reason = domain_error if bad_domain[i] else "weights must be positive"
+        raise DataError(f"row {i + 1}: {reason}")
+    kept = usable & ~np.isnan(w)
+
+    if not kept.any():
         raise DataError("no usable rows after rejecting invalid ones")
-
+    labels = list(compress(labels, kept.tolist()))
     distinct = sorted(set(labels))
     if len(distinct) < 2:
         raise DataError("need at least 2 factor levels")
 
     abbrev = abbreviate_levels(distinct)
-    short_labels = tuple(abbrev[lab] for lab in labels)
+    short_labels = tuple(map(abbrev.__getitem__, labels))
 
-    if args.family == "survival":
-        kind = SURVIVAL
-        arr = np.asarray(values, dtype=float)
-    elif args.family == "binomial":
-        kind = BINOMIAL
-        arr = np.asarray(values, dtype=float)[:, 0]
-    else:
-        arr = np.asarray(values, dtype=float)
-        if arr.shape[1] == 1:
-            kind, arr = GAUSSIAN_1D, arr[:, 0]
-        else:
-            kind = GAUSSIAN_ND
-    w = np.asarray(weights, dtype=float) if args.weights else None
-    if kind == SURVIVAL and w is not None:
+    values = values[kept]
+    kind = {"survival": SURVIVAL, "binomial": BINOMIAL}.get(
+        args.family, GAUSSIAN_1D if values.shape[1] == 1 else GAUSSIAN_ND)
+    if kind in (GAUSSIAN_1D, BINOMIAL):
+        values = values[:, 0]
+    weights = w[kept] if args.weights else None
+    if kind == SURVIVAL and weights is not None:
         raise DataError("weights are not supported for survival data")
 
-    data = ResponseData(kind, arr, w)
+    data = ResponseData(kind, values, weights)
     grouping = Grouping(short_labels, tuple(sorted(abbrev.values())))
     meta = {
         "rows": len(rows),
-        "accepted": len(values),
-        "rejectedRows": rejected,
+        "accepted": len(labels),
+        "rejectedRows": (np.flatnonzero(~kept) + 1).tolist(),
         "levelNames": {abbrev[lv]: lv for lv in distinct},
     }
     return data, grouping, meta

@@ -120,13 +120,12 @@ class LevelStats:
         return out
 
 
-def fit(data: ResponseData, grouping: Grouping, partition: Partition, counter=None) -> FittedModel:
+def fit(data: ResponseData, grouping: Grouping, partition: Partition) -> FittedModel:
     """Fit the family determined by ``data.kind`` on ``partition``."""
-    stats = LevelStats(data, grouping)
-    return fit_stats(stats, partition, counter)
+    return fit_stats(LevelStats(data, grouping), partition)
 
 
-def fit_stats(stats: LevelStats, partition: Partition, counter=None) -> FittedModel:
+def fit_stats(stats: LevelStats, partition: Partition) -> FittedModel:
     """Fit from precomputed level statistics (the engine's hot path)."""
     have = frozenset(stats.levels)
     missing = partition.level_set() - have
@@ -137,8 +136,6 @@ def fit_stats(stats: LevelStats, partition: Partition, counter=None) -> FittedMo
         )
     if partition.level_set() != have:
         raise DegenerateData("partition does not cover the grouping levels")
-    if counter is not None:
-        counter.increment()
     return stats.family.fit(stats, partition, cluster_sums(stats, partition))
 
 
@@ -385,14 +382,12 @@ def _cox_loglik_grad_hess(alpha, t, e, g, n_clusters):
     time-sorted sample; tied event times share the risk set anchored at the
     first index of the tie group.
     """
-    n = len(t)
     ea = np.exp(alpha)[g]
-    # suffix sums, overall and per cluster
+    # suffix sums, overall and per cluster; cumsum adds in sequence, so the
+    # zeros in other clusters' rows do not change a cluster's sums
     z = np.cumsum(ea[::-1])[::-1]
-    zc = np.zeros((n_clusters, n))
-    for r in range(n_clusters):
-        contrib = np.where(g == r, ea, 0.0)
-        zc[r] = np.cumsum(contrib[::-1])[::-1]
+    per_cluster = np.where(g == np.arange(n_clusters)[:, None], ea, 0.0)
+    zc = np.cumsum(per_cluster[:, ::-1], axis=1)[:, ::-1]
     first_ge = np.searchsorted(t, t, side="left")
     ev = np.flatnonzero(e == 1.0)
     anchors = first_ge[ev]
@@ -424,8 +419,11 @@ def _fit_cox(stats: LevelStats, partition: Partition, sums) -> FittedModel:
             for _ in range(40):
                 trial = alpha.copy()
                 trial[free] += scale * step
-                ll_new, grad_new, hess_new = _cox_loglik_grad_hess(trial, t, e, g, c)
-                if ll_new >= ll - 1e-12:
+                # a step too long overflows exp(alpha), or underflows a whole
+                # risk set to 0; its loglik is then not finite and it is halved
+                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                    ll_new, grad_new, hess_new = _cox_loglik_grad_hess(trial, t, e, g, c)
+                if math.isfinite(ll_new) and ll_new >= ll - 1e-12:
                     break
                 scale *= 0.5
             else:
@@ -515,21 +513,8 @@ def kaplan_meier(times: np.ndarray, events: np.ndarray):
     events = np.asarray(events, dtype=float)
     order = np.lexsort((events, times))
     times, events = times[order], events[order]
-    out_t, out_s = [], []
-    s = 1.0
-    n_at_risk = len(times)
-    i = 0
-    while i < len(times):
-        t0 = times[i]
-        j = i
-        d = 0
-        while j < len(times) and times[j] == t0:
-            d += int(events[j])
-            j += 1
-        if d > 0:
-            s *= 1.0 - d / n_at_risk
-            out_t.append(t0)
-            out_s.append(s)
-        n_at_risk -= j - i
-        i = j
-    return np.asarray(out_t), np.asarray(out_s)
+    event_times, first = np.unique(times, return_index=True)
+    deaths = np.add.reduceat(events.astype(int), first)
+    at_risk = len(times) - first
+    died = deaths > 0
+    return event_times[died], np.cumprod(1.0 - deaths[died] / at_risk[died])

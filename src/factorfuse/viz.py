@@ -14,10 +14,10 @@ from xml.sax.saxutils import escape, quoteattr
 
 import numpy as np
 
-from .data import Grouping, Partition, ResponseData
+from .data import Grouping, ResponseData
 from .engine import MergingPath, ordering_statistic
 from .errors import IncompatiblePanel
-from .families import FAMILIES, fit, group_summary, kaplan_meier
+from .families import FAMILIES, FittedModel, group_summary, kaplan_meier
 from .inference import (
     GicProfile,
     HistoryRow,
@@ -354,15 +354,17 @@ def _render_tree_panel(layout: TreeLayout, spec: PlotSpec, x0: float, y0: float)
 def render_response_panel(
     data: ResponseData,
     grouping: Grouping,
-    partition: Partition,
+    model: FittedModel,
     kind: str,
     colors: dict | None = None,
     x0: float = 0.0,
     y0: float = 0.0,
 ) -> str:
-    """SVG ``<g>`` fragment summarizing the response per cluster."""
+    """SVG ``<g>`` fragment summarizing the response per cluster of the
+    fitted ``model``'s partition."""
     check_panel_compat(data.kind, kind)
     colors = colors or {}
+    partition = model.partition
     labels = partition.labels
     c = len(labels)
     ys = _Scale(0.0, 1.0, y0 + PANEL_H - PAD, y0 + PAD)
@@ -392,7 +394,6 @@ def render_response_panel(
     elif kind in ("means", "boxplot"):
         y = data.values
         w = data.weights if data.weights is not None else np.ones(data.n)
-        model = fit(data, grouping, partition)
         sigma = math.sqrt(model.nuisance["sigma2"])
         lo, hi = float(y.min()), float(y.max())
         xs = _Scale(lo, hi, x0 + PAD + 100.0, x0 + PANEL_W - PAD)
@@ -546,9 +547,8 @@ def render_merging_path_svg(
     if "tree" in spec.panels:
         doc += _render_tree_panel(layout, spec, 0.0, 0.0) + "\n"
     if "response" in spec.panels:
-        part = path.steps[gic.argmin_step].model.partition
         doc += render_response_panel(
-            data, grouping, part, spec.response_panel,
+            data, grouping, path.steps[gic.argmin_step].model, spec.response_panel,
             colors=layout.colors, x0=PANEL_W, y0=0.0,
         ) + "\n"
     if "gic" in spec.panels:

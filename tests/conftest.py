@@ -262,6 +262,58 @@ def reference_cox_arrays(data, grouping, partition):
 
 
 # ---------------------------------------------------------------------------
+# loop references for vectorised survival code
+
+
+def reference_cox_loglik_grad_hess(alpha, t, e, g, n_clusters):
+    """Breslow partial log-likelihood, gradient and Hessian, with each
+    cluster's risk-set suffix sums taken one cluster at a time."""
+    n = len(t)
+    ea = np.exp(alpha)[g]
+    z = np.cumsum(ea[::-1])[::-1]
+    zc = np.zeros((n_clusters, n))
+    for r in range(n_clusters):
+        contrib = np.where(g == r, ea, 0.0)
+        zc[r] = np.cumsum(contrib[::-1])[::-1]
+    first_ge = np.searchsorted(t, t, side="left")
+    ev = np.flatnonzero(e == 1.0)
+    anchors = first_ge[ev]
+    s = z[anchors]
+    sc = zc[:, anchors]
+    loglik = float(np.sum(alpha[g[ev]] - np.log(s)))
+    frac = sc / s
+    grad = np.bincount(g[ev], minlength=n_clusters).astype(float) - frac.sum(axis=1)
+    hess = np.einsum("re,se->rs", frac, frac) - np.diag(frac.sum(axis=1))
+    return loglik, grad, hess
+
+
+def reference_kaplan_meier(times, events):
+    """Product-limit estimate walked tie group by tie group."""
+    times = np.asarray(times, dtype=float)
+    events = np.asarray(events, dtype=float)
+    order = np.lexsort((events, times))
+    times, events = times[order], events[order]
+    out_t, out_s = [], []
+    s = 1.0
+    n_at_risk = len(times)
+    i = 0
+    while i < len(times):
+        t0 = times[i]
+        j = i
+        d = 0
+        while j < len(times) and times[j] == t0:
+            d += int(events[j])
+            j += 1
+        if d > 0:
+            s *= 1.0 - d / n_at_risk
+            out_t.append(t0)
+            out_s.append(s)
+        n_at_risk -= j - i
+        i = j
+    return np.asarray(out_t), np.asarray(out_s)
+
+
+# ---------------------------------------------------------------------------
 # pytest fixtures
 
 

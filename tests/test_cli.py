@@ -371,3 +371,148 @@ def test_abbreviation_collisions_disambiguated():
     assert len(set(abbr.values())) == 3
     for v in abbr.values():
         assert len(v) <= 6
+
+
+# ---------------------------------------------------------------------------
+# ingest contract: what _build_dataset makes of a CSV text
+
+INF = float("inf")
+
+
+def _meta(rows, rejected, names=("a", "b")):
+    names = names if isinstance(names, dict) else {n: n for n in names}
+    return {"rows": rows, "accepted": rows - len(rejected), "rejectedRows": rejected,
+            "levelNames": names}
+
+
+def _ok(kind, values, weights, labels, meta, levels=("a", "b")):
+    return (kind, values, weights, tuple(labels), levels, meta)
+
+
+# (id, CSV text, flags, expected): expected is what _build_dataset returns as
+# (kind, values, weights, labels, levels, meta), or (exception type, message)
+INGEST_TABLE = [
+    ("blank-lines-skipped", "y,g\n1,a\n\n\nna,b\n2,b\n\n3,a\n", {},
+     _ok("gaussian1d", [1.0, 2.0, 3.0], None, "aba", _meta(4, [2]))),
+    ("blank-crlf-lines-skipped", "y,g\r\n1,a\r\n\r\n2,b\r\n", {},
+     _ok("gaussian1d", [1.0, 2.0], None, "ab", _meta(2, []))),
+    ("whitespace-line-is-a-row", "y,g\n1,a\n   \n2,b\n", {},
+     _ok("gaussian1d", [1.0, 2.0], None, "ab", _meta(3, [2]))),
+    ("quoted-empty-line-is-a-row", 'y,g\n""\n1,a\n2,b\n', {},
+     _ok("gaussian1d", [1.0, 2.0], None, "ab", _meta(3, [1]))),
+    ("short-rows-read-empty", "y,g,w\n1,a\n2,b,2\n3,a,1\n4,b,0.5\n5\n", {"weights": "w"},
+     _ok("gaussian1d", [2.0, 3.0, 4.0], [2.0, 1.0, 0.5], "bab", _meta(5, [1, 5]))),
+    ("long-rows-ignore-extra-cells", "y,g\n1,a,x,y\n2,b\n", {},
+     _ok("gaussian1d", [1.0, 2.0], None, "ab", _meta(2, []))),
+    ("repeated-header-reads-last", "y,g,y\n1,a,10\n2,b,20\n3,a\n4,b,40\n", {},
+     _ok("gaussian1d", [10.0, 20.0, 40.0], None, "abb", _meta(4, [3]))),
+    ("missing-response-tokens",
+     "y,g\n NA ,a\nNaN,b\nnull,a\n None ,b\n,a\n  ,b\n-nan,a\nx,b\n1,a\n2,b\n", {},
+     _ok("gaussian1d", [1.0, 2.0], None, "ab", _meta(10, [1, 2, 3, 4, 5, 6, 7, 8]))),
+    ("missing-label-tokens", "y,g\n1, na \n2,NULL\n3,None\n4,nan\n5,\n6,  \n7, a \n8,b\n", {},
+     _ok("gaussian1d", [7.0, 8.0], None, "ab", _meta(8, [1, 2, 3, 4, 5, 6]))),
+    ("numbers-float-accepts", "y,g\ninf,a\n1_0,b\n -Infinity ,a\n1e400,b\n-0.0,a\n 2.5e-3 ,b\n",
+     {}, _ok("gaussian1d", [INF, 10.0, -INF, INF, -0.0, 0.0025], None, "ababab",
+             _meta(6, []))),
+    ("labels-abbreviated", "y,g\n1,charlie\n2,bravo\n3,charlie\n", {},
+     ("gaussian1d", [1.0, 2.0, 3.0], None, ("chrl", "bravo", "chrl"), ("bravo", "chrl"),
+      _meta(3, [], {"bravo": "bravo", "chrl": "charlie"}))),
+    ("gaussian-nd", "y1,y2,g\n1,2,a\n3,na,b\n5,6,b\n7,8,a\n", {"response": ["y1", "y2"]},
+     _ok("gaussianNd", [[1.0, 2.0], [5.0, 6.0], [7.0, 8.0]], None, "aba", _meta(4, [2]))),
+    ("binomial", "y,g\n1,a\n-0,b\n0,a\n", {"family": "binomial"},
+     _ok("binomial", [1.0, -0.0, 0.0], None, "aba", _meta(3, []))),
+    ("survival", "t,e,g\n1,1,a\n2,,b\n3,0,b\nna,1,a\n0.5,1.0,a\n", {"family": "survival"},
+     _ok("survival", [[1.0, 1.0], [3.0, 0.0], [0.5, 1.0]], None, "aba", _meta(5, [2, 4]))),
+    # checks within a row: label, response, domain, weight present, weight > 0
+    ("label-before-domain", "y,g\n1,a\n0,b\n2,\n", {"family": "binomial"},
+     _ok("binomial", [1.0, 0.0], None, "ab", _meta(3, [3]))),
+    ("response-before-domain", "t,e,g\n1,1,a\n-1,,b\n1,0,b\n", {"family": "survival"},
+     _ok("survival", [[1.0, 1.0], [1.0, 0.0]], None, "ab", _meta(3, [2]))),
+    ("response-before-weight", "y,g,w\n1,a,1\nna,b,-1\n2,b,1\n", {"weights": "w"},
+     _ok("gaussian1d", [1.0, 2.0], [1.0, 1.0], "ab", _meta(3, [2]))),
+    ("domain-before-missing-weight", "y,g,w\n1,a,1\n2,b,\n0,b,1\n",
+     {"family": "binomial", "weights": "w"},
+     ("DataError", "row 2: binomial response must be 0 or 1")),
+    ("survival-time-domain", "t,e,g\n1,1,a\n0,1,b\n", {"family": "survival"},
+     ("DataError", "row 2: invalid survival time/event pair")),
+    ("survival-event-domain", "t,e,g\n1,1,a\n2,2,b\n", {"family": "survival"},
+     ("DataError", "row 2: invalid survival time/event pair")),
+    ("survival-domain-before-weight", "t,e,g,w\n1,1,a,1\n-inf,1,b,\n",
+     {"family": "survival", "weights": "w"},
+     ("DataError", "row 2: invalid survival time/event pair")),
+    ("missing-weight-rejects", "y,g,w\n1,a,nan\n2,b,1\n3,a,2\n", {"weights": "w"},
+     _ok("gaussian1d", [2.0, 3.0], [1.0, 2.0], "ba", _meta(3, [1]))),
+    ("zero-weight-raises", "y,g,w\n1,a,1\n2,b,-0\n", {"weights": "w"},
+     ("DataError", "row 2: weights must be positive")),
+    ("survival-weight-raises-first", "t,e,g,w\n1,1,a,1\n2,0,b,0\n",
+     {"family": "survival", "weights": "w"},
+     ("DataError", "row 2: weights must be positive")),
+    # the first error in row order wins
+    ("first-error-weight", "y,g,w\n1,a,0\n2,b,1\n", {"family": "binomial", "weights": "w"},
+     ("DataError", "row 1: weights must be positive")),
+    ("first-error-domain", "y,g,w\nna,a,0\n2,a,1\n1,b,0\n",
+     {"family": "binomial", "weights": "w"},
+     ("DataError", "row 2: binomial response must be 0 or 1")),
+    # trailing checks: no usable rows, fewer than 2 levels, survival weights
+    ("header-only", "y,g\n", {}, ("DataError", "no usable rows after rejecting invalid ones")),
+    ("no-usable-rows", "y,g\nna,a\n", {},
+     ("DataError", "no usable rows after rejecting invalid ones")),
+    ("no-usable-rows-before-survival-weights", "t,e,g,w\n1,1,a,\n",
+     {"family": "survival", "weights": "w"},
+     ("DataError", "no usable rows after rejecting invalid ones")),
+    ("one-level", "y,g\n1,a\n2, a\n", {}, ("DataError", "need at least 2 factor levels")),
+    ("one-level-before-survival-weights", "t,e,g,w\n1,1,a,1\n",
+     {"family": "survival", "weights": "w"},
+     ("DataError", "need at least 2 factor levels")),
+    ("survival-weights", "t,e,g,w\n1,1,a,1\n2,0,b,2\n", {"family": "survival", "weights": "w"},
+     ("DataError", "weights are not supported for survival data")),
+    # file and column errors
+    ("empty-file", "", {}, ("DataError", "{path}: empty file")),
+    ("blank-header", "\ny,g\n1,a\n2,b\n", {}, ("DataError", "missing columns: ['y', 'g']")),
+    ("missing-column", "y,g\n1,a\n", {"weights": "w"}, ("DataError", "missing columns: ['w']")),
+    ("survival-needs-time", "y,g\n1,a\n", {"family": "survival", "time": None},
+     ("ConfigError", "survival needs --time and --event columns")),
+    ("binomial-one-response", "y,g\n1,a\n", {"family": "binomial", "response": ["y", "y"]},
+     ("ConfigError", "binomial takes exactly one --response column")),
+    ("response-required", "y,g\n1,a\n", {"response": None},
+     ("ConfigError", "--response is required for this family")),
+]
+
+
+@pytest.mark.parametrize("text,flags,expected", [row[1:] for row in INGEST_TABLE],
+                         ids=[row[0] for row in INGEST_TABLE])
+def test_ingest_table(text, flags, expected, tmp_path):
+    import argparse
+
+    import numpy as np
+
+    from factorfuse import cli
+
+    path = tmp_path / "in.csv"
+    path.write_bytes(text.encode("utf-8"))
+    survival = flags.get("family") == "survival"
+    args = argparse.Namespace(
+        input=str(path), family="gaussian", factor="g", weights=None,
+        response=None if survival else ["y"],
+        time="t" if survival else None, event="e" if survival else None,
+    )
+    for key, value in flags.items():
+        setattr(args, key, value)
+    if len(expected) == 2:
+        error, message = expected
+        with pytest.raises(getattr(cli, error)) as exc:
+            cli._build_dataset(args)
+        assert type(exc.value) is getattr(cli, error)
+        assert str(exc.value) == message.format(path=path)
+        return
+    kind, values, weights, labels, levels, meta = expected
+    data, grouping, got_meta = cli._build_dataset(args)
+    assert data.kind == kind
+    want = np.array(values, dtype=float)
+    assert data.values.shape == want.shape and data.values.tobytes() == want.tobytes()
+    if weights is None:
+        assert data.weights is None
+    else:
+        assert data.weights.tobytes() == np.array(weights, dtype=float).tobytes()
+    assert grouping.labels == labels and grouping.levels == levels
+    assert got_meta == meta

@@ -10,7 +10,15 @@ from hypothesis import strategies as st
 
 from factorfuse import fit, group_summary, kaplan_meier
 from factorfuse.data import Grouping, Partition, ResponseData
-from factorfuse.families import LevelStats, _cox_arrays, cluster_sums, fit_stats, score_pairs
+from factorfuse.engine import merge_factors
+from factorfuse.families import (
+    LevelStats,
+    _cox_arrays,
+    _cox_loglik_grad_hess,
+    cluster_sums,
+    fit_stats,
+    score_pairs,
+)
 from factorfuse.errors import (
     DegeneratePoints,
     EmptyCluster,
@@ -18,6 +26,7 @@ from factorfuse.errors import (
     NoEvents,
     WeightsNotSupported,
 )
+from factorfuse.fixtures import make_fixture
 from factorfuse.mds import mds_project_1d
 
 from conftest import (
@@ -29,6 +38,8 @@ from conftest import (
     oracle_cox_partial_loglik,
     oracle_gaussian_loglik,
     reference_cox_arrays,
+    reference_cox_loglik_grad_hess,
+    reference_kaplan_meier,
     reference_level_stats,
     singletons_of,
 )
@@ -310,6 +321,16 @@ class TestKaplanMeier:
         assert list(t) == [1.0, 2.0, 3.0]
         # frozen from a hand product-limit computation
         assert list(s) == pytest.approx([0.8, 0.6, 0.3])
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.25, 7.0]), st.booleans()),
+                    max_size=30))
+    def test_matches_reference_bitwise(self, rows):
+        times = np.array([t for t, _ in rows], dtype=float)
+        events = np.array([e for _, e in rows], dtype=float)
+        for got, want in zip(kaplan_meier(times, events), reference_kaplan_meier(times, events)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -605,3 +626,34 @@ def test_cox_arrays_match_reference_bitwise(rng):
                     break
                 a, b = rng.choice(part.size, 2, replace=False)  # either order
                 part = part.merge(part.labels[a], part.labels[b])
+
+
+def test_cox_loglik_grad_hess_match_reference_bitwise(rng):
+    for _ in range(30):
+        k = int(rng.integers(2, 9))
+        sizes = rng.integers(1, 9, k)
+        n = int(sizes.sum())
+        values = np.column_stack([rng.integers(1, 6, n), rng.integers(0, 2, n)]).astype(float)
+        data, g = ResponseData("survival", values), Grouping(_labelled(sizes))
+        stats = LevelStats(data, g)
+        part = singletons_of(g)
+        for _ in range(int(rng.integers(0, k))):
+            a, b = rng.choice(part.size, 2, replace=False)
+            part = part.merge(part.labels[a], part.labels[b])
+        t, e, gi = _cox_arrays(stats, part)
+        for _ in range(15):
+            alpha = rng.normal(0.0, 3.0, part.size)
+            alpha[0] = 0.0
+            ll, grad, hess = _cox_loglik_grad_hess(alpha, t, e, gi, part.size)
+            ll_ref, grad_ref, hess_ref = reference_cox_loglik_grad_hess(alpha, t, e, gi, part.size)
+            assert ll == ll_ref
+            assert np.array_equal(grad, grad_ref) and np.array_equal(hess, hess_ref)
+
+
+def test_cox_trial_steps_raise_no_numpy_warnings():
+    # trial Newton steps on this fixture overflow exp(alpha); they are halved
+    # without a warning reaching the caller
+    fx = make_fixture("survival", 16, 20, 1.0, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        merge_factors(fx.data, fx.grouping, "adaptive")

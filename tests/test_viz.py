@@ -19,7 +19,7 @@ from factorfuse import (
 from factorfuse import families
 from factorfuse.data import Grouping, ResponseData
 from factorfuse.errors import IncompatiblePanel
-from factorfuse.families import fit_stats
+from factorfuse.families import FittedModel, fit_stats
 from factorfuse.inference import chi_square_quantile
 from factorfuse.viz import _stars, layout_tree
 
@@ -107,25 +107,25 @@ def test_boxplot_on_binomial_rejected():
     data, g = make_binomial_data({"a": [1, 0, 1], "b": [0, 0, 1]})
     part = singletons_of(g)
     with pytest.raises(IncompatiblePanel):
-        render_response_panel(data, g, part, "boxplot")
+        render_response_panel(data, g, fit(data, g, part), "boxplot")
 
 
 def test_proportion_on_gaussian_rejected(gaussian_three_groups):
     data, g = gaussian_three_groups
     with pytest.raises(IncompatiblePanel):
-        render_response_panel(data, g, singletons_of(g), "proportion")
+        render_response_panel(data, g, fit(data, g, singletons_of(g)), "proportion")
 
 
 @pytest.mark.parametrize("panel", ["tukey", "heatmap", "profile"])
 def test_out_of_scope_panels_named_unimplemented(panel, gaussian_three_groups):
     data, g = gaussian_three_groups
     with pytest.raises(IncompatiblePanel, match="not implemented"):
-        render_response_panel(data, g, singletons_of(g), panel)
+        render_response_panel(data, g, fit(data, g, singletons_of(g)), panel)
 
 
 def test_frequency_valid_for_all_families(gaussian_three_groups):
     data, g = gaussian_three_groups
-    frag = render_response_panel(data, g, singletons_of(g), "frequency")
+    frag = render_response_panel(data, g, fit(data, g, singletons_of(g)), "frequency")
     assert 'id="panel-b"' in frag
 
 
@@ -145,7 +145,7 @@ def test_frequency_bar_ratio():
         labels += [lv] * len(vs)
     data = ResponseData("gaussian1d", np.array(vals))
     g = Grouping(tuple(labels))
-    frag = render_response_panel(data, g, singletons_of(g), "frequency")
+    frag = render_response_panel(data, g, fit(data, g, singletons_of(g)), "frequency")
     widths = [float(w) for w in re.findall(r'width="([\d.]+)" height="16', frag)]
     assert len(widths) == 3
     assert widths[1] / widths[0] == pytest.approx(2.0, rel=1e-3)
@@ -155,9 +155,9 @@ def test_frequency_bar_ratio():
 def test_means_interval_half_width(gaussian_three_groups):
     data, g = gaussian_three_groups
     part = singletons_of(g)
-    frag = render_response_panel(data, g, part, "means")
-    ET.fromstring("<r>" + frag + "</r>")
     model = fit(data, g, part)
+    frag = render_response_panel(data, g, model, "means")
+    ET.fromstring("<r>" + frag + "</r>")
     sigma = model.nuisance["sigma2"] ** 0.5
     lo, hi = float(data.values.min()), float(data.values.max())
     px_per_unit = (600.0 - 60.0 - (60.0 + 100.0)) / (hi - lo)
@@ -179,7 +179,9 @@ def test_survival_all_censored_flat():
         "b": [(1.0, 1), (2.0, 1), (4.0, 0)],
     }
     data, g = make_survival_data(rows)
-    frag = render_response_panel(data, g, singletons_of(g), "survival")
+    # the Cox fit diverges (level a has no events); the panel reads only the partition
+    model = FittedModel("survival", singletons_of(g), 0.0, {})
+    frag = render_response_panel(data, g, model, "survival")
     ET.fromstring("<r>" + frag + "</r>")
     assert 'id="panel-b"' in frag
 
@@ -192,13 +194,28 @@ def test_render_reuses_the_full_model(strategy, rng, monkeypatch):
     history, gic = merging_history(path), gic_profile(path, 2.0)
     fitted = []
 
-    def counting_fit_stats(stats, partition, counter=None):
+    def counting_fit_stats(stats, partition):
         fitted.append(partition)
-        return fit_stats(stats, partition, counter)
+        return fit_stats(stats, partition)
 
     monkeypatch.setattr(families, "fit_stats", counting_fit_stats)
     render_merging_path_svg(path, history, gic, data, g, PlotSpec())
     assert fitted == []  # the tree's level order comes from the path's full model
+
+
+def test_means_panel_reads_the_chosen_model(gaussian_three_groups, monkeypatch):
+    data, g = gaussian_three_groups
+    path = merge_factors(data, g, "fast-fixed")
+    history, gic = merging_history(path), gic_profile(path, 2.0)
+    built, level_stats = [], families.LevelStats
+
+    def counting_level_stats(*args):
+        built.append(args)
+        return level_stats(*args)
+
+    monkeypatch.setattr(families, "LevelStats", counting_level_stats)
+    render_merging_path_svg(path, history, gic, data, g, PlotSpec(response_panel="means"))
+    assert built == []  # sigma^2 comes from the chosen step's model
 
 
 def test_stars_ladder():
