@@ -28,7 +28,7 @@ import numpy as np
 
 from .data import Grouping, Partition, ResponseData
 from .errors import InvalidStrategy
-from .families import FittedModel, LevelStats, cluster_sums, fit_stats, score_pairs
+from .families import FittedModel, LevelStats, cluster_sums, fit_stats, merge_sums, score_pairs
 from .mds import mds_project_1d
 
 STRATEGIES = ("adaptive", "fast-adaptive", "fixed", "fast-fixed")
@@ -138,7 +138,9 @@ def _select(scores: np.ndarray, labels, i: np.ndarray, j: np.ndarray) -> int:
     lexicographically smallest pair of labels.
     """
     tied = np.flatnonzero(scores >= scores.max() - NEAR_TIE)
-    return int(min(tied, key=lambda t: (labels[i[t]], labels[j[t]])))
+    # the labels are distinct, so pairs of their ranks sort as the label pairs do
+    rank = np.argsort(sorted(range(len(labels)), key=labels.__getitem__))
+    return int(tied[np.lexsort((rank[j[tied]], rank[i[tied]]))[0]])
 
 
 class _Clusters:
@@ -159,15 +161,13 @@ class _Clusters:
 
     def score(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """Log-likelihood after merging each pair (i[t], j[t])."""
-        return score_pairs(self.stats, self.sums, self.partition, i, j)
+        return score_pairs(self.stats, self.sums, i, j)
 
     def merge(self, a: int, b: int, counter: EvalCounter) -> PathStep:
         """Merge the clusters at positions a < b and fit the result."""
         labels = self.labels
         self.partition = self.partition.merge(labels[a], labels[b])
-        for name, s in self.sums.items():
-            s[a] += s[b]
-            self.sums[name] = np.delete(s, b, axis=0)
+        self.sums = merge_sums(self.sums, a, b)
         counter.increment("path")
         return PathStep((labels[a], labels[b]), fit_stats(self.stats, self.partition))
 

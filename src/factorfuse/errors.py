@@ -26,7 +26,7 @@ class NonConvergence(FactorFuseError):
 
 
 class MonotoneLikelihood(FactorFuseError):
-    """A Cox coefficient diverged (|alpha| exceeded the cap)."""
+    """A Cox coefficient is infinite: the partial likelihood keeps rising along it."""
 
 
 class WeightsNotSupported(FactorFuseError):

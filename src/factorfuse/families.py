@@ -7,14 +7,14 @@ ordering value, the estimate :func:`group_summary` reports, and the response
 panels the plot accepts.  The engine, the plots and the CLI read the record
 instead of switching on the kind.
 
-Every fit is a pure function of (response data, grouping, partition).  The
-Gaussian and binomial families reduce to per-level sufficient statistics,
-computed once per dataset in :class:`LevelStats` from one sort of the rows by
-level, then value, then weight, which makes log-likelihoods invariant under
-row permutations of the input (bitwise, not just up to rounding).  Fits and
-:func:`score_pairs`, which scores many candidate merges at once, read the
-same per-cluster sums (:func:`cluster_sums`) through the same log-likelihood
-helpers; the engine fits only the partition it chooses.
+Every fit is a pure function of (response data, grouping, partition) and
+reads per-level sufficient statistics, computed once per dataset in
+:class:`LevelStats` and invariant under row permutations of the input
+(bitwise): Gaussian and binomial sums from one sort of the rows by level,
+value and weight; for survival (Cox, Breslow ties), each level's events and
+rows at risk at every event time.  Fits and :func:`score_pairs`, which scores
+many candidate merges at once, read the same per-cluster sums
+(:func:`cluster_sums`); the engine fits only the partition it chooses.
 
 The shared nuisance parameters (sigma^2 for gaussian1d, the pooled
 covariance for gaussianNd) are profiled: each partition gets the pooled MLE
@@ -53,7 +53,6 @@ LOG_2PI = math.log(2.0 * math.pi)
 # Newton-Raphson settings for the Cox fit
 COX_TOL = 1e-8
 COX_MAX_ITER = 50
-COX_ALPHA_CAP = 20.0
 
 # The fits take logarithms with math.log and the scorers with numpy's
 # vectorised log, which can differ from it in the last bit; the fits keep
@@ -87,7 +86,7 @@ class Family:
     sums: tuple[str, ...]
     # (stats, partition, cluster sums) -> FittedModel
     fit: Callable
-    # (stats, cluster sums, partition, i, j) -> loglik with each pair merged
+    # (stats, cluster sums, i, j) -> loglik with each pair (i[t], j[t]) merged
     score: Callable
     # (stats, full model or None, 1-D projection) -> ordering value per level
     order_value: Callable
@@ -142,8 +141,7 @@ def fit_stats(stats: LevelStats, partition: Partition) -> FittedModel:
 def cluster_sums(stats: LevelStats, partition: Partition) -> dict[str, np.ndarray]:
     """Level statistics summed per cluster: one row per cluster of ``partition``.
 
-    A merge of clusters a and b turns into ``row a += row b`` and dropping
-    row b, so the engine keeps these up to date without refitting.
+    A merge updates them through :func:`merge_sums`, without refitting.
     """
     rows = stats.cluster_rows(partition)
     # add.reduce sums along the first axis like .sum(axis=0), with less call overhead
@@ -153,15 +151,24 @@ def cluster_sums(stats: LevelStats, partition: Partition) -> dict[str, np.ndarra
     }
 
 
-def score_pairs(stats: LevelStats, sums: dict[str, np.ndarray], partition: Partition,
-                i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Log-likelihood of ``partition`` with clusters ``i[t]`` and ``j[t]``
-    merged, for every t.
+def merge_sums(sums: dict[str, np.ndarray], a: int, b: int) -> dict[str, np.ndarray]:
+    """Cluster sums after merging clusters a < b: row b is added to row a
+    and dropped, as :meth:`Partition.merge` places the merged cluster at a."""
+    merged = {}
+    for name, s in sums.items():
+        merged[name] = np.delete(s, b, axis=0)
+        merged[name][a] += s[b]
+    return merged
 
-    ``sums`` are the :func:`cluster_sums` of ``partition``.  Each value
-    equals ``fit_stats(stats, merged).loglik`` up to rounding.
+
+def score_pairs(stats: LevelStats, sums: dict[str, np.ndarray],
+                i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Log-likelihood of the partition whose :func:`cluster_sums` are
+    ``sums``, with clusters ``i[t]`` and ``j[t]`` merged, for every t.
+
+    Each value equals ``fit_stats(stats, merged).loglik`` up to rounding.
     """
-    return stats.family.score(stats, sums, partition, i, j)
+    return stats.family.score(stats, sums, i, j)
 
 
 def _sorted_rows(stats: LevelStats) -> tuple[np.ndarray, np.ndarray, list[slice]]:
@@ -246,7 +253,7 @@ def _fit_gaussian_1d(stats: LevelStats, partition: Partition, sums) -> FittedMod
     )
 
 
-def _score_gaussian_1d(stats: LevelStats, sums, partition, i, j) -> np.ndarray:
+def _score_gaussian_1d(stats: LevelStats, sums, i, j) -> np.ndarray:
     # merging adds the Ward term w_i w_j / (w_i + w_j) * (mu_i - mu_j)^2 to the RSS
     sw = sums["sw"]
     mu = sums["swy"] / sw
@@ -285,7 +292,7 @@ def _fit_gaussian_nd(stats: LevelStats, partition: Partition, sums) -> FittedMod
     )
 
 
-def _score_gaussian_nd(stats: LevelStats, sums, partition, i, j) -> np.ndarray:
+def _score_gaussian_nd(stats: LevelStats, sums, i, j) -> np.ndarray:
     # merging adds the Ward scatter w_i w_j / (w_i + w_j) * delta delta^T
     sw = sums["sw"]
     mu = sums["swy"] / sw[:, None]
@@ -344,7 +351,7 @@ def _fit_binomial(stats: LevelStats, partition: Partition, sums) -> FittedModel:
     )
 
 
-def _score_binomial(stats: LevelStats, sums, partition, i, j) -> np.ndarray:
+def _score_binomial(stats: LevelStats, sums, i, j) -> np.ndarray:
     # only the merged pair's own term changes
     sw, swy = sums["sw"], sums["swy"]
     ll = _binomial_loglik(sw, swy)
@@ -358,108 +365,99 @@ def _score_binomial(stats: LevelStats, sums, partition, i, j) -> np.ndarray:
 
 
 def _survival_stats(stats: LevelStats) -> None:
+    """Tables over the T distinct event times: ``D[l, t]`` counts level l's
+    events at time t and ``R[l, t]`` its rows at risk then."""
     if stats.data.weights is not None:
         raise WeightsNotSupported("survival fits do not accept weights")
-
-
-def _cox_arrays(stats: LevelStats, partition: Partition):
-    """Time, event and cluster position of every row, sorted by all three:
-    rows tied on all three are interchangeable, so row order does not matter."""
-    cluster_of = np.empty(len(stats.levels), dtype=int)
-    for j, levels in enumerate(stats.cluster_rows(partition)):
-        cluster_of[levels] = j
     t, e = stats.data.values.T
-    g = cluster_of[stats.grouping.codes]
-    order = np.lexsort((g, e, t))
-    return t[order], e[order], g[order]
+    codes, k = stats.grouping.codes, len(stats.levels)
+    times = np.unique(t[e == 1.0])
+    T = len(times)
+    at = codes[e == 1.0] * T + np.searchsorted(times, t[e == 1.0])
+    stats.D = np.bincount(at, minlength=k * T).reshape(k, T).astype(float)
+    # count each level's rows by the event times they reach; sum from the last
+    reach = codes * (T + 1) + np.searchsorted(times, t, side="right")
+    rows = np.bincount(reach, minlength=k * (T + 1)).reshape(k, T + 1)
+    stats.R = np.cumsum(rows[:, :0:-1], axis=1)[:, ::-1].astype(float)
 
 
-def _cox_loglik_grad_hess(alpha, t, e, g, n_clusters):
-    """Breslow partial log-likelihood with gradient and Hessian.
+def _breslow_terms(D: np.ndarray, R: np.ndarray):
+    """Events per cluster, events per time, and log R (-inf where no row is
+    at risk): all the partial likelihood reads from a partition's tables."""
+    log_r = np.log(R, out=np.full(R.shape, -np.inf), where=R > 0)
+    return np.add.reduce(D, axis=1), np.add.reduce(D, axis=0), log_r
 
-    ``alpha`` has one entry per cluster; entry 0 is the reference and is
-    held at zero by the caller.  Risk sets are suffix sets of the
-    time-sorted sample; tied event times share the risk set anchored at the
-    first index of the tie group.
+
+def _breslow(alpha: np.ndarray, terms):
+    """Breslow partial log-likelihood with gradient and Hessian; each risk
+    set's sum of R exp(alpha) is a log-sum-exp, so nothing overflows."""
+    per_cluster, per_time, log_r = terms
+    x = log_r + alpha[:, None]
+    top = x.max(axis=0)  # finite: some row is at risk at every event time
+    share = np.exp(x - top)
+    total = np.add.reduce(share, axis=0)
+    share /= total
+    loglik = float(alpha @ per_cluster - per_time @ (top + np.log(total)))
+    expected = share @ per_time
+    hess = (share * per_time) @ share.T - np.diag(expected)
+    return loglik, per_cluster - expected, hess
+
+
+def _newton_step(grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
+    """Newton step on the free coefficients alpha[1:]."""
+    try:
+        return np.linalg.solve(-hess[1:, 1:], grad[1:])
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergence("singular Hessian in Cox fit") from exc
+
+
+def _cox_newton(D: np.ndarray, R: np.ndarray) -> tuple[np.ndarray, float]:
+    """Coefficients (reference ``alpha[0] = 0``) and maximised partial
+    log-likelihood of the clusters whose tables are ``D`` and ``R``.
+
+    Newton-Raphson from alpha = 0 halves steps that lower the loglik and
+    stops once a step gains less than ``COX_TOL``.  As in R's
+    ``survival::coxph``, a coefficient is infinite if its remaining Newton
+    step exceeds both ``COX_TOL`` and ``sqrt(COX_TOL) |alpha|``.
     """
-    ea = np.exp(alpha)[g]
-    # suffix sums, overall and per cluster; cumsum adds in sequence, so the
-    # zeros in other clusters' rows do not change a cluster's sums
-    z = np.cumsum(ea[::-1])[::-1]
-    per_cluster = np.where(g == np.arange(n_clusters)[:, None], ea, 0.0)
-    zc = np.cumsum(per_cluster[:, ::-1], axis=1)[:, ::-1]
-    first_ge = np.searchsorted(t, t, side="left")
-    ev = np.flatnonzero(e == 1.0)
-    anchors = first_ge[ev]
-    s = z[anchors]
-    sc = zc[:, anchors]  # (n_clusters, n_events)
-    loglik = float(np.sum(alpha[g[ev]] - np.log(s)))
-    frac = sc / s  # (n_clusters, n_events)
-    grad = np.bincount(g[ev], minlength=n_clusters).astype(float) - frac.sum(axis=1)
-    hess = np.einsum("re,se->rs", frac, frac) - np.diag(frac.sum(axis=1))
-    return loglik, grad, hess
+    terms = _breslow_terms(D, R)
+    alpha = np.zeros(len(D))
+    ll, grad, hess = _breslow(alpha, terms)
+    for _ in range(COX_MAX_ITER):
+        step = _newton_step(grad, hess)  # empty for one cluster: done at once
+        for halvings in range(40):
+            trial = alpha + np.append(0.0, 0.5**halvings * step)
+            ll_new, grad_new, hess_new = _breslow(trial, terms)
+            if ll_new >= ll - 1e-12:
+                break
+        else:
+            raise NonConvergence("step halving failed in Cox fit")
+        delta = ll_new - ll
+        alpha, ll, grad, hess = trial, ll_new, grad_new, hess_new
+        if abs(delta) < COX_TOL:
+            left = np.abs(_newton_step(grad, hess))
+            if np.any((left > COX_TOL) & (left > math.sqrt(COX_TOL) * np.abs(alpha[1:]))):
+                raise MonotoneLikelihood("Cox coefficient may be infinite")
+            return alpha, ll
+    raise NonConvergence("Cox Newton-Raphson did not converge")
 
 
 def _fit_cox(stats: LevelStats, partition: Partition, sums) -> FittedModel:
-    if not stats.data.values[:, 1].any():
+    if stats.D.shape[1] == 0:
         raise NoEvents("survival data has no uncensored events")
-    t, e, g = _cox_arrays(stats, partition)
-    c = partition.size
-    alpha = np.zeros(c)
-    ll, grad, hess = _cox_loglik_grad_hess(alpha, t, e, g, c)
-    if c > 1:
-        free = slice(1, c)
-        converged = False
-        for _ in range(COX_MAX_ITER):
-            try:
-                step = np.linalg.solve(-hess[free, free], grad[free])
-            except np.linalg.LinAlgError as exc:
-                raise NonConvergence("singular Hessian in Cox fit") from exc
-            scale = 1.0
-            for _ in range(40):
-                trial = alpha.copy()
-                trial[free] += scale * step
-                # a step too long overflows exp(alpha), or underflows a whole
-                # risk set to 0; its loglik is then not finite and it is halved
-                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                    ll_new, grad_new, hess_new = _cox_loglik_grad_hess(trial, t, e, g, c)
-                if math.isfinite(ll_new) and ll_new >= ll - 1e-12:
-                    break
-                scale *= 0.5
-            else:
-                raise NonConvergence("step halving failed in Cox fit")
-            delta = ll_new - ll
-            alpha, ll, grad, hess = trial, ll_new, grad_new, hess_new
-            if np.max(np.abs(alpha)) > COX_ALPHA_CAP:
-                raise MonotoneLikelihood("Cox coefficient diverged")
-            if abs(delta) < COX_TOL:
-                converged = True
-                break
-        if not converged:
-            raise NonConvergence("Cox Newton-Raphson did not converge")
-    est = {}
-    for j, cl in enumerate(partition.clusters):
-        est[cl.label] = {
-            "alpha": float(alpha[j]),
-            "hazard_ratio": float(math.exp(alpha[j])),
-            "reference": j == 0,
-        }
-    return FittedModel(
-        family=SURVIVAL,
-        partition=partition,
-        loglik=ll,
-        estimates=est,
-        nuisance=None,
-    )
+    alpha, ll = _cox_newton(sums["D"], sums["R"])
+    est = {
+        cl.label: {"alpha": a, "hazard_ratio": math.exp(a), "reference": j == 0}
+        for j, (cl, a) in enumerate(zip(partition.clusters, alpha.tolist()))
+    }
+    return FittedModel(family=SURVIVAL, partition=partition, loglik=ll, estimates=est)
 
 
-def _score_cox(stats: LevelStats, sums, partition: Partition, i, j) -> np.ndarray:
-    # the partial likelihood has no closed-form merge update: fit each candidate
-    labels = partition.labels
-    return np.array([
-        fit_stats(stats, partition.merge(labels[a], labels[b])).loglik
-        for a, b in zip(i.tolist(), j.tolist())
-    ])
+def _score_cox(stats: LevelStats, sums, i, j) -> np.ndarray:
+    # the partial likelihood has no closed-form merge update: fit each
+    # candidate's merged tables
+    merged = (merge_sums(sums, a, b) for a, b in zip(i.tolist(), j.tolist()))
+    return np.array([_cox_newton(m["D"], m["R"])[1] for m in merged])
 
 
 def _log_hazard_ratios(stats: LevelStats, full_model, project) -> np.ndarray:
@@ -490,7 +488,7 @@ FAMILIES = {
         panels=("proportion", "frequency"),
     ),
     SURVIVAL: Family(
-        level_stats=_survival_stats, sums=(), fit=_fit_cox,
+        level_stats=_survival_stats, sums=("D", "R"), fit=_fit_cox,
         score=_score_cox, order_value=_log_hazard_ratios, estimate="hazard_ratio",
         panels=("survival", "frequency"),
     ),

@@ -1,9 +1,10 @@
 """Shared fixtures and independent oracles for the test suite.
 
 Oracles here deliberately avoid reusing factorfuse internals: Gaussian and
-binomial log-likelihoods are closed-form re-derivations, the Cox oracle is a
-golden-section search over the partial likelihood, and the chi-square oracle
-integrates the density with adaptive Simpson quadrature.
+binomial log-likelihoods are closed-form re-derivations, the two-cluster Cox
+oracle is a golden-section search over the partial likelihood, the
+multi-cluster one maximises a row-level partial likelihood with scipy, and the
+chi-square oracle integrates the density with adaptive Simpson quadrature.
 """
 
 from __future__ import annotations
@@ -139,6 +140,38 @@ def oracle_cox_alpha(times, events, grp01, lo=-20.0, hi=20.0) -> float:
     return (a + b) / 2
 
 
+def oracle_cox_multi_loglik(times, events, cluster, alpha):
+    """Breslow partial log-likelihood and gradient for any number of
+    clusters, walked event row by event row over its risk set."""
+    times, alpha = np.asarray(times, float), np.asarray(alpha, float)
+    cluster = np.asarray(cluster)
+    eta = alpha[cluster]
+    ll, grad = 0.0, np.zeros(len(alpha))
+    for i in np.flatnonzero(np.asarray(events)):
+        risk = times >= times[i]
+        w = np.exp(eta[risk])
+        ll += eta[i] - math.log(float(w.sum()))
+        grad[cluster[i]] += 1.0
+        grad -= np.bincount(cluster[risk], weights=w, minlength=len(alpha)) / w.sum()
+    return ll, grad
+
+
+def oracle_cox_fit(times, events, cluster):
+    """Coefficients (cluster 0 the reference at 0) and maximised partial
+    log-likelihood, by BFGS on the row-level likelihood."""
+    from scipy.optimize import minimize
+
+    n_clusters = int(np.max(cluster)) + 1
+
+    def negative(free):
+        ll, grad = oracle_cox_multi_loglik(times, events, cluster, np.r_[0.0, free])
+        return -ll, -grad[1:]
+
+    res = minimize(negative, np.zeros(n_clusters - 1), jac=True, method="BFGS",
+                   options={"gtol": 1e-11, "maxiter": 1000})
+    return np.r_[0.0, res.x], -float(res.fun)
+
+
 # ---------------------------------------------------------------------------
 # chi-square quadrature oracle
 
@@ -259,6 +292,22 @@ def reference_cox_arrays(data, grouping, partition):
     t, e, g = np.concatenate(times), np.concatenate(events), np.concatenate(cluster_ix)
     order = np.lexsort((g, e, t))
     return t[order], e[order], g[order]
+
+
+def reference_risk_tables(data, grouping):
+    """Events and rows at risk of each level at each distinct event time,
+    counted one level and one time at a time."""
+    labels = np.asarray(grouping.labels, dtype=object)
+    t_all, e_all = data.values.T
+    event_times = sorted(set(t_all[e_all == 1.0].tolist()))
+    D = np.zeros((len(grouping.levels), len(event_times)))
+    R = np.zeros_like(D)
+    for l, lv in enumerate(grouping.levels):
+        t, e = t_all[labels == lv], e_all[labels == lv]
+        for s, time in enumerate(event_times):
+            D[l, s] = np.count_nonzero((t == time) & (e == 1.0))
+            R[l, s] = np.count_nonzero(t >= time)
+    return D, R
 
 
 # ---------------------------------------------------------------------------

@@ -235,7 +235,7 @@ def test_exit_3_on_nonbinary_binomial(tmp_path):
 
 
 def test_exit_4_on_monotone_cox(tmp_path):
-    # perfectly separated survival groups drive the coefficient to the cap
+    # perfectly separated survival groups make the coefficient infinite
     rows = []
     for i in range(10):
         rows.append((float(i + 1) / 10.0, 1, "early"))

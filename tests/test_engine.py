@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from factorfuse import fit, merge_factors, ordering_statistic
 from factorfuse.data import Grouping, Partition, ResponseData
-from factorfuse.engine import NEAR_TIE
+from factorfuse.engine import NEAR_TIE, _select
 from factorfuse.errors import InvalidStrategy
+from factorfuse.fixtures import make_fixture
 
 from conftest import (
     make_binomial_data,
@@ -113,6 +116,27 @@ def test_near_tie_merges_lexicographic_pair():
     for strategy in STRATEGIES:
         path = merge_factors(data, g, strategy)
         assert path.steps[1].merged_pair == ("(A)", "(B)"), strategy
+
+
+_LABELS = st.lists(
+    st.lists(st.sampled_from(["A", "B", "AB", "A1", "a"]), min_size=1, max_size=3)
+    .map(lambda members: "".join(f"({m})" for m in members)),
+    min_size=2, max_size=7, unique=True,
+)
+# few distinct scores, spaced around NEAR_TIE, make ties and near-ties; one
+# per pair of up to 7 labels
+_SCORES = st.lists(st.sampled_from([0.0, -0.5e-9, -1e-9, -2e-9, -1.0]), min_size=21, max_size=21)
+
+
+@given(labels=_LABELS, scores=_SCORES)
+@example(labels=["(A)(B)", "(A)", "(B)"], scores=[0.0] * 21)
+def test_select_matches_label_tuple_rule(labels, scores):
+    labels = tuple(labels)
+    i, j = np.triu_indices(len(labels), k=1)
+    scores = np.array(scores[: len(i)])
+    tied = np.flatnonzero(scores >= scores.max() - NEAR_TIE)
+    want = min(tied, key=lambda t: (labels[i[t]], labels[j[t]]))
+    assert _select(scores, labels, i, j) == want
 
 
 def test_identical_clusters_merge_first(rng):
@@ -319,6 +343,14 @@ def test_survival_path_all_strategies(rng):
         assert len(path.steps) == 4
         lls = [s.model.loglik for s in path.steps]
         assert all(b <= a + 1e-9 for a, b in zip(lls, lls[1:]))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_fast_fixed_completes_on_32_survival_levels(seed):
+    fx = make_fixture("survival", 32, 20, 1.0, seed)
+    lls = [s.model.loglik for s in merge_factors(fx.data, fx.grouping, "fast-fixed").steps]
+    assert len(lls) == 32
+    assert all(b <= a + 1e-9 for a, b in zip(lls, lls[1:]))
 
 
 def test_gaussian_nd_path(rng):

@@ -13,16 +13,18 @@ from factorfuse.data import Grouping, Partition, ResponseData
 from factorfuse.engine import merge_factors
 from factorfuse.families import (
     LevelStats,
-    _cox_arrays,
-    _cox_loglik_grad_hess,
+    _breslow,
+    _breslow_terms,
     cluster_sums,
     fit_stats,
+    merge_sums,
     score_pairs,
 )
 from factorfuse.errors import (
     DegeneratePoints,
     EmptyCluster,
     FactorFuseError,
+    MonotoneLikelihood,
     NoEvents,
     WeightsNotSupported,
 )
@@ -35,12 +37,14 @@ from conftest import (
     make_survival_data,
     oracle_binomial_loglik,
     oracle_cox_alpha,
+    oracle_cox_fit,
     oracle_cox_partial_loglik,
     oracle_gaussian_loglik,
     reference_cox_arrays,
     reference_cox_loglik_grad_hess,
     reference_kaplan_meier,
     reference_level_stats,
+    reference_risk_tables,
     singletons_of,
 )
 
@@ -282,6 +286,35 @@ class TestCox:
         want = oracle_cox_alpha(times, events, grp01)
         assert m.estimates["(b)"]["alpha"] == pytest.approx(want, abs=1e-5)
 
+    def test_multi_cluster_fits_match_scipy_oracle(self, rng):
+        for _ in range(8):
+            k = int(rng.integers(3, 6))
+            sizes = rng.integers(6, 11, k)
+            n = int(sizes.sum())
+            # integer times tie within and across levels
+            values = np.column_stack([rng.integers(1, 9, n), rng.uniform(size=n) > 0.2]).astype(float)
+            data, g = ResponseData("survival", values), Grouping(_labelled(sizes))
+            part = singletons_of(g)
+            for _ in range(2):
+                m = fit(data, g, part)
+                cluster_of = {lv: c for c, cl in enumerate(part.clusters) for lv in cl.members}
+                cluster = np.array([cluster_of[lv] for lv in g.labels])
+                alpha, ll = oracle_cox_fit(values[:, 0], values[:, 1], cluster)
+                assert m.loglik == pytest.approx(ll, abs=1e-8)
+                got = [m.estimates[c.label]["alpha"] for c in part.clusters]
+                assert np.allclose(got, alpha, rtol=0.0, atol=1e-5)
+                part = part.merge(part.labels[0], part.labels[-1])
+
+    @pytest.mark.parametrize("rows", [
+        # level a never has an event, so its coefficient runs to -infinity
+        {"a": [(1.0, 0), (2.0, 0)], "b": [(1.5, 1), (3.0, 1)]},
+        {"a": [(1.0, 0), (2.0, 0), (3.0, 0)], "b": [(1.0, 1), (2.0, 1), (4.0, 0)]},
+    ])
+    def test_zero_event_level_is_monotone(self, rows):
+        data, g = make_survival_data(rows)
+        with pytest.raises(MonotoneLikelihood):
+            fit(data, g, singletons_of(g))
+
 
 # ---------------------------------------------------------------------------
 # summaries and Kaplan-Meier
@@ -434,7 +467,7 @@ def assert_scores_match_fits(data, g, merges=()):
             a = x % (part.size - 1)
             part = part.merge(part.labels[a], part.labels[a + 1])
         i, j = np.triu_indices(part.size, k=1)
-        got = score_pairs(stats, cluster_sums(stats, part), part, i, j)
+        got = score_pairs(stats, cluster_sums(stats, part), i, j)
         fits = [fit_stats(stats, part.merge(part.labels[a], part.labels[b])) for a, b in zip(i, j)]
     for score, m in zip(got, fits):
         assert abs(score - m.loglik) <= 1e-9 + 1e-12 * abs(m.loglik)
@@ -608,51 +641,57 @@ def test_level_stats_match_reference_bitwise(kind, weighted, rng):
                 assert np.array_equal(getattr(stats, name), want), name
 
 
-def test_cox_arrays_match_reference_bitwise(rng):
+def _survival_case(rng, k_max):
+    k = int(rng.integers(2, k_max))
+    sizes = rng.integers(1, 9, k)
+    n = int(sizes.sum())
+    # integer times tie across levels; events tie with censorings
+    values = np.column_stack([rng.integers(1, 6, n), rng.integers(0, 2, n)]).astype(float)
+    values[rng.integers(n), 1] = 1.0  # a fit needs an event
+    return ResponseData("survival", values), Grouping(_labelled(sizes))
+
+
+def test_risk_tables_match_reference_bitwise(rng):
     for _ in range(20):
-        k = int(rng.integers(2, 7))
-        sizes = rng.integers(1, 9, k)
-        n = int(sizes.sum())
-        # integer times tie across levels; events tie with censorings
-        values = np.column_stack([rng.integers(1, 6, n), rng.integers(0, 2, n)]).astype(float)
-        data, g = ResponseData("survival", values), Grouping(_labelled(sizes))
+        data, g = _survival_case(rng, 7)
+        for d, gg in ((data, g), _permuted(rng, data, g)):
+            stats = LevelStats(d, gg)
+            D, R = reference_risk_tables(d, gg)
+            assert np.array_equal(stats.D, D) and np.array_equal(stats.R, R)
+
+
+def test_cox_tables_match_row_reference(rng):
+    # the partial likelihood from a partition's tables against the row-level
+    # loop reference, on partitions reached by merges in either order
+    for _ in range(20):
+        data, g = _survival_case(rng, 9)
         for d, gg in ((data, g), _permuted(rng, data, g)):
             stats = LevelStats(d, gg)
             part = singletons_of(gg)
             while True:
-                want = reference_cox_arrays(d, gg, part)
-                assert all(map(np.array_equal, _cox_arrays(stats, part), want))
+                sums = cluster_sums(stats, part)
+                t, e, gi = reference_cox_arrays(d, gg, part)
+                scale = 1e-12 * max(e.sum(), 1.0)
+                for _ in range(5):
+                    alpha = rng.normal(0.0, 3.0, part.size)
+                    alpha[0] = 0.0
+                    ll, grad, hess = _breslow(alpha, _breslow_terms(sums["D"], sums["R"]))
+                    ll_ref, grad_ref, hess_ref = reference_cox_loglik_grad_hess(alpha, t, e, gi, part.size)
+                    assert abs(ll - ll_ref) <= 1e-12 * abs(ll_ref)
+                    assert np.allclose(grad, grad_ref, rtol=1e-12, atol=scale)
+                    assert np.allclose(hess, hess_ref, rtol=1e-12, atol=scale)
                 if part.size == 1:
                     break
                 a, b = rng.choice(part.size, 2, replace=False)  # either order
                 part = part.merge(part.labels[a], part.labels[b])
-
-
-def test_cox_loglik_grad_hess_match_reference_bitwise(rng):
-    for _ in range(30):
-        k = int(rng.integers(2, 9))
-        sizes = rng.integers(1, 9, k)
-        n = int(sizes.sum())
-        values = np.column_stack([rng.integers(1, 6, n), rng.integers(0, 2, n)]).astype(float)
-        data, g = ResponseData("survival", values), Grouping(_labelled(sizes))
-        stats = LevelStats(data, g)
-        part = singletons_of(g)
-        for _ in range(int(rng.integers(0, k))):
-            a, b = rng.choice(part.size, 2, replace=False)
-            part = part.merge(part.labels[a], part.labels[b])
-        t, e, gi = _cox_arrays(stats, part)
-        for _ in range(15):
-            alpha = rng.normal(0.0, 3.0, part.size)
-            alpha[0] = 0.0
-            ll, grad, hess = _cox_loglik_grad_hess(alpha, t, e, gi, part.size)
-            ll_ref, grad_ref, hess_ref = reference_cox_loglik_grad_hess(alpha, t, e, gi, part.size)
-            assert ll == ll_ref
-            assert np.array_equal(grad, grad_ref) and np.array_equal(hess, hess_ref)
+                merged = merge_sums(sums, min(a, b), max(a, b))
+                for name, want in cluster_sums(stats, part).items():
+                    assert np.array_equal(merged[name], want), name
 
 
 def test_cox_trial_steps_raise_no_numpy_warnings():
-    # trial Newton steps on this fixture overflow exp(alpha); they are halved
-    # without a warning reaching the caller
+    # trial Newton steps on this fixture reach coefficients where exp(alpha)
+    # overflows; on the log scale no warning reaches the caller
     fx = make_fixture("survival", 16, 20, 1.0, seed=0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
