@@ -169,7 +169,7 @@ class Partition:
 
     def label_of(self, level: str) -> str:
         for c in self.clusters:
-            if level in c.member_set:
+            if level in c.members:
                 return c.label
         raise KeyError(level)
 

@@ -28,7 +28,8 @@ import numpy as np
 
 from .data import Grouping, Partition, ResponseData
 from .errors import InvalidStrategy
-from .families import FittedModel, LevelStats, cluster_sums, fit_stats, merge_sums, score_pairs
+from .families import (FAMILIES, FittedModel, LevelStats, cluster_sums, fit_stats, merge_sums,
+                       score_pairs)
 from .mds import mds_project_1d
 
 STRATEGIES = ("adaptive", "fast-adaptive", "fixed", "fast-fixed")
@@ -80,9 +81,6 @@ class MergingPath:
     def full_model(self) -> FittedModel:
         return self.steps[0].model
 
-    def model_at(self, step: int) -> FittedModel:
-        return self.steps[step].model
-
 
 # ------------------------------------------------------------------ #
 # Level ordering for the fast strategies
@@ -92,18 +90,19 @@ class MergingPath:
 def ordering_statistic(
     data: ResponseData,
     grouping: Grouping,
-    stats: LevelStats | None = None,
     full_model: FittedModel | None = None,
 ) -> tuple[str, ...]:
-    """Levels sorted by the family's ordering statistic.
+    """Levels sorted by an estimate of the full model (one cluster per level).
 
-    gaussian1d -> group mean; binomial -> success proportion; gaussianNd ->
-    group mean of the 1-D non-metric MDS projection of the observations;
-    survival -> log hazard ratio from the full model (``full_model`` if
-    given).  Ties keep the original level order.
+    gaussian1d -> mean; binomial -> success proportion; survival -> log
+    hazard ratio; gaussianNd -> the 1-D non-metric MDS projection of the k
+    estimated means in the Mahalanobis metric of the pooled covariance.  The
+    full model is fitted in level order unless ``full_model`` is given.  Ties,
+    including gaussianNd means that all coincide, keep the original level order.
     """
-    stats = stats or LevelStats(data, grouping)
-    value = stats.family.order_value(stats, full_model, mds_project_1d)
+    if full_model is None:
+        full_model = fit_stats(LevelStats(data, grouping), Partition.singletons(grouping.levels))
+    value = FAMILIES[data.kind].order_value(full_model, grouping.levels, mds_project_1d)
     return tuple(grouping.levels[t] for t in np.argsort(value, kind="stable"))
 
 
@@ -193,7 +192,7 @@ def _drive_adaptive(data, grouping, adjacent_only: bool) -> MergingPath:
     stats = LevelStats(data, grouping)
     counter = EvalCounter()
     if adjacent_only:
-        ordering, part, model0 = _ordered_full_model(data, grouping, stats, counter)
+        ordering, part, model0 = _ordered_full_model(stats, counter)
     else:
         ordering, part = (), Partition.singletons(grouping.levels)
         model0 = fit_stats(stats, part)
@@ -212,13 +211,14 @@ def _drive_adaptive(data, grouping, adjacent_only: bool) -> MergingPath:
     return _result(steps, strategy, counter, ordering, data, grouping)
 
 
-def _ordered_full_model(data, grouping, stats, counter):
+def _ordered_full_model(stats, counter):
     """Full model plus the level ordering used by the fast strategies.
 
-    The full model in the new order is counted as a path fit; a full fit
-    that the ordering statistic itself needs (survival) is not.
+    The ordering reads the full model fitted in level order; the full model
+    refitted in the new order is counted as a path fit, the first is not.
     """
-    ordering = ordering_statistic(data, grouping, stats=stats)
+    full = fit_stats(stats, Partition.singletons(stats.levels))
+    ordering = ordering_statistic(stats.data, stats.grouping, full)
     part = Partition.singletons(ordering)
     model0 = fit_stats(stats, part)
     counter.increment("path")
@@ -259,7 +259,7 @@ def _drive_fixed(data, grouping) -> MergingPath:
 def _drive_fast_fixed(data, grouping) -> MergingPath:
     stats = LevelStats(data, grouping)
     counter = EvalCounter()
-    ordering, part, model0 = _ordered_full_model(data, grouping, stats, counter)
+    ordering, part, model0 = _ordered_full_model(stats, counter)
     clusters = _Clusters(stats, part)
 
     i, j = _adjacent(clusters.size)

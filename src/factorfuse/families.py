@@ -40,6 +40,7 @@ from .data import (
 )
 from .errors import (
     DegenerateData,
+    DegeneratePoints,
     EmptyCluster,
     MonotoneLikelihood,
     NoEvents,
@@ -88,7 +89,8 @@ class Family:
     fit: Callable
     # (stats, cluster sums, i, j) -> loglik with each pair (i[t], j[t]) merged
     score: Callable
-    # (stats, full model or None, 1-D projection) -> ordering value per level
+    # (full model, levels, 1-D projection) -> ordering value per level from the
+    # model's estimates; gaussianNd projects its k means, Mahalanobis metric
     order_value: Callable
     # the estimate group_summary reports per cluster
     estimate: str
@@ -193,8 +195,11 @@ def _ward(sw: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     return sw[i] * sw[j] / (sw[i] + sw[j])
 
 
-def _level_means(stats: LevelStats, full_model, project) -> np.ndarray:
-    return stats.swy / stats.sw
+def _estimate(key: str) -> Callable:
+    """Order levels by one scalar estimate of the full model."""
+    def value(model: FittedModel, levels, project) -> np.ndarray:
+        return np.array([model.estimates[f"({lv})"][key] for lv in levels])
+    return value
 
 
 # ------------------------------------------------------------------ #
@@ -316,12 +321,20 @@ def _ensure_nonsingular(cov: np.ndarray, d: int) -> tuple[np.ndarray, tuple[str,
     raise SingularCovariance("pooled covariance singular after ridge")
 
 
-def _projected_means(stats: LevelStats, full_model, project) -> np.ndarray:
-    """Weighted level means of the 1-D projection of all observations."""
-    proj = project(stats.data.values)
-    w = stats.data.weights if stats.data.weights is not None else np.ones(stats.data.n)
-    idx = stats.grouping.indices()
-    return np.array([(proj[idx[lv]] * w[idx[lv]]).sum() / w[idx[lv]].sum() for lv in stats.levels])
+def _projected_means(model: FittedModel, levels, project) -> np.ndarray:
+    """1-D projection of the k level means in the Mahalanobis metric of the
+    pooled covariance; means that all coincide tie."""
+    means = np.array([model.estimates[f"({lv})"]["mean"] for lv in levels])
+    chol = np.linalg.cholesky(model.nuisance["cov"])
+    # z = chol^-1 mean by forward substitution: unlike a pivoting solve, it
+    # leaves z bitwise equal if a response column is scaled by a power of two
+    z = np.empty_like(means)
+    for c in range(len(chol)):
+        z[:, c] = (means[:, c] - z[:, :c] @ chol[c, :c]) / chol[c, c]
+    try:
+        return project(z)
+    except DegeneratePoints:
+        return np.zeros(len(levels))
 
 
 # ------------------------------------------------------------------ #
@@ -460,12 +473,6 @@ def _score_cox(stats: LevelStats, sums, i, j) -> np.ndarray:
     return np.array([_cox_newton(m["D"], m["R"])[1] for m in merged])
 
 
-def _log_hazard_ratios(stats: LevelStats, full_model, project) -> np.ndarray:
-    if full_model is None:
-        full_model = fit_stats(stats, Partition.singletons(stats.levels))
-    return np.array([full_model.estimates[f"({lv})"]["alpha"] for lv in stats.levels])
-
-
 # ------------------------------------------------------------------ #
 # The family records
 # ------------------------------------------------------------------ #
@@ -474,7 +481,7 @@ def _log_hazard_ratios(stats: LevelStats, full_model, project) -> np.ndarray:
 FAMILIES = {
     GAUSSIAN_1D: Family(
         level_stats=_gaussian_1d_stats, sums=("sw", "swy", "swy2"), fit=_fit_gaussian_1d,
-        score=_score_gaussian_1d, order_value=_level_means, estimate="mean",
+        score=_score_gaussian_1d, order_value=_estimate("mean"), estimate="mean",
         panels=("means", "boxplot", "frequency"),
     ),
     GAUSSIAN_ND: Family(
@@ -484,12 +491,12 @@ FAMILIES = {
     ),
     BINOMIAL: Family(
         level_stats=_moment_stats, sums=("sw", "swy"), fit=_fit_binomial,
-        score=_score_binomial, order_value=_level_means, estimate="p",
+        score=_score_binomial, order_value=_estimate("p"), estimate="p",
         panels=("proportion", "frequency"),
     ),
     SURVIVAL: Family(
         level_stats=_survival_stats, sums=("D", "R"), fit=_fit_cox,
-        score=_score_cox, order_value=_log_hazard_ratios, estimate="hazard_ratio",
+        score=_score_cox, order_value=_estimate("alpha"), estimate="hazard_ratio",
         panels=("survival", "frequency"),
     ),
 }

@@ -230,5 +230,5 @@ def optimal_partition_table(
     path: MergingPath, criterion: SelectionCriterion
 ) -> list[tuple[str, str]]:
     """(orig level, cluster label) per original level, in level order."""
-    part = cut_tree(path, criterion)
-    return [(lv, part.label_of(lv)) for lv in path.levels]
+    label_of = {m: c.label for c in cut_tree(path, criterion).clusters for m in c.members}
+    return [(lv, label_of[lv]) for lv in path.levels]

@@ -1,7 +1,9 @@
-"""Non-metric multidimensional scaling to one dimension.
+"""Non-metric multidimensional scaling to one dimension (Kruskal 1964).
 
-Used only to order groups of n-dimensional Gaussian data for the fast
-merging strategies, so just the induced order of the returned coordinates
+Used only to order the levels of d-dimensional Gaussian data for the fast
+merging strategies: the points are the k estimated level means, whitened so
+that Euclidean distance between them is the Mahalanobis distance under the
+pooled covariance.  Just the induced order of the returned coordinates
 matters; sign and translation are arbitrary but canonicalized for
 determinism (the lexicographically largest input point never projects below
 the smallest one).
@@ -34,22 +36,18 @@ def _classical_mds_1d(d2: np.ndarray) -> np.ndarray:
     return vecs[:, -1] * np.sqrt(lead)
 
 
-def _isotonic_increasing(y: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Weighted pool-adjacent-violators fit (nondecreasing)."""
-    # stack of (mean, weight, count) blocks; amortized linear time
+def _isotonic_increasing(y: np.ndarray) -> np.ndarray:
+    """Pool-adjacent-violators fit (nondecreasing, unit weights)."""
+    # stack of (mean, size) blocks; amortized linear time
     means: list[float] = []
-    weights: list[float] = []
     sizes: list[int] = []
-    for yi, wi in zip(y, w):
-        means.append(float(yi))
-        weights.append(float(wi))
+    for yi in y.tolist():
+        means.append(yi)
         sizes.append(1)
         while len(means) > 1 and means[-2] > means[-1]:
-            total = weights[-2] + weights[-1]
-            merged = (means[-2] * weights[-2] + means[-1] * weights[-1]) / total
-            means[-2:] = [merged]
-            weights[-2:] = [total]
-            sizes[-2:] = [sizes[-2] + sizes[-1]]
+            total = sizes[-2] + sizes[-1]
+            means[-2:] = [(means[-2] * sizes[-2] + means[-1] * sizes[-1]) / total]
+            sizes[-2:] = [total]
     return np.repeat(means, sizes)
 
 
@@ -80,19 +78,18 @@ def mds_project_1d(points: np.ndarray) -> np.ndarray:
     t_flat = target[iu]
     # stable order of dissimilarities: value first, then index pair
     rank = np.lexsort((iu[1], iu[0], t_flat))
-    weights = np.ones(len(t_flat))
 
     x = _classical_mds_1d(target * target)
     if np.ptp(x) == 0.0:
         x = t_flat.mean() * np.linspace(0.0, 1.0, n)
 
-    def config_dists(xc):
-        return np.abs(xc[:, None] - xc[None, :])[iu]
+    def disparities_and_stress(xc):
+        d = np.abs(xc[:, None] - xc[None, :])[iu]
+        disp = np.empty_like(d)
+        disp[rank] = _isotonic_increasing(d[rank])
+        return disp, _stress1(d, disp)
 
-    d_flat = config_dists(x)
-    disp = np.empty_like(d_flat)
-    disp[rank] = _isotonic_increasing(d_flat[rank], weights)
-    stress = _stress1(d_flat, disp)
+    disp, stress = disparities_and_stress(x)
     step = max(np.ptp(x), 1e-3) * 0.05
 
     for _ in range(MAX_ITER):
@@ -102,27 +99,20 @@ def mds_project_1d(points: np.ndarray) -> np.ndarray:
         dispmat = np.zeros_like(dmat)
         dispmat[iu] = disp
         dispmat += dispmat.T
-        with np.errstate(invalid="ignore", divide="ignore"):
-            unit = np.where(dmat > 0, diff / dmat, 0.0)
-        grad = 2.0 * ((dmat - dispmat) * unit).sum(axis=1)
+        grad = 2.0 * ((dmat - dispmat) * np.sign(diff)).sum(axis=1)
         gnorm = np.abs(grad).max()
         if gnorm == 0.0:
             break
-        accepted = False
         for _ in range(20):
             x_new = x - step * grad / gnorm
-            d_new = config_dists(x_new)
-            disp_new = np.empty_like(d_new)
-            disp_new[rank] = _isotonic_increasing(d_new[rank], weights)
-            stress_new = _stress1(d_new, disp_new)
+            disp_new, stress_new = disparities_and_stress(x_new)
             if stress_new <= stress:
-                accepted = True
                 break
             step *= 0.5
-        if not accepted:
+        else:
             break
         improved = stress - stress_new
-        x, d_flat, disp, stress = x_new, d_new, disp_new, stress_new
+        x, disp, stress = x_new, disp_new, stress_new
         step *= 1.2
         if improved < STRESS_TOL:
             break

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import warnings
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -173,6 +174,47 @@ def test_gaussian_nd_via_repeated_response(tmp_path):
     result = json.loads((out / "result.json").read_text())
     assert result["config"]["family"] == "gaussian"
     assert len(result["path"]["steps"]) == 3
+
+
+@pytest.mark.parametrize("method", ["fast-adaptive", "fast-fixed"])
+def test_gaussian_nd_coincident_means_keep_level_order(tmp_path, method):
+    # distinct rows, but every level's mean is exactly (0, 0)
+    rows = [(1, 0, "a"), (-1, 0, "a"), (0, 2, "b"), (0, -2, "b"),
+            (3, 3, "c"), (-3, -3, "c"), (1, -4, "d"), (-1, 4, "d")]
+    p = tmp_path / "nd.csv"
+    write_csv(p, ("y1", "y2", "group"), rows)
+    out = tmp_path / "out"
+    assert run(["merge", "--input", p, "--family", "gaussian", "--response", "y1",
+                "--response", "y2", "--factor", "group", "--method", method,
+                "--out", out]) == 0
+    result = json.loads((out / "result.json").read_text())
+    assert result["path"]["ordering"] == ["a", "b", "c", "d"]
+
+
+FIXTURE_MERGE_ARGS = {
+    "gaussian": ["--family", "gaussian", "--response", "y"],
+    "gaussianNd": ["--family", "gaussian", "--response", "y1", "--response", "y2"],
+    "binomial": ["--family", "binomial", "--response", "y"],
+    "survival": ["--family", "survival", "--time", "time", "--event", "event"],
+}
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("method", ["adaptive", "fast-adaptive", "fixed", "fast-fixed"])
+@pytest.mark.parametrize("kind", sorted(FIXTURE_MERGE_ARGS))
+def test_every_family_and_strategy_completes(tmp_path, kind, method, seed):
+    fx, out = tmp_path / "fx", tmp_path / "out"
+    assert run(["fixture", "--kind", kind, "--k", 8, "--n-per-group", 10,
+                "--seed", seed, "--out", fx]) == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run(["merge", "--input", fx / "data.csv", *FIXTURE_MERGE_ARGS[kind],
+                  "--factor", "group", "--method", method, "--out", out])
+    assert rc == 0
+    assert all((out / name).is_file() for name in ARTIFACTS)
+    logliks = [s["loglik"] for s in json.loads((out / "result.json").read_text())["path"]["steps"]]
+    assert len(logliks) == 8
+    assert all(b <= a for a, b in zip(logliks, logliks[1:]))
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from factorfuse import fit, merge_factors, ordering_statistic
+from factorfuse import engine, fit, merge_factors, ordering_statistic
 from factorfuse.data import Grouping, Partition, ResponseData
 from factorfuse.engine import NEAR_TIE, _select
 from factorfuse.errors import InvalidStrategy
@@ -228,6 +228,34 @@ def test_ordering_statistic_survival():
     data, g = make_survival_data(rows)
     # higher hazard (larger alpha) sorts later; "slow" has lower hazard
     assert ordering_statistic(data, g) == ("slow", "fast")
+
+
+def test_ordering_statistic_gaussian_nd_projects_the_k_means(monkeypatch):
+    fx = make_fixture("gaussianNd", 8, 25, 1.0, 0)
+    project, handed = engine.mds_project_1d, []
+
+    def recording_project(points):
+        handed.append(np.shape(points))
+        return project(points)
+
+    monkeypatch.setattr(engine, "mds_project_1d", recording_project)
+    ordering_statistic(fx.data, fx.grouping)
+    assert handed == [(8, 2)]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_gaussian_nd_order_ignores_column_scale(seed):
+    # the Mahalanobis metric is invariant to rescaling a response; a factor
+    # of 1024 is exact in binary, so the whitened means stay bitwise equal
+    fx = make_fixture("gaussianNd", 8, 25, 1.0, seed)
+    values = fx.data.values.copy()
+    values[:, 1] *= 1024.0
+    scaled = ResponseData(fx.data.kind, values)
+    assert ordering_statistic(scaled, fx.grouping) == ordering_statistic(fx.data, fx.grouping)
+    for strategy in ("fast-adaptive", "fast-fixed"):
+        assert path_merge_sequence(merge_factors(scaled, fx.grouping, strategy)) == (
+            path_merge_sequence(merge_factors(fx.data, fx.grouping, strategy))
+        )
 
 
 def test_monotone_means_fast_adaptive_equals_adaptive(rng):

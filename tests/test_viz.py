@@ -16,7 +16,7 @@ from factorfuse import (
     render_merging_path_svg,
     render_response_panel,
 )
-from factorfuse import families
+from factorfuse import engine, families
 from factorfuse.data import Grouping, ResponseData
 from factorfuse.errors import IncompatiblePanel
 from factorfuse.families import FittedModel, fit_stats
@@ -203,9 +203,10 @@ def test_render_reuses_the_full_model(strategy, rng, monkeypatch):
     assert fitted == []  # the tree's level order comes from the path's full model
 
 
-def test_means_panel_reads_the_chosen_model(gaussian_three_groups, monkeypatch):
+@pytest.mark.parametrize("strategy", ["fast-fixed", "adaptive", "fixed"])
+def test_means_panel_reads_the_chosen_model(strategy, gaussian_three_groups, monkeypatch):
     data, g = gaussian_three_groups
-    path = merge_factors(data, g, "fast-fixed")
+    path = merge_factors(data, g, strategy)
     history, gic = merging_history(path), gic_profile(path, 2.0)
     built, level_stats = [], families.LevelStats
 
@@ -214,8 +215,11 @@ def test_means_panel_reads_the_chosen_model(gaussian_three_groups, monkeypatch):
         return level_stats(*args)
 
     monkeypatch.setattr(families, "LevelStats", counting_level_stats)
+    monkeypatch.setattr(engine, "LevelStats", counting_level_stats)
     render_merging_path_svg(path, history, gic, data, g, PlotSpec(response_panel="means"))
-    assert built == []  # sigma^2 comes from the chosen step's model
+    # sigma^2 comes from the chosen step's model, the tree's level order from
+    # the path's full model
+    assert built == []
 
 
 def test_stars_ladder():
