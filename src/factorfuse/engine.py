@@ -11,13 +11,13 @@ full model (one cluster per level) down to a single cluster:
                      clusters in the initial order, refreshing a single
                      distance per merge.
 
-Candidates are scored in one batch per step from per-cluster sufficient
-statistics (:func:`~factorfuse.families.score_pairs`); only the chosen
-partition is fitted.  An :class:`EvalCounter` counts candidates scored and
-path models fitted, so the evaluation-cost contract of each strategy can be
-asserted.  Every strategy picks its pair with :func:`_select`: scores within
-``NEAR_TIE`` of the best are tied and the lexicographically smallest pair of
-cluster labels wins.
+Candidates are scored from per-cluster sufficient statistics and the fit of
+the current partition (:func:`~factorfuse.families.score_pairs`); only the
+chosen partition is fitted.  An :class:`EvalCounter` counts candidates
+scored and path models fitted, so the evaluation-cost contract of each
+strategy can be asserted.  Every strategy picks its pair with
+:func:`_select`: scores within ``NEAR_TIE`` of the best are tied and the
+lexicographically smallest pair of cluster labels wins.
 """
 
 from __future__ import annotations
@@ -143,12 +143,17 @@ def _select(scores: np.ndarray, labels, i: np.ndarray, j: np.ndarray) -> int:
 
 
 class _Clusters:
-    """The current partition with its per-cluster sums, merged in step."""
+    """The current partition with its per-cluster sums and its fitted model,
+    merged in step."""
 
-    def __init__(self, stats: LevelStats, partition: Partition):
+    def __init__(self, stats: LevelStats, model: FittedModel):
         self.stats = stats
-        self.partition = partition
-        self.sums = cluster_sums(stats, partition)
+        self.model = model
+        self.sums = cluster_sums(stats, model.partition)
+
+    @property
+    def partition(self) -> Partition:
+        return self.model.partition
 
     @property
     def size(self) -> int:
@@ -160,15 +165,15 @@ class _Clusters:
 
     def score(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """Log-likelihood after merging each pair (i[t], j[t])."""
-        return score_pairs(self.stats, self.sums, i, j)
+        return score_pairs(self.stats, self.sums, i, j, self.model)
 
     def merge(self, a: int, b: int, counter: EvalCounter) -> PathStep:
         """Merge the clusters at positions a < b and fit the result."""
         labels = self.labels
-        self.partition = self.partition.merge(labels[a], labels[b])
+        self.model = fit_stats(self.stats, self.partition.merge(labels[a], labels[b]))
         self.sums = merge_sums(self.sums, a, b)
         counter.increment("path")
-        return PathStep((labels[a], labels[b]), fit_stats(self.stats, self.partition))
+        return PathStep((labels[a], labels[b]), self.model)
 
 
 def _result(steps, strategy, counter, ordering, data, grouping) -> MergingPath:
@@ -192,12 +197,12 @@ def _drive_adaptive(data, grouping, adjacent_only: bool) -> MergingPath:
     stats = LevelStats(data, grouping)
     counter = EvalCounter()
     if adjacent_only:
-        ordering, part, model0 = _ordered_full_model(stats, counter)
+        ordering, model0 = _ordered_full_model(stats, counter)
     else:
-        ordering, part = (), Partition.singletons(grouping.levels)
-        model0 = fit_stats(stats, part)
+        ordering = ()
+        model0 = fit_stats(stats, Partition.singletons(grouping.levels))
         counter.increment("path")
-    clusters = _Clusters(stats, part)
+    clusters = _Clusters(stats, model0)
     steps = [PathStep(None, model0)]
     while clusters.size > 1:
         if adjacent_only:
@@ -219,10 +224,9 @@ def _ordered_full_model(stats, counter):
     """
     full = fit_stats(stats, Partition.singletons(stats.levels))
     ordering = ordering_statistic(stats.data, stats.grouping, full)
-    part = Partition.singletons(ordering)
-    model0 = fit_stats(stats, part)
+    model0 = fit_stats(stats, Partition.singletons(ordering))
     counter.increment("path")
-    return ordering, part, model0
+    return ordering, model0
 
 
 def _lrt_distance(base_loglik: float, merged_loglik):
@@ -232,9 +236,9 @@ def _lrt_distance(base_loglik: float, merged_loglik):
 def _drive_fixed(data, grouping) -> MergingPath:
     stats = LevelStats(data, grouping)
     counter = EvalCounter()
-    clusters = _Clusters(stats, Partition.singletons(grouping.levels))
-    model0 = fit_stats(stats, clusters.partition)
+    model0 = fit_stats(stats, Partition.singletons(grouping.levels))
     counter.increment("path")
+    clusters = _Clusters(stats, model0)
 
     # static pairwise LRT distances: merge (i, j) with all others singleton
     k = grouping.k
@@ -259,8 +263,8 @@ def _drive_fixed(data, grouping) -> MergingPath:
 def _drive_fast_fixed(data, grouping) -> MergingPath:
     stats = LevelStats(data, grouping)
     counter = EvalCounter()
-    ordering, part, model0 = _ordered_full_model(stats, counter)
-    clusters = _Clusters(stats, part)
+    ordering, model0 = _ordered_full_model(stats, counter)
+    clusters = _Clusters(stats, model0)
 
     i, j = _adjacent(clusters.size)
     counter.increment("distances", len(i))
@@ -271,8 +275,7 @@ def _drive_fast_fixed(data, grouping) -> MergingPath:
         i, j = _adjacent(clusters.size)
         best = _select(-np.array(dist), clusters.labels, i, j)
         d_ab = dist[best]
-        step = clusters.merge(best, best + 1, counter)
-        steps.append(step)
+        steps.append(clusters.merge(best, best + 1, counter))
         left = dist[best - 1] if best > 0 else None
         right = dist[best + 1] if best + 1 < len(dist) else None
         dist[best : best + 2] = []  # drop the merged adjacency; reinsert below
@@ -282,12 +285,12 @@ def _drive_fast_fixed(data, grouping) -> MergingPath:
         # other side falls back to the merged pair's own distance.
         new_left = new_right = None
         if left is not None and (right is None or left <= right):
-            fresh = _fresh_distance(clusters, best - 1, step.model, counter)
+            fresh = _fresh_distance(clusters, best - 1, counter)
             new_left = max(left, fresh)
             if right is not None:
                 new_right = max(right, d_ab)
         elif right is not None:
-            fresh = _fresh_distance(clusters, best, step.model, counter)
+            fresh = _fresh_distance(clusters, best, counter)
             new_right = max(right, fresh)
             if left is not None:
                 new_left = max(left, d_ab)
@@ -298,8 +301,8 @@ def _drive_fast_fixed(data, grouping) -> MergingPath:
     return _result(steps, "fast-fixed", counter, ordering, data, grouping)
 
 
-def _fresh_distance(clusters, a, base_model, counter) -> float:
+def _fresh_distance(clusters, a, counter) -> float:
     """LRT distance between the adjacent clusters at positions a and a + 1."""
     counter.increment("distances")
     merged = clusters.score(np.array([a]), np.array([a + 1]))[0]
-    return float(_lrt_distance(base_model.loglik, merged))
+    return float(_lrt_distance(clusters.model.loglik, merged))

@@ -87,7 +87,8 @@ class Family:
     sums: tuple[str, ...]
     # (stats, partition, cluster sums) -> FittedModel
     fit: Callable
-    # (stats, cluster sums, i, j) -> loglik with each pair (i[t], j[t]) merged
+    # (stats, cluster sums, i, j, fitted model of the partition the sums are
+    # of) -> loglik with each pair (i[t], j[t]) merged
     score: Callable
     # (full model, levels, 1-D projection) -> ordering value per level from the
     # model's estimates; gaussianNd projects its k means, Mahalanobis metric
@@ -164,13 +165,15 @@ def merge_sums(sums: dict[str, np.ndarray], a: int, b: int) -> dict[str, np.ndar
 
 
 def score_pairs(stats: LevelStats, sums: dict[str, np.ndarray],
-                i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Log-likelihood of the partition whose :func:`cluster_sums` are
-    ``sums``, with clusters ``i[t]`` and ``j[t]`` merged, for every t.
+                i: np.ndarray, j: np.ndarray, model: FittedModel) -> np.ndarray:
+    """Log-likelihood of ``model.partition``, whose :func:`cluster_sums` are
+    ``sums`` and whose fit is ``model``, with clusters ``i[t]`` and ``j[t]``
+    merged, for every t.  Survival warm-starts each candidate's fit from
+    ``model``; the other families read only the sums.
 
     Each value equals ``fit_stats(stats, merged).loglik`` up to rounding.
     """
-    return stats.family.score(stats, sums, i, j)
+    return stats.family.score(stats, sums, i, j, model)
 
 
 def _sorted_rows(stats: LevelStats) -> tuple[np.ndarray, np.ndarray, list[slice]]:
@@ -258,7 +261,7 @@ def _fit_gaussian_1d(stats: LevelStats, partition: Partition, sums) -> FittedMod
     )
 
 
-def _score_gaussian_1d(stats: LevelStats, sums, i, j) -> np.ndarray:
+def _score_gaussian_1d(stats: LevelStats, sums, i, j, model) -> np.ndarray:
     # merging adds the Ward term w_i w_j / (w_i + w_j) * (mu_i - mu_j)^2 to the RSS
     sw = sums["sw"]
     mu = sums["swy"] / sw
@@ -297,7 +300,7 @@ def _fit_gaussian_nd(stats: LevelStats, partition: Partition, sums) -> FittedMod
     )
 
 
-def _score_gaussian_nd(stats: LevelStats, sums, i, j) -> np.ndarray:
+def _score_gaussian_nd(stats: LevelStats, sums, i, j, model) -> np.ndarray:
     # merging adds the Ward scatter w_i w_j / (w_i + w_j) * delta delta^T
     sw = sums["sw"]
     mu = sums["swy"] / sw[:, None]
@@ -364,7 +367,7 @@ def _fit_binomial(stats: LevelStats, partition: Partition, sums) -> FittedModel:
     )
 
 
-def _score_binomial(stats: LevelStats, sums, i, j) -> np.ndarray:
+def _score_binomial(stats: LevelStats, sums, i, j, model) -> np.ndarray:
     # only the merged pair's own term changes
     sw, swy = sums["sw"], sums["swy"]
     ll = _binomial_loglik(sw, swy)
@@ -412,7 +415,8 @@ def _breslow(alpha: np.ndarray, terms):
     share /= total
     loglik = float(alpha @ per_cluster - per_time @ (top + np.log(total)))
     expected = share @ per_time
-    hess = (share * per_time) @ share.T - np.diag(expected)
+    hess = (share * per_time) @ share.T
+    hess.flat[:: len(hess) + 1] -= expected
     return loglik, per_cluster - expected, hess
 
 
@@ -424,22 +428,22 @@ def _newton_step(grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
         raise NonConvergence("singular Hessian in Cox fit") from exc
 
 
-def _cox_newton(D: np.ndarray, R: np.ndarray) -> tuple[np.ndarray, float]:
+def _cox_newton(D: np.ndarray, R: np.ndarray, alpha: np.ndarray) -> tuple[np.ndarray, float]:
     """Coefficients (reference ``alpha[0] = 0``) and maximised partial
     log-likelihood of the clusters whose tables are ``D`` and ``R``.
 
-    Newton-Raphson from alpha = 0 halves steps that lower the loglik and
-    stops once a step gains less than ``COX_TOL``.  As in R's
-    ``survival::coxph``, a coefficient is infinite if its remaining Newton
-    step exceeds both ``COX_TOL`` and ``sqrt(COX_TOL) |alpha|``.
+    Newton-Raphson from ``alpha`` (with ``alpha[0] == 0``) halves steps that
+    lower the loglik and stops once a step gains less than ``COX_TOL``.  As
+    in R's ``survival::coxph``, a coefficient is infinite if its remaining
+    Newton step exceeds both ``COX_TOL`` and ``sqrt(COX_TOL) |alpha|``.
     """
     terms = _breslow_terms(D, R)
-    alpha = np.zeros(len(D))
     ll, grad, hess = _breslow(alpha, terms)
     for _ in range(COX_MAX_ITER):
         step = _newton_step(grad, hess)  # empty for one cluster: done at once
         for halvings in range(40):
-            trial = alpha + np.append(0.0, 0.5**halvings * step)
+            trial = alpha.copy()
+            trial[1:] += 0.5**halvings * step
             ll_new, grad_new, hess_new = _breslow(trial, terms)
             if ll_new >= ll - 1e-12:
                 break
@@ -458,7 +462,7 @@ def _cox_newton(D: np.ndarray, R: np.ndarray) -> tuple[np.ndarray, float]:
 def _fit_cox(stats: LevelStats, partition: Partition, sums) -> FittedModel:
     if stats.D.shape[1] == 0:
         raise NoEvents("survival data has no uncensored events")
-    alpha, ll = _cox_newton(sums["D"], sums["R"])
+    alpha, ll = _cox_newton(sums["D"], sums["R"], np.zeros(len(sums["D"])))
     est = {
         cl.label: {"alpha": a, "hazard_ratio": math.exp(a), "reference": j == 0}
         for j, (cl, a) in enumerate(zip(partition.clusters, alpha.tolist()))
@@ -466,11 +470,26 @@ def _fit_cox(stats: LevelStats, partition: Partition, sums) -> FittedModel:
     return FittedModel(family=SURVIVAL, partition=partition, loglik=ll, estimates=est)
 
 
-def _score_cox(stats: LevelStats, sums, i, j) -> np.ndarray:
+def _score_cox(stats: LevelStats, sums, i, j, model: FittedModel) -> np.ndarray:
     # the partial likelihood has no closed-form merge update: fit each
-    # candidate's merged tables
-    merged = (merge_sums(sums, a, b) for a, b in zip(i.tolist(), j.tolist()))
-    return np.array([_cox_newton(m["D"], m["R"])[1] for m in merged])
+    # candidate's merged tables by Newton from the current fit, with the
+    # merged pair's coefficients pooled by their events; a converged fit
+    # leaves no cluster without events
+    labels = model.partition.labels
+    alpha = np.array([model.estimates[lb]["alpha"] for lb in labels])
+    events = np.add.reduce(sums["D"], axis=1)
+    scores = []
+    for a, b in zip(i.tolist(), j.tolist()):
+        merged = merge_sums(sums, a, b)
+        start = np.delete(alpha, b)
+        start[a] = (events[a] * alpha[a] + events[b] * alpha[b]) / (events[a] + events[b])
+        start -= start[0]
+        try:
+            scores.append(_cox_newton(merged["D"], merged["R"], start)[1])
+        except (NonConvergence, MonotoneLikelihood) as exc:
+            raise type(exc)(f"{exc}: candidate merge of {labels[a]} and {labels[b]} "
+                            f"at {len(labels)} clusters") from exc
+    return np.array(scores)
 
 
 # ------------------------------------------------------------------ #

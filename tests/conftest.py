@@ -5,6 +5,8 @@ binomial log-likelihoods are closed-form re-derivations, the two-cluster Cox
 oracle is a golden-section search over the partial likelihood, the
 multi-cluster one maximises a row-level partial likelihood with scipy, and the
 chi-square oracle integrates the density with adaptive Simpson quadrature.
+The loop references below are not oracles: they pin vectorised or
+warm-started code to the plain version it replaced, and some reuse its parts.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import numpy as np
 import pytest
 
 from factorfuse.data import Grouping, Partition, ResponseData
+from factorfuse.families import _cox_newton, merge_sums
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +337,13 @@ def reference_cox_loglik_grad_hess(alpha, t, e, g, n_clusters):
     grad = np.bincount(g[ev], minlength=n_clusters).astype(float) - frac.sum(axis=1)
     hess = np.einsum("re,se->rs", frac, frac) - np.diag(frac.sum(axis=1))
     return loglik, grad, hess
+
+
+def reference_cox_scores(stats, sums, i, j, model=None):
+    """Cox candidate scores fitted cold: Newton from alpha = 0 on each
+    candidate's merged tables, one candidate at a time; ``model`` is unused."""
+    merged = (merge_sums(sums, a, b) for a, b in zip(i.tolist(), j.tolist()))
+    return np.array([_cox_newton(m["D"], m["R"], np.zeros(len(m["D"])))[1] for m in merged])
 
 
 def reference_kaplan_meier(times, events):

@@ -12,7 +12,8 @@ from factorfuse.cli import (
     format_history_csv,
     main,
 )
-from factorfuse.errors import IncompatiblePanel
+from factorfuse import families
+from factorfuse.errors import IncompatiblePanel, MonotoneLikelihood, NonConvergence
 from factorfuse.viz import RESPONSE_PANELS, check_panel_compat
 
 
@@ -288,6 +289,30 @@ def test_exit_4_on_monotone_cox(tmp_path):
     rc = run(["merge", "--input", p, "--family", "survival", "--time", "time",
               "--event", "event", "--factor", "group", "--out", tmp_path / "o"])
     assert rc == 4
+
+
+@pytest.mark.parametrize("error", [NonConvergence, MonotoneLikelihood])
+def test_exit_4_names_the_failing_survival_candidate(error, monkeypatch, tmp_path, capsys):
+    p = tmp_path / "surv.csv"
+    write_csv(p, ("time", "event", "group"),
+              [(float(t), 1, lv) for s, lv in enumerate("abc") for t in range(1 + s, 30, 3)])
+    newton = families._cox_newton
+    calls = []
+
+    def failing(D, R, alpha):
+        # the full model is the first fit; fail the second candidate, (a)+(c)
+        calls.append(1)
+        if len(calls) == 3:
+            raise error("forced failure")
+        return newton(D, R, alpha)
+
+    monkeypatch.setattr(families, "_cox_newton", failing)
+    rc = run(["merge", "--input", p, "--family", "survival", "--time", "time",
+              "--event", "event", "--factor", "group", "--method", "adaptive",
+              "--out", tmp_path / "o"])
+    assert rc == 4
+    assert capsys.readouterr().err == (
+        "numerical failure: forced failure: candidate merge of (a) and (c) at 3 clusters\n")
 
 
 # ---------------------------------------------------------------------------

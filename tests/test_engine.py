@@ -1,11 +1,13 @@
 """Merging strategies: path validity, counts, adjacency, determinism."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from factorfuse import engine, fit, merge_factors, ordering_statistic
+from factorfuse import engine, families, fit, merge_factors, ordering_statistic
 from factorfuse.data import Grouping, Partition, ResponseData
 from factorfuse.engine import NEAR_TIE, _select
 from factorfuse.errors import InvalidStrategy
@@ -20,6 +22,7 @@ from conftest import (
     oracle_greedy_path,
     random_binomial_dataset,
     random_gaussian_dataset,
+    reference_cox_scores,
 )
 
 STRATEGIES = ("adaptive", "fast-adaptive", "fixed", "fast-fixed")
@@ -376,9 +379,26 @@ def test_survival_path_all_strategies(rng):
 @pytest.mark.parametrize("seed", range(5))
 def test_fast_fixed_completes_on_32_survival_levels(seed):
     fx = make_fixture("survival", 32, 20, 1.0, seed)
-    lls = [s.model.loglik for s in merge_factors(fx.data, fx.grouping, "fast-fixed").steps]
-    assert len(lls) == 32
-    assert all(b <= a + 1e-9 for a, b in zip(lls, lls[1:]))
+    for strategy in ("fast-fixed", "fast-adaptive"):
+        lls = [s.model.loglik for s in merge_factors(fx.data, fx.grouping, strategy).steps]
+        assert len(lls) == 32
+        assert all(b <= a + 1e-9 for a, b in zip(lls, lls[1:]))
+
+
+@pytest.mark.parametrize("k", [10, 16])
+def test_warm_started_cox_scores_keep_survival_paths(k, monkeypatch):
+    for seed in range(10):
+        fx = make_fixture("survival", k, 20, 1.0, seed)
+        for strategy in STRATEGIES:
+            with monkeypatch.context() as m:
+                survival = families.FAMILIES["survival"]
+                m.setitem(families.FAMILIES, "survival",
+                          dataclasses.replace(survival, score=reference_cox_scores))
+                cold = merge_factors(fx.data, fx.grouping, strategy)
+            warm = merge_factors(fx.data, fx.grouping, strategy)
+            assert path_merge_sequence(warm) == path_merge_sequence(cold)
+            assert [s.model.loglik for s in warm.steps] == [s.model.loglik for s in cold.steps]
+            assert warm.evaluation_breakdown == cold.evaluation_breakdown
 
 
 def test_gaussian_nd_path(rng):

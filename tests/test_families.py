@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from factorfuse import fit, group_summary, kaplan_meier
+from factorfuse import families, fit, group_summary, kaplan_meier
 from factorfuse.data import Grouping, Partition, ResponseData
 from factorfuse.engine import merge_factors
 from factorfuse.families import (
@@ -42,6 +42,7 @@ from conftest import (
     oracle_gaussian_loglik,
     reference_cox_arrays,
     reference_cox_loglik_grad_hess,
+    reference_cox_scores,
     reference_kaplan_meier,
     reference_level_stats,
     reference_risk_tables,
@@ -457,18 +458,24 @@ def assert_scores_match_fits(data, g, merges=()):
     ``merges`` coarsens the singleton partition first, each entry merging the
     cluster at that position (modulo the size) with its right neighbour.
     """
+    part = singletons_of(g)
+    for x in merges:
+        if part.size <= 2:
+            break
+        a = x % (part.size - 1)
+        part = part.merge(part.labels[a], part.labels[a + 1])
+    return assert_partition_scores_match_fits(data, g, part, *np.triu_indices(part.size, k=1))
+
+
+def assert_partition_scores_match_fits(data, g, part, i, j):
+    """Score the pairs (i[t], j[t]) of ``part`` from its sums and its fit, and
+    compare each score with the fit of the merged partition."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         stats = LevelStats(data, g)
-        part = singletons_of(g)
-        for x in merges:
-            if part.size <= 2:
-                break
-            a = x % (part.size - 1)
-            part = part.merge(part.labels[a], part.labels[a + 1])
-        i, j = np.triu_indices(part.size, k=1)
-        got = score_pairs(stats, cluster_sums(stats, part), i, j)
+        got = score_pairs(stats, cluster_sums(stats, part), i, j, fit_stats(stats, part))
         fits = [fit_stats(stats, part.merge(part.labels[a], part.labels[b])) for a, b in zip(i, j)]
+    assert len(got) == len(fits)
     for score, m in zip(got, fits):
         assert abs(score - m.loglik) <= 1e-9 + 1e-12 * abs(m.loglik)
     return fits
@@ -575,7 +582,50 @@ class TestPairScorer:
             f"G{i}": [(float(t), int(e)) for t, e in zip(rng.exponential(1 + i, 6), rng.uniform(size=6) > 0.2)]
             for i in range(4)
         }
-        assert_scores_match_fits(*make_survival_data(rows), merges=(1,))
+        data, g = make_survival_data(rows)
+        assert_scores_match_fits(data, g, merges=(1,))
+        # merges into the reference cluster 0, alone and from a coarser partition
+        part = singletons_of(g)
+        assert_partition_scores_match_fits(data, g, part, np.array([0, 0]), np.array([1, 3]))
+        coarse = part.merge("(G1)", "(G2)")
+        assert_partition_scores_match_fits(data, g, coarse, np.array([0]), np.array([2]))
+        # the last step, two clusters to one
+        two = coarse.merge("(G0)", "(G3)")
+        assert_partition_scores_match_fits(data, g, two, np.array([0]), np.array([1]))
+        # single candidates, as fast-fixed refreshes one distance per merge
+        for a in range(3):
+            assert_partition_scores_match_fits(data, g, part, np.array([a]), np.array([a + 1]))
+        # tied integer times
+        tied = {
+            f"T{i}": [(float(t), int(e)) for t, e in zip(rng.integers(1, 5, 8), rng.uniform(size=8) > 0.3)]
+            for i in range(5)
+        }
+        assert_scores_match_fits(*make_survival_data(tied))
+        assert_scores_match_fits(*make_survival_data(tied), merges=(0, 2))
+        # 16 levels
+        fx = make_fixture("survival", 16, 20, 1.0, 0)
+        assert_scores_match_fits(fx.data, fx.grouping)
+        assert_scores_match_fits(fx.data, fx.grouping, merges=(0, 3, 7, 9))
+
+    def test_survival_warm_start_needs_fewer_likelihoods(self, monkeypatch):
+        fx = make_fixture("survival", 16, 20, 1.0, 0)
+        stats = LevelStats(fx.data, fx.grouping)
+        part = singletons_of(fx.grouping)
+        sums, model = cluster_sums(stats, part), fit_stats(stats, part)
+        i, j = np.triu_indices(part.size, k=1)
+        calls = []
+
+        def counted(alpha, terms):
+            calls.append(1)
+            return _breslow(alpha, terms)
+
+        monkeypatch.setattr(families, "_breslow", counted)
+        warm = score_pairs(stats, sums, i, j, model)
+        n_warm = len(calls)
+        cold = reference_cox_scores(stats, sums, i, j)
+        assert len(i) == 120
+        assert n_warm < len(calls) - n_warm
+        assert np.allclose(warm, cold, rtol=1e-12, atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
