@@ -7,7 +7,7 @@ partition, and renders the merging-path plot as SVG.
 """
 
 from .data import Grouping, Partition, ResponseData
-from .engine import EvalCounter, MergingPath, PathStep, merge_factors, ordering_statistic
+from .engine import MergingPath, PathStep, merge_factors, ordering_statistic
 from .errors import FactorFuseError
 from .families import FittedModel, fit, group_summary, kaplan_meier
 from .inference import (
@@ -26,7 +26,6 @@ from .mds import mds_project_1d
 from .viz import PlotSpec, render_gic_svg, render_merging_path_svg, render_response_panel
 
 __all__ = [
-    "EvalCounter",
     "FactorFuseError",
     "FittedModel",
     "GicProfile",

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 import time
@@ -232,15 +233,22 @@ def _build_dataset(args) -> tuple[ResponseData, Grouping, dict]:
 # ------------------------------------------------------------------ #
 
 
+def _csv_text(header: list[str], rows) -> str:
+    """CSV text with "\n" line ends; cells are quoted only where they must be."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def format_history_csv(history_rows: list[dict]) -> str:
     """Render history rows (result.json schema) as the history.csv text."""
-    lines = ["step,groupA,groupB,model,pvalVsFull,pvalVsPrevious"]
-    for r in history_rows:
-        lines.append(
-            f'{r["step"]},{r["groupA"]},{r["groupB"]},'
-            f'{r["model"]:.4f},{r["pvalVsFull"]:.4f},{r["pvalVsPrevious"]:.4f}'
-        )
-    return "\n".join(lines) + "\n"
+    return _csv_text(
+        ["step", "groupA", "groupB", "model", "pvalVsFull", "pvalVsPrevious"],
+        ([r["step"], r["groupA"], r["groupB"], f'{r["model"]:.4f}',
+          f'{r["pvalVsFull"]:.4f}', f'{r["pvalVsPrevious"]:.4f}'] for r in history_rows),
+    )
 
 
 def _write(path: Path, text: str):
@@ -337,10 +345,9 @@ def cmd_merge(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     _write(out / "result.json", json.dumps(result, sort_keys=True, indent=2) + "\n")
     _write(out / "history.csv", format_history_csv(history_rows))
-    partition_lines = ["orig,abbrev,pred"]
-    for row in result["optimalPartition"]:
-        partition_lines.append(f'{row["orig"]},{row["abbrev"]},{row["pred"]}')
-    _write(out / "partition.csv", "\n".join(partition_lines) + "\n")
+    _write(out / "partition.csv", _csv_text(
+        ["orig", "abbrev", "pred"],
+        ([r["orig"], r["abbrev"], r["pred"]] for r in result["optimalPartition"])))
     _write(
         out / "merging_path.svg",
         render_merging_path_svg(path, history, gic, data, grouping, spec),
@@ -351,11 +358,9 @@ def cmd_merge(args) -> int:
 
 
 def cmd_fixture(args) -> int:
-    if args.k < 2 or args.n_per_group < 2:
-        raise ConfigError("fixture needs k >= 2 and n-per-group >= 2")
-    kw = {}
-    if args.clusters:
-        kw["n_clusters"] = args.clusters
+    if args.k < 2 or args.n_per_group < 2 or (args.clusters is not None and args.clusters < 1):
+        raise ConfigError("fixture needs k >= 2, n-per-group >= 2 and clusters >= 1")
+    kw = {} if args.clusters is None else {"n_clusters": args.clusters}
     fx = make_fixture(args.kind, args.k, args.n_per_group, args.separation, args.seed, **kw)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -393,13 +398,13 @@ def cmd_fixture(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.kmax < 4 or args.n_per_group < 2 or args.repeats < 1:
+        raise ConfigError("bench needs kmax >= 4, n-per-group >= 2 and repeats >= 1")
     ks = []
     k = 4
     while k <= args.kmax:
         ks.append(k)
         k *= 2
-    if not ks:
-        raise ConfigError("--kmax must be at least 4")
     lines = ["strategy,k,evaluations,wallMillis"]
     for k in ks:
         for strategy in STRATEGIES:

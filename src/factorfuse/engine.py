@@ -1,20 +1,22 @@
 """Merging-path construction: the four fusing strategies.
 
-All strategies produce a :class:`MergingPath` of k nested models, from the
-full model (one cluster per level) down to a single cluster:
+Every strategy produces a :class:`MergingPath` of k nested models, from the
+full model (one cluster per level) down to a single cluster, by merging one
+pair of clusters per step.  The strategies differ in two choices:
 
-* ``adaptive``       scores every candidate pair at every step,
-* ``fast-adaptive``  orders levels once and scores only adjacent pairs,
-* ``fixed``          builds one pairwise LRT distance matrix and runs
-                     complete-linkage clustering on it,
-* ``fast-fixed``     keeps complete-linkage distances only between adjacent
-                     clusters in the initial order, refreshing a single
-                     distance per merge.
+* the candidate pairs of a step: every pair of clusters, or only the
+  neighbours in a 1-D ordering of the levels (the ``fast-`` strategies, see
+  :func:`ordering_statistic`); a merged cluster keeps its place in the order;
+* how the candidates are ranked: ``adaptive`` ranks them by the
+  log-likelihood after the merge, scored afresh at every step; ``fixed``
+  ranks them by a complete-linkage LRT distance, measured once between
+  levels and carried through the merges.  ``fast-fixed`` keeps distances
+  only between neighbours and measures a single fresh distance per merge.
 
 Candidates are scored from per-cluster sufficient statistics and the fit of
 the current partition (:func:`~factorfuse.families.score_pairs`); only the
-chosen partition is fitted.  An :class:`EvalCounter` counts candidates
-scored and path models fitted, so the evaluation-cost contract of each
+chosen partition is fitted.  The path counts candidates scored, distances
+measured and path models fitted, so the evaluation-cost contract of each
 strategy can be asserted.  Every strategy picks its pair with
 :func:`_select`: scores within ``NEAR_TIE`` of the best are tied and the
 lexicographically smallest pair of cluster labels wins.
@@ -22,6 +24,7 @@ lexicographically smallest pair of cluster labels wins.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,23 +41,6 @@ STRATEGIES = ("adaptive", "fast-adaptive", "fixed", "fast-fixed")
 NEAR_TIE = 1e-9
 
 
-class EvalCounter:
-    """Candidates scored and models fitted, per category."""
-
-    def __init__(self):
-        self._counts: dict[str, int] = {}
-
-    def increment(self, category: str = "fit", n: int = 1):
-        self._counts[category] = self._counts.get(category, 0) + n
-
-    @property
-    def total(self) -> int:
-        return sum(self._counts.values())
-
-    def breakdown(self) -> dict[str, int]:
-        return dict(self._counts)
-
-
 @dataclass(frozen=True)
 class PathStep:
     """One model on the path; ``merged_pair`` is None for the full model."""
@@ -67,11 +53,13 @@ class PathStep:
 class MergingPath:
     steps: tuple[PathStep, ...]
     strategy: str
-    evaluations: int
     evaluation_breakdown: dict[str, int]
     ordering: tuple[str, ...]
     levels: tuple[str, ...]
-    n_obs: int
+
+    @property
+    def evaluations(self) -> int:
+        return sum(self.evaluation_breakdown.values())
 
     @property
     def k(self) -> int:
@@ -107,7 +95,7 @@ def ordering_statistic(
 
 
 # ------------------------------------------------------------------ #
-# Strategy drivers
+# The merge loop
 # ------------------------------------------------------------------ #
 
 
@@ -118,15 +106,32 @@ def merge_factors(
 ) -> MergingPath:
     if grouping.k < 2:
         raise InvalidStrategy("need at least 2 factor levels to merge")
-    if strategy == "adaptive":
-        return _drive_adaptive(data, grouping, adjacent_only=False)
-    if strategy == "fast-adaptive":
-        return _drive_adaptive(data, grouping, adjacent_only=True)
-    if strategy == "fixed":
-        return _drive_fixed(data, grouping)
-    if strategy == "fast-fixed":
-        return _drive_fast_fixed(data, grouping)
-    raise InvalidStrategy(strategy)
+    if strategy not in _RANKINGS:
+        raise InvalidStrategy(strategy)
+    fast = strategy.startswith("fast-")
+    stats = LevelStats(data, grouping)
+    ordering = ()
+    if fast:
+        # the ordering reads a full model fitted in level order; the path
+        # starts from the full model refitted in the new order
+        full = fit_stats(stats, Partition.singletons(grouping.levels))
+        ordering = ordering_statistic(data, grouping, full)
+    clusters = _Clusters(stats, Partition.singletons(ordering or grouping.levels))
+    ranking = _RANKINGS[strategy](clusters)
+    steps = [PathStep(None, clusters.model)]
+    while clusters.size > 1:
+        i, j = _adjacent(clusters.size) if fast else np.triu_indices(clusters.size, k=1)
+        best = _select(ranking.scores(i, j), clusters.labels, i, j)
+        a, b = int(i[best]), int(j[best])
+        steps.append(clusters.merge(a, b))
+        ranking.merged(a, b)
+    return MergingPath(
+        steps=tuple(steps),
+        strategy=strategy,
+        evaluation_breakdown=dict(clusters.counts),
+        ordering=ordering,
+        levels=grouping.levels,
+    )
 
 
 def _select(scores: np.ndarray, labels, i: np.ndarray, j: np.ndarray) -> int:
@@ -142,167 +147,115 @@ def _select(scores: np.ndarray, labels, i: np.ndarray, j: np.ndarray) -> int:
     return int(tied[np.lexsort((rank[j[tied]], rank[i[tied]]))[0]])
 
 
-class _Clusters:
-    """The current partition with its per-cluster sums and its fitted model,
-    merged in step."""
-
-    def __init__(self, stats: LevelStats, model: FittedModel):
-        self.stats = stats
-        self.model = model
-        self.sums = cluster_sums(stats, model.partition)
-
-    @property
-    def partition(self) -> Partition:
-        return self.model.partition
-
-    @property
-    def size(self) -> int:
-        return self.partition.size
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return self.partition.labels
-
-    def score(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """Log-likelihood after merging each pair (i[t], j[t])."""
-        return score_pairs(self.stats, self.sums, i, j, self.model)
-
-    def merge(self, a: int, b: int, counter: EvalCounter) -> PathStep:
-        """Merge the clusters at positions a < b and fit the result."""
-        labels = self.labels
-        self.model = fit_stats(self.stats, self.partition.merge(labels[a], labels[b]))
-        self.sums = merge_sums(self.sums, a, b)
-        counter.increment("path")
-        return PathStep((labels[a], labels[b]), self.model)
-
-
-def _result(steps, strategy, counter, ordering, data, grouping) -> MergingPath:
-    return MergingPath(
-        steps=tuple(steps),
-        strategy=strategy,
-        evaluations=counter.total,
-        evaluation_breakdown=counter.breakdown(),
-        ordering=ordering,
-        levels=grouping.levels,
-        n_obs=data.n,
-    )
-
-
 def _adjacent(size: int) -> tuple[np.ndarray, np.ndarray]:
     i = np.arange(size - 1)
     return i, i + 1
 
 
-def _drive_adaptive(data, grouping, adjacent_only: bool) -> MergingPath:
-    stats = LevelStats(data, grouping)
-    counter = EvalCounter()
-    if adjacent_only:
-        ordering, model0 = _ordered_full_model(stats, counter)
-    else:
-        ordering = ()
-        model0 = fit_stats(stats, Partition.singletons(grouping.levels))
-        counter.increment("path")
-    clusters = _Clusters(stats, model0)
-    steps = [PathStep(None, model0)]
-    while clusters.size > 1:
-        if adjacent_only:
-            i, j = _adjacent(clusters.size)
-        else:
-            i, j = np.triu_indices(clusters.size, k=1)
-        counter.increment("candidates", len(i))
-        best = _select(clusters.score(i, j), clusters.labels, i, j)
-        steps.append(clusters.merge(i[best], j[best], counter))
-    strategy = "fast-adaptive" if adjacent_only else "adaptive"
-    return _result(steps, strategy, counter, ordering, data, grouping)
+class _Clusters:
+    """The current partition with its per-cluster sums and its fitted model,
+    merged in step, and the evaluations spent on it per category."""
+
+    def __init__(self, stats: LevelStats, partition: Partition):
+        self.stats = stats
+        self.model = fit_stats(stats, partition)
+        self.sums = cluster_sums(stats, partition)
+        self.counts = Counter(path=1)
+
+    @property
+    def size(self) -> int:
+        return self.model.partition.size
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        return self.model.partition.labels
+
+    def score(self, i: np.ndarray, j: np.ndarray, category: str = "candidates") -> np.ndarray:
+        """Log-likelihood after merging each pair (i[t], j[t])."""
+        self.counts[category] += len(i)
+        return score_pairs(self.stats, self.sums, i, j, self.model)
+
+    def distance(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """LRT distance of merging each pair (i[t], j[t])."""
+        return np.maximum(0.0, 2.0 * (self.model.loglik - self.score(i, j, "distances")))
+
+    def merge(self, a: int, b: int) -> PathStep:
+        """Merge the clusters at positions a < b and fit the result; the merged
+        cluster takes position a and the clusters after b move up by one."""
+        labels = self.labels
+        self.model = fit_stats(self.stats, self.model.partition.merge(labels[a], labels[b]))
+        self.sums = merge_sums(self.sums, a, b)
+        self.counts["path"] += 1
+        return PathStep((labels[a], labels[b]), self.model)
 
 
-def _ordered_full_model(stats, counter):
-    """Full model plus the level ordering used by the fast strategies.
-
-    The ordering reads the full model fitted in level order; the full model
-    refitted in the new order is counted as a path fit, the first is not.
-    """
-    full = fit_stats(stats, Partition.singletons(stats.levels))
-    ordering = ordering_statistic(stats.data, stats.grouping, full)
-    model0 = fit_stats(stats, Partition.singletons(ordering))
-    counter.increment("path")
-    return ordering, model0
+# ------------------------------------------------------------------ #
+# Rankings: the score of each candidate pair (higher merges first) and
+# the bookkeeping after each merge
+# ------------------------------------------------------------------ #
 
 
-def _lrt_distance(base_loglik: float, merged_loglik):
-    return np.maximum(0.0, 2.0 * (base_loglik - merged_loglik))
+class _Likelihood:
+    """Each candidate scored by the log-likelihood after its merge."""
+
+    def __init__(self, clusters: _Clusters):
+        self.clusters = clusters
+
+    def scores(self, i, j):
+        return self.clusters.score(i, j)
+
+    def merged(self, a, b):
+        pass
 
 
-def _drive_fixed(data, grouping) -> MergingPath:
-    stats = LevelStats(data, grouping)
-    counter = EvalCounter()
-    model0 = fit_stats(stats, Partition.singletons(grouping.levels))
-    counter.increment("path")
-    clusters = _Clusters(stats, model0)
+class _CompleteLinkage:
+    """Complete linkage on the LRT distances between pairs of levels, each
+    measured with all other levels singleton."""
 
-    # static pairwise LRT distances: merge (i, j) with all others singleton
-    k = grouping.k
-    i, j = np.triu_indices(k, k=1)
-    counter.increment("distances", len(i))
-    dist = np.zeros((k, k))
-    dist[i, j] = dist[j, i] = _lrt_distance(model0.loglik, clusters.score(i, j))
-
-    steps = [PathStep(None, model0)]
-    while clusters.size > 1:
+    def __init__(self, clusters: _Clusters):
         i, j = np.triu_indices(clusters.size, k=1)
-        best = _select(-dist[i, j], clusters.labels, i, j)
-        a, b = i[best], j[best]
+        self.dist = np.zeros((clusters.size, clusters.size))
+        self.dist[i, j] = self.dist[j, i] = clusters.distance(i, j)
+
+    def scores(self, i, j):
+        return -self.dist[i, j]
+
+    def merged(self, a, b):
         # Lance-Williams update for complete linkage: the merged cluster is as
         # far from each other cluster as the farther of its two children
+        dist = self.dist
         dist[a] = dist[:, a] = np.maximum(dist[a], dist[b])
-        dist = np.delete(np.delete(dist, b, axis=0), b, axis=1)
-        steps.append(clusters.merge(a, b, counter))
-    return _result(steps, "fixed", counter, (), data, grouping)
+        self.dist = np.delete(np.delete(dist, b, axis=0), b, axis=1)
 
 
-def _drive_fast_fixed(data, grouping) -> MergingPath:
-    stats = LevelStats(data, grouping)
-    counter = EvalCounter()
-    ordering, model0 = _ordered_full_model(stats, counter)
-    clusters = _Clusters(stats, model0)
+class _AdjacentLinkage:
+    """Complete linkage kept only between neighbouring clusters:
+    ``dist[s]`` is the distance between the clusters at s and s + 1."""
 
-    i, j = _adjacent(clusters.size)
-    counter.increment("distances", len(i))
-    dist = _lrt_distance(model0.loglik, clusters.score(i, j)).tolist()
+    def __init__(self, clusters: _Clusters):
+        self.clusters = clusters
+        self.dist = clusters.distance(*_adjacent(clusters.size)).tolist()
 
-    steps = [PathStep(None, model0)]
-    while clusters.size > 1:
-        i, j = _adjacent(clusters.size)
-        best = _select(-np.array(dist), clusters.labels, i, j)
-        d_ab = dist[best]
-        steps.append(clusters.merge(best, best + 1, counter))
-        left = dist[best - 1] if best > 0 else None
-        right = dist[best + 1] if best + 1 < len(dist) else None
-        dist[best : best + 2] = []  # drop the merged adjacency; reinsert below
-        # Complete-linkage update for the two refreshed adjacencies.  Only
-        # one fresh LRT distance per merge keeps the O(k) scoring budget: the
-        # tighter inherited side is re-measured against the new cluster, the
-        # other side falls back to the merged pair's own distance.
-        new_left = new_right = None
-        if left is not None and (right is None or left <= right):
-            fresh = _fresh_distance(clusters, best - 1, counter)
-            new_left = max(left, fresh)
-            if right is not None:
-                new_right = max(right, d_ab)
-        elif right is not None:
-            fresh = _fresh_distance(clusters, best, counter)
-            new_right = max(right, fresh)
-            if left is not None:
-                new_left = max(left, d_ab)
-        if new_right is not None:
-            dist.insert(best, new_right)
-        if new_left is not None:
-            dist[best - 1] = new_left
-    return _result(steps, "fast-fixed", counter, ordering, data, grouping)
+    def scores(self, i, j):
+        return -np.array(self.dist)
+
+    def merged(self, a, b):
+        # Complete-linkage update for the two adjacencies of the new cluster.
+        # Only one fresh LRT distance per merge keeps the O(k) scoring budget:
+        # the tighter inherited side is re-measured against the new cluster,
+        # the other side falls back to the merged pair's own distance.
+        dist = self.dist
+        d_ab = dist.pop(a)
+        sides = [s for s in (a - 1, a) if 0 <= s < len(dist)]
+        tight = min(sides, key=dist.__getitem__, default=None)
+        for s in sides:
+            new = self.clusters.distance(np.array([s]), np.array([s + 1]))[0] if s == tight else d_ab
+            dist[s] = max(dist[s], float(new))
 
 
-def _fresh_distance(clusters, a, counter) -> float:
-    """LRT distance between the adjacent clusters at positions a and a + 1."""
-    counter.increment("distances")
-    merged = clusters.score(np.array([a]), np.array([a + 1]))[0]
-    return float(_lrt_distance(clusters.model.loglik, merged))
+_RANKINGS = {
+    "adaptive": _Likelihood,
+    "fast-adaptive": _Likelihood,
+    "fixed": _CompleteLinkage,
+    "fast-fixed": _AdjacentLinkage,
+}

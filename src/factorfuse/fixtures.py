@@ -56,7 +56,7 @@ def make_gaussian(
     n_clusters: int | None = None,
 ) -> Fixture:
     """1-D Gaussian groups with unit sigma; cluster means separation apart."""
-    _check(k, n_per_group)
+    _check(k, n_per_group, n_clusters)
     n_clusters = n_clusters or max(1, k // 2)
     rng = np.random.default_rng(seed)
     levels = _level_names(k)
@@ -83,7 +83,7 @@ def make_gaussian_nd(
     n_clusters: int | None = None,
     dim: int = 2,
 ) -> Fixture:
-    _check(k, n_per_group)
+    _check(k, n_per_group, n_clusters)
     n_clusters = n_clusters or max(1, k // 2)
     rng = np.random.default_rng(seed)
     levels = _level_names(k)
@@ -115,7 +115,7 @@ def make_binomial(
 ) -> Fixture:
     """Bernoulli groups; cluster success probabilities spread on the logit
     scale by ``separation`` unless explicit ``proportions`` are given."""
-    _check(k, n_per_group)
+    _check(k, n_per_group, n_clusters)
     if proportions is not None:
         n_clusters = len(proportions)
         probs = tuple(float(p) for p in proportions)
@@ -152,7 +152,7 @@ def make_survival(
 ) -> Fixture:
     """Exponential survival times; cluster log hazard ratios ``separation``
     apart, with independent exponential censoring."""
-    _check(k, n_per_group)
+    _check(k, n_per_group, n_clusters)
     n_clusters = n_clusters or max(1, k // 2)
     rng = np.random.default_rng(seed)
     levels = _level_names(k)
@@ -190,8 +190,10 @@ def make_fixture(kind: str, k: int, n_per_group: int, separation: float, seed: i
     return _MAKERS[kind](k, n_per_group, separation, seed, **kw)
 
 
-def _check(k: int, n_per_group: int):
+def _check(k: int, n_per_group: int, n_clusters: int | None):
     if k < 2:
         raise FactorFuseError("fixtures need k >= 2 groups")
     if n_per_group < 2:
         raise FactorFuseError("fixtures need at least 2 observations per group")
+    if n_clusters is not None and n_clusters < 1:
+        raise FactorFuseError("fixtures need at least 1 cluster")

@@ -220,16 +220,20 @@ def _oracle_fit_loglik(kind, values_by_level, partition_members) -> float:
     raise ValueError(kind)
 
 
-def oracle_greedy_path(kind, values_by_level: dict[str, list[float]]):
+def oracle_greedy_path(kind, values_by_level: dict[str, list[float]], order=None,
+                       adjacent=False):
     """Exhaustive greedy merge sequence: at each step try every pair, keep the
     merge with the highest post-merge loglik, ties broken lexicographically by
-    the pair's cluster labels."""
-    clusters = [((lv,), f"({lv})") for lv in sorted(values_by_level)]
+    the pair's cluster labels.  Clusters start in ``order`` (default: sorted
+    level names) and a merged cluster takes its left child's place; with
+    ``adjacent`` only neighbours in that order are tried."""
+    clusters = [((lv,), f"({lv})") for lv in (order or sorted(values_by_level))]
     sequence = []
     while len(clusters) > 1:
         cands = []
-        for i in range(len(clusters)):
-            for j in range(i + 1, len(clusters)):
+        n = len(clusters)
+        for i in range(n):
+            for j in range(i + 1, min(i + 2, n) if adjacent else n):
                 a, b = clusters[i], clusters[j]
                 trial = [c[0] for c in clusters if c not in (a, b)]
                 trial.append(a[0] + b[0])
@@ -245,6 +249,50 @@ def oracle_greedy_path(kind, values_by_level: dict[str, list[float]]):
         merged = (a[0] + b[0], a[1] + b[1])
         clusters = [c for c in clusters if c not in (a, b)]
         clusters.insert(i, merged)
+    return sequence
+
+
+def oracle_fast_fixed_path(values_by_level: dict[str, list[float]], order):
+    """Replay of adjacent dynamic complete linkage on a gaussian1d response.
+
+    Clusters start in ``order``; LRT distances are kept only between
+    neighbours.  The closest neighbours merge, distances within 1e-9 of the
+    closest tie and go to the lexicographically smallest label pair.  When A
+    and B merge between neighbours L and R, the smaller of d(L, A) and d(B, R)
+    (d(L, A) on a tie) is maxed with a freshly measured distance to AB, the
+    other with d(A, B).
+    """
+    clusters = [(lv,) for lv in order]
+
+    def label(c):
+        return "".join(f"({lv})" for lv in c)
+
+    def loglik(partition):
+        return _oracle_fit_loglik("gaussian1d", values_by_level, partition)
+
+    def distance(x, y):
+        rest = [c for c in clusters if c not in (x, y)]
+        return max(0.0, 2.0 * (loglik(clusters) - loglik(rest + [x + y])))
+
+    dist = {(x, y): distance(x, y) for x, y in zip(clusters, clusters[1:])}
+    sequence = []
+    while dist:
+        closest = min(dist.values())
+        tied = [pair for pair, d in dist.items() if d <= closest + 1e-9]
+        a, b = min(tied, key=lambda pair: (label(pair[0]), label(pair[1])))
+        sequence.append((label(a), label(b)))
+        at = clusters.index(a)
+        left = clusters[at - 1] if at > 0 else None
+        right = clusters[at + 2] if at + 2 < len(clusters) else None
+        clusters[at:at + 2] = [a + b]
+        d_ab = dist.pop((a, b))
+        d_left = dist.pop((left, a), None)
+        d_right = dist.pop((b, right), None)
+        left_tighter = d_left is not None and (d_right is None or d_left <= d_right)
+        if d_left is not None:
+            dist[(left, a + b)] = max(d_left, distance(left, a + b) if left_tighter else d_ab)
+        if d_right is not None:
+            dist[(a + b, right)] = max(d_right, d_ab if left_tighter else distance(a + b, right))
     return sequence
 
 

@@ -13,7 +13,8 @@ from factorfuse.cli import (
     main,
 )
 from factorfuse import families
-from factorfuse.errors import IncompatiblePanel, MonotoneLikelihood, NonConvergence
+from factorfuse.errors import FactorFuseError, IncompatiblePanel, MonotoneLikelihood, NonConvergence
+from factorfuse.fixtures import make_fixture
 from factorfuse.viz import RESPONSE_PANELS, check_panel_compat
 
 
@@ -111,6 +112,32 @@ def test_partition_csv_full_names(gaussian_csv, tmp_path):
     # "charlie" is over 6 chars and gets abbreviated in cluster labels
     charlie = next(r for r in rows if r["orig"] == "charlie")
     assert charlie["abbrev"] != "(charlie)"
+
+
+def test_csv_artifacts_quote_awkward_level_names(tmp_path):
+    # a comma or a double quote in a level name, short enough to be kept
+    # ("a,b") or in its abbreviation ('say "hi"' -> 'sy "')
+    p = tmp_path / "data.csv"
+    with open(p, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["y", "group"])
+        for lv, mu in (("a,b", 0.0), ('say "hi"', 0.3), ("c", 4.0)):
+            writer.writerows([[mu + d, lv] for d in (-0.5, 0.1, 0.4)])
+    out = tmp_path / "out"
+    assert run(["merge", "--input", p, "--family", "gaussian", "--response", "y",
+                "--factor", "group", "--out", out]) == 0
+    result = json.loads((out / "result.json").read_text())
+    with open(out / "history.csv", newline="") as fh:
+        history = list(csv.reader(fh))
+    assert history[1:] == [
+        [str(r["step"]), r["groupA"], r["groupB"], f'{r["model"]:.4f}',
+         f'{r["pvalVsFull"]:.4f}', f'{r["pvalVsPrevious"]:.4f}'] for r in result["history"]]
+    with open(out / "partition.csv", newline="") as fh:
+        partition = list(csv.reader(fh))
+    assert partition == [["orig", "abbrev", "pred"]] + [
+        [r["orig"], r["abbrev"], r["pred"]] for r in result["optimalPartition"]]
+    assert {r[0] for r in partition[1:]} == {"a,b", 'say "hi"', "c"}
+    assert any("," in r[1] for r in history[2:]) and any('"' in r[1] for r in partition[1:])
 
 
 def test_rejected_rows_reported(tmp_path):
@@ -253,6 +280,29 @@ def test_exit_2_on_bad_fixture_params(tmp_path):
     rc = run(["fixture", "--kind", "gaussian", "--k", "1", "--n-per-group", "5",
               "--out", tmp_path / "o"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("clusters", ["0", "-1"])
+def test_exit_2_on_bad_fixture_clusters(clusters, tmp_path):
+    rc = run(["fixture", "--kind", "gaussian", "--k", "4", "--n-per-group", "5",
+              "--clusters", clusters, "--out", tmp_path / "o"])
+    assert rc == 2
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "gaussianNd", "binomial", "survival"])
+def test_make_fixture_rejects_fewer_than_one_cluster(kind):
+    for n_clusters in (0, -1):
+        with pytest.raises(FactorFuseError):
+            make_fixture(kind, 4, 5, 1.0, 0, n_clusters=n_clusters)
+
+
+@pytest.mark.parametrize("flag, value", [("--n-per-group", "1"), ("--repeats", "0"),
+                                         ("--kmax", "3")])
+def test_exit_2_on_bad_bench_params(flag, value, tmp_path):
+    rc = run(["bench", "--kmax", "4", flag, value, "--out", tmp_path / "o"])
+    assert rc == 2
+    assert not (tmp_path / "o").exists()
 
 
 def test_exit_3_on_missing_column(gaussian_csv, tmp_path):

@@ -18,6 +18,7 @@ from conftest import (
     make_gaussian_data,
     make_gaussian_nd_data,
     make_survival_data,
+    oracle_fast_fixed_path,
     oracle_gaussian_loglik,
     oracle_greedy_path,
     random_binomial_dataset,
@@ -95,6 +96,50 @@ def test_adaptive_matches_greedy_oracle(kind, rng):
         assert path_merge_sequence(path) == oracle_greedy_path(kind, by)
 
 
+@pytest.mark.parametrize("kind", ["gaussian1d", "binomial", "gaussianNd"])
+def test_fast_adaptive_matches_adjacent_greedy_oracle(kind, rng):
+    # in 1-D the best pair is almost always adjacent in the ordering anyway;
+    # the MDS ordering of gaussianNd means is where adjacency bites
+    for _ in range(8):
+        k = int(rng.integers(3, 9))
+        if kind == "gaussian1d":
+            by = {f"G{i + 1}": list(rng.normal(rng.uniform(0, 3), 1, 10)) for i in range(k)}
+            data, g = make_gaussian_data(by)
+        elif kind == "gaussianNd":
+            by = {f"G{i + 1}": rng.normal(rng.uniform(0, 3, 2), 1.0, (10, 2)) for i in range(k)}
+            data, g = make_gaussian_nd_data(by)
+        else:
+            by = {f"G{i + 1}": list(rng.binomial(1, rng.uniform(0.1, 0.9), 10).astype(float))
+                  for i in range(k)}
+            data, g = make_binomial_data(by)
+        path = merge_factors(data, g, "fast-adaptive")
+        want = oracle_greedy_path(kind, by, order=path.ordering, adjacent=True)
+        assert path_merge_sequence(path) == want
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 8, 12])
+def test_fast_fixed_matches_adjacent_linkage_replay(k):
+    for seed in range(8):
+        rng = np.random.default_rng([k, seed])
+        by = {f"G{i + 1}": list(rng.normal(rng.uniform(0, 3), 1, 8)) for i in range(k)}
+        data, g = make_gaussian_data(by)
+        path = merge_factors(data, g, "fast-fixed")
+        assert path_merge_sequence(path) == oracle_fast_fixed_path(by, path.ordering)
+
+
+def test_fast_fixed_keeps_the_farther_inherited_distance():
+    # The three far pairs merge first and raise the residual sum of squares,
+    # so when (A, B) merges the fresh distance from L to AB falls below the
+    # stale d(L, A).  Complete linkage keeps the larger, and (P, Q) goes first.
+    means = {"L": 0.0, "A": 1.0, "B": 1.3, "C": 10.0, "D": 10.2, "E": 20.0, "F": 20.2,
+             "G": 30.0, "H": 30.2, "P": 40.0, "Q": 40.7}
+    by = {lv: [m - 0.05, m + 0.05, m - 0.05, m + 0.05] for lv, m in means.items()}
+    data, g = make_gaussian_data(by)
+    path = merge_factors(data, g, "fast-fixed")
+    assert path_merge_sequence(path) == oracle_fast_fixed_path(by, path.ordering)
+    assert path_merge_sequence(path)[3:6] == [("(A)", "(B)"), ("(P)", "(Q)"), ("(L)", "(A)(B)")]
+
+
 @pytest.mark.parametrize("d", [2, 3])
 def test_adaptive_gaussian_nd_matches_greedy_oracle(d, rng):
     for _ in range(6):
@@ -162,7 +207,16 @@ def adaptive_expected(k):
     return sum(j * (j - 1) // 2 for j in range(2, k + 1)) + k
 
 
-@pytest.mark.parametrize("k", [3, 4, 5, 6, 8])
+def expected_breakdown(strategy, k):
+    return {
+        "adaptive": {"candidates": (k + 1) * k * (k - 1) // 6, "path": k},
+        "fast-adaptive": {"candidates": k * (k - 1) // 2, "path": k},
+        "fixed": {"distances": k * (k - 1) // 2, "path": k},
+        "fast-fixed": {"distances": 2 * k - 3, "path": k},
+    }[strategy]
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 8, 9, 16])
 def test_eval_counts(k, rng):
     data, g = random_gaussian_dataset(rng, k, 6)
     a = merge_factors(data, g, "adaptive")
@@ -173,6 +227,15 @@ def test_eval_counts(k, rng):
     assert fx.evaluations == k * (k - 1) // 2 + (k - 1) + 1
     ff = merge_factors(data, g, "fast-fixed")
     assert ff.evaluations <= 3 * k
+    fixtures = [make_fixture(kind, k, 20, 1.0, 0)
+                for kind in ("gaussian", "binomial", "gaussianNd", "survival")]
+    cases = [(data, g)] + [(f.data, f.grouping) for f in fixtures]
+    for data, g in cases:
+        for strategy in STRATEGIES:
+            path = merge_factors(data, g, strategy)
+            assert path.evaluation_breakdown == expected_breakdown(strategy, k), (
+                data.kind, strategy)
+            assert path.evaluations == sum(path.evaluation_breakdown.values())
 
 
 def test_eval_breakdown_reported(rng):
