@@ -8,17 +8,17 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 import time
-from itertools import compress
+from itertools import chain, compress
 from pathlib import Path
 
 import numpy as np
 
 from .data import (
     BINOMIAL,
+    DOMAINS,
     GAUSSIAN_1D,
     GAUSSIAN_ND,
     SURVIVAL,
@@ -28,23 +28,27 @@ from .data import (
 from .engine import STRATEGIES, merge_factors
 from .errors import (
     FactorFuseError,
+    IncompatiblePanel,
     MonotoneLikelihood,
     NoEvents,
     NonConvergence,
     NumericalInconsistency,
     SingularCovariance,
+    WeightsNotSupported,
 )
 from .families import FAMILIES
-from .fixtures import make_fixture
+from .fixtures import FIXTURE_KINDS, make_fixture
 from .inference import (
     SelectionCriterion,
+    check_penalty,
     cut_step,
     gic_profile,
     global_null_test,
     merging_history,
     optimal_partition_table,
 )
-from .viz import ALL_PANELS, PlotSpec, render_gic_svg, render_merging_path_svg
+from .viz import (ALL_PANELS, PlotSpec, check_panel_compat, render_gic_svg,
+                  render_merging_path_svg)
 
 SCHEMA_VERSION = 1
 
@@ -96,16 +100,21 @@ def _abbreviate_one(name: str) -> str:
 
 
 def abbreviate_levels(levels) -> dict[str, str]:
-    """Full name -> short display name, with numeric disambiguation."""
+    """Full name -> short display name.  The first level with a given short
+    name keeps it; later ones get the lowest numbered suffix from 2 up that no
+    level's short name takes."""
+    shorts = [_abbreviate_one(lv) for lv in levels]
+    taken = set(shorts)
     out: dict[str, str] = {}
-    used: dict[str, int] = {}
-    for lv in levels:
-        short = _abbreviate_one(lv)
-        if short in used:
-            used[short] += 1
-            short = f"{short}{used[short]}"
+    suffix: dict[str, int] = {}
+    for lv, short in zip(levels, shorts):
+        if short in suffix:
+            while f"{short}{suffix[short]}" in taken:
+                suffix[short] += 1
+            short = f"{short}{suffix[short]}"
+            taken.add(short)
         else:
-            used[short] = 1
+            suffix[short] = 2
         out[lv] = short
     return out
 
@@ -145,15 +154,6 @@ def _column(header: list[str], rows: list[list[str]], name: str) -> list[str]:
     return [row[j] if j < len(row) else "" for row in rows]
 
 
-# per family: the rows whose responses lie outside its domain, and the error
-_DOMAIN = {
-    "gaussian": (lambda v: np.zeros(len(v), dtype=bool), ""),
-    "binomial": (lambda v: ~np.isin(v[:, 0], (0, 1)), "binomial response must be 0 or 1"),
-    "survival": (lambda v: (v[:, 0] <= 0) | ~np.isin(v[:, 1], (0, 1)),
-                 "invalid survival time/event pair"),
-}
-
-
 def _build_dataset(args) -> tuple[ResponseData, Grouping, dict]:
     """Response data, grouping and ingest report of the ``merge`` input.
 
@@ -174,6 +174,9 @@ def _build_dataset(args) -> tuple[ResponseData, Grouping, dict]:
             raise ConfigError("--response is required for this family")
         if args.family == "binomial" and len(response_cols) != 1:
             raise ConfigError("binomial takes exactly one --response column")
+    kind = {"survival": SURVIVAL, "binomial": BINOMIAL}.get(
+        args.family, GAUSSIAN_1D if len(response_cols) == 1 else GAUSSIAN_ND)
+    domain = DOMAINS[kind]
     needed = [*response_cols, args.factor]
     if args.weights:
         needed.append(args.weights)
@@ -188,13 +191,12 @@ def _build_dataset(args) -> tuple[ResponseData, Grouping, dict]:
     values = np.column_stack([numbers(c) for c in response_cols])
     usable = np.fromiter((lab.lower() not in _MISSING for lab in labels), bool, len(rows))
     usable &= ~np.isnan(values).any(axis=1)
-    out_of_domain, domain_error = _DOMAIN[args.family]
-    bad_domain = usable & out_of_domain(values)
+    bad_domain = usable & domain.outside(values)
     w = numbers(args.weights) if args.weights else np.ones(len(rows))
     raising = np.flatnonzero(bad_domain | (usable & (w <= 0)))
     if len(raising):
         i = raising[0]
-        reason = domain_error if bad_domain[i] else "weights must be positive"
+        reason = domain.reason if bad_domain[i] else "weights must be positive"
         raise DataError(f"row {i + 1}: {reason}")
     kept = usable & ~np.isnan(w)
 
@@ -209,15 +211,11 @@ def _build_dataset(args) -> tuple[ResponseData, Grouping, dict]:
     short_labels = tuple(map(abbrev.__getitem__, labels))
 
     values = values[kept]
-    kind = {"survival": SURVIVAL, "binomial": BINOMIAL}.get(
-        args.family, GAUSSIAN_1D if values.shape[1] == 1 else GAUSSIAN_ND)
-    if kind in (GAUSSIAN_1D, BINOMIAL):
-        values = values[:, 0]
-    weights = w[kept] if args.weights else None
-    if kind == SURVIVAL and weights is not None:
-        raise DataError("weights are not supported for survival data")
-
-    data = ResponseData(kind, values, weights)
+    try:
+        data = ResponseData(kind, values[:, 0] if domain.scalar else values,
+                            w[kept] if args.weights else None)
+    except WeightsNotSupported as exc:
+        raise DataError(str(exc)) from exc
     grouping = Grouping(short_labels, tuple(sorted(abbrev.values())))
     meta = {
         "rows": len(rows),
@@ -233,13 +231,19 @@ def _build_dataset(args) -> tuple[ResponseData, Grouping, dict]:
 # ------------------------------------------------------------------ #
 
 
+def _csv_cell(value) -> str:
+    """A cell as ``csv.writer`` writes it, quoted where it holds a comma, a
+    double quote or a line break ("\r" too, which Python's writer before 3.13
+    leaves bare)."""
+    text = str(value)
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _csv_text(header: list[str], rows) -> str:
     """CSV text with "\n" line ends; cells are quoted only where they must be."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+    return "".join(",".join(map(_csv_cell, row)) + "\n" for row in chain([header], rows))
 
 
 def format_history_csv(history_rows: list[dict]) -> str:
@@ -256,8 +260,12 @@ def _write(path: Path, text: str):
 
 
 def cmd_merge(args) -> int:
+    try:
+        criterion = SelectionCriterion(args.criterion, args.value)
+        check_penalty(args.penalty)
+    except FactorFuseError as exc:
+        raise ConfigError(str(exc)) from exc
     data, grouping, meta = _build_dataset(args)
-    criterion = SelectionCriterion(args.criterion, args.value)
     spec = PlotSpec(
         panels=ALL_PANELS,
         response_panel=args.response_panel or FAMILIES[data.kind].panels[0],
@@ -267,6 +275,7 @@ def cmd_merge(args) -> int:
         penalty=args.penalty,
         title=args.title,
     )
+    check_panel_compat(data.kind, spec.response_panel)
 
     path = merge_factors(data, grouping, args.method)
     history = merging_history(path)
@@ -358,31 +367,19 @@ def cmd_merge(args) -> int:
 
 
 def cmd_fixture(args) -> int:
-    if args.k < 2 or args.n_per_group < 2 or (args.clusters is not None and args.clusters < 1):
-        raise ConfigError("fixture needs k >= 2, n-per-group >= 2 and clusters >= 1")
-    kw = {} if args.clusters is None else {"n_clusters": args.clusters}
-    fx = make_fixture(args.kind, args.k, args.n_per_group, args.separation, args.seed, **kw)
+    try:
+        fx = make_fixture(args.kind, args.k, args.n_per_group, args.separation, args.seed,
+                          n_clusters=args.clusters)
+    except FactorFuseError as exc:
+        raise ConfigError(str(exc)) from exc
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    lines = []
-    if fx.data.kind == SURVIVAL:
-        lines.append("time,event,group")
-        for (t, e), g in zip(fx.data.values, fx.grouping.labels):
-            lines.append(f"{float(t)!r},{int(e)},{g}")
-    elif fx.data.kind == GAUSSIAN_ND:
-        d = fx.data.values.shape[1]
-        lines.append(",".join(f"y{j + 1}" for j in range(d)) + ",group")
-        for row, g in zip(fx.data.values, fx.grouping.labels):
-            lines.append(",".join(repr(float(v)) for v in row) + f",{g}")
-    else:
-        lines.append("y,group")
-        for v, g in zip(fx.data.values, fx.grouping.labels):
-            if fx.data.kind == BINOMIAL:
-                lines.append(f"{int(v)},{g}")
-            else:
-                lines.append(f"{float(v)!r},{g}")
-    _write(out / "data.csv", "\n".join(lines) + "\n")
+    indicators = DOMAINS[fx.data.kind].indicators  # 0/1 columns, written as integers
+    values = fx.data.values.reshape(fx.data.n, -1).tolist()
+    rows = ([*(int(v) if j in indicators else repr(v) for j, v in enumerate(row)), g]
+            for row, g in zip(values, fx.grouping.labels))
+    _write(out / "data.csv", _csv_text([*fx.columns, "group"], rows))
 
     truth = {
         "kind": args.kind,
@@ -405,7 +402,7 @@ def cmd_bench(args) -> int:
     while k <= args.kmax:
         ks.append(k)
         k *= 2
-    lines = ["strategy,k,evaluations,wallMillis"]
+    rows = []
     for k in ks:
         for strategy in STRATEGIES:
             for rep in range(args.repeats):
@@ -413,10 +410,10 @@ def cmd_bench(args) -> int:
                 t0 = time.perf_counter()
                 path = merge_factors(fx.data, fx.grouping, strategy)
                 millis = (time.perf_counter() - t0) * 1000.0
-                lines.append(f"{strategy},{k},{path.evaluations},{millis:.3f}")
+                rows.append([strategy, k, path.evaluations, f"{millis:.3f}"])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write(out / "bench.csv", "\n".join(lines) + "\n")
+    _write(out / "bench.csv", _csv_text(["strategy", "k", "evaluations", "wallMillis"], rows))
     print(f"wrote benchmark over k={ks} to {out}")
     return 0
 
@@ -456,8 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.set_defaults(func=cmd_merge)
 
     f = sub.add_parser("fixture", help="generate a synthetic dataset")
-    f.add_argument("--kind", required=True,
-                   choices=["gaussian", "gaussianNd", "binomial", "survival"])
+    f.add_argument("--kind", required=True, choices=list(FIXTURE_KINDS))
     f.add_argument("--k", type=int, required=True)
     f.add_argument("--n-per-group", dest="n_per_group", type=int, required=True)
     f.add_argument("--separation", type=float, default=1.0)
@@ -480,7 +476,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, IncompatiblePanel) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DataError as exc:

@@ -1,33 +1,80 @@
-"""Core data containers: response data, grouping factor, and partitions."""
+"""Core data containers: response data, grouping factor, and partitions.
+
+The rules a response of each kind must meet are declared once, in
+:data:`DOMAINS`: the shape of its values, the rows outside its domain and
+why, and whether it takes weights.  :class:`ResponseData` validates from the
+table, and the CLI takes its ingest row masks and messages from it.
+"""
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from itertools import repeat
 
 import numpy as np
 
-from .errors import FactorFuseError
+from .errors import FactorFuseError, WeightsNotSupported
 
 GAUSSIAN_1D = "gaussian1d"
 GAUSSIAN_ND = "gaussianNd"
 BINOMIAL = "binomial"
 SURVIVAL = "survival"
 
-KINDS = (GAUSSIAN_1D, GAUSSIAN_ND, BINOMIAL, SURVIVAL)
+
+@dataclass(frozen=True)
+class Domain:
+    """The responses one kind accepts."""
+
+    # number of value columns; a kind with one column holds (n,) values
+    columns: range
+    # the value shape, as error messages name it
+    shape: str
+    # value columns that must be > 0, and columns that must be 0 or 1
+    positive: tuple[int, ...]
+    indicators: tuple[int, ...]
+    # why a row outside the domain is rejected
+    reason: str
+    # whether per-observation weights are accepted
+    weights: bool
+
+    @property
+    def scalar(self) -> bool:
+        return self.columns == range(1, 2)
+
+    def outside(self, values: np.ndarray) -> np.ndarray:
+        """Mask of the rows of (n, c) ``values`` outside the domain; a NaN in
+        a positive or indicator column is outside."""
+        bad = np.zeros(len(values), dtype=bool)
+        for j in self.positive:
+            bad |= ~(values[:, j] > 0)
+        for j in self.indicators:
+            bad |= ~np.isin(values[:, j], (0, 1))
+        return bad
+
+
+DOMAINS = {
+    GAUSSIAN_1D: Domain(range(1, 2), "(n,)", (), (), "", weights=True),
+    GAUSSIAN_ND: Domain(range(2, sys.maxsize), "(n, d) with d >= 2", (), (), "", weights=True),
+    BINOMIAL: Domain(range(1, 2), "(n,)", (), (0,), "binomial response must be 0 or 1",
+                     weights=True),
+    SURVIVAL: Domain(range(2, 3), "(n, 2) time/event", (0,), (1,),
+                     "invalid survival time/event pair", weights=False),
+}
 
 
 @dataclass(frozen=True)
 class ResponseData:
     """Per-observation response payload for one of the four model families.
 
-    ``values`` is a float array shaped:
+    ``values`` is a float array shaped as :data:`DOMAINS` declares:
 
     * ``(n,)`` for gaussian1d (real) and binomial (0/1),
     * ``(n, d)`` with ``d >= 2`` for gaussianNd,
     * ``(n, 2)`` for survival, columns ``time`` (positive) and ``event`` (0/1).
 
-    ``weights`` are optional positive per-observation weights (default 1).
+    ``weights`` are optional positive per-observation weights (default 1);
+    survival takes none.
     """
 
     kind: str
@@ -35,28 +82,20 @@ class ResponseData:
     weights: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in DOMAINS:
             raise FactorFuseError(f"unknown response kind: {self.kind!r}")
+        domain = DOMAINS[self.kind]
         values = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", values)
-        if self.kind == GAUSSIAN_1D:
-            if values.ndim != 1:
-                raise FactorFuseError("gaussian1d values must be 1-D")
-        elif self.kind == GAUSSIAN_ND:
-            if values.ndim != 2 or values.shape[1] < 2:
-                raise FactorFuseError("gaussianNd values must be (n, d) with d >= 2")
-        elif self.kind == BINOMIAL:
-            if values.ndim != 1 or not np.all((values == 0.0) | (values == 1.0)):
-                raise FactorFuseError("binomial values must be 0/1")
-        elif self.kind == SURVIVAL:
-            if values.ndim != 2 or values.shape[1] != 2:
-                raise FactorFuseError("survival values must be (n, 2) time/event")
-            if not np.all(values[:, 0] > 0):
-                raise FactorFuseError("survival times must be strictly positive")
-            ev = values[:, 1]
-            if not np.all((ev == 0.0) | (ev == 1.0)):
-                raise FactorFuseError("survival event indicator must be 0/1")
+        rows = values[:, None] if values.ndim == 1 else values
+        if values.ndim != (1 if domain.scalar else 2) or rows.shape[1] not in domain.columns:
+            raise FactorFuseError(f"{self.kind} values must be {domain.shape}")
+        outside = np.flatnonzero(domain.outside(rows))
+        if len(outside):
+            raise FactorFuseError(f"observation {outside[0]}: {domain.reason}")
         if self.weights is not None:
+            if not domain.weights:
+                raise WeightsNotSupported(f"weights are not supported for {self.kind} data")
             w = np.asarray(self.weights, dtype=float)
             if w.shape != (self.n,):
                 raise FactorFuseError("weights must align with observations")

@@ -1,4 +1,13 @@
-"""Deterministic synthetic datasets with planted cluster structure."""
+"""Deterministic synthetic datasets with planted cluster structure.
+
+:func:`make_fixture` makes every kind in one loop: levels ``L01``, ``L02``,
+... fall into contiguous runs, one per cluster (the first ``k % n_clusters``
+runs one level longer); each level draws ``n_per_group`` values from its
+cluster's parameter; and the planted partition groups levels by parameter
+value, so clusters with equal parameters (``separation`` 0) are one.  Per
+kind, :data:`FIXTURE_KINDS` gives the response kind and a function of the
+cluster parameters, the data.csv value columns and the draw.
+"""
 
 from __future__ import annotations
 
@@ -24,176 +33,91 @@ class Fixture:
     grouping: Grouping
     planted: tuple[tuple[str, ...], ...]  # clusters of level names
     seed: int
+    columns: tuple[str, ...]  # data.csv names of the value columns
 
 
-def _level_names(k: int) -> tuple[str, ...]:
-    width = max(2, len(str(k)))
-    return tuple(f"L{i + 1:0{width}d}" for i in range(k))
-
-
-def _assign_clusters(k: int, n_clusters: int) -> list[int]:
-    """Round-robin-free contiguous assignment of k levels to clusters."""
-    base, extra = divmod(k, n_clusters)
-    out = []
-    for c in range(n_clusters):
-        out.extend([c] * (base + (1 if c < extra else 0)))
-    return out
-
-
-def _planted_partition(levels, cluster_of, params) -> tuple[tuple[str, ...], ...]:
-    """Group levels by *effective* parameter value; equal params merge."""
-    by_value: dict = {}
-    for lv, c in zip(levels, cluster_of):
-        by_value.setdefault(params[c], []).append(lv)
-    return tuple(tuple(v) for v in by_value.values())
-
-
-def make_gaussian(
-    k: int,
-    n_per_group: int,
-    separation: float,
-    seed: int,
-    n_clusters: int | None = None,
-) -> Fixture:
-    """1-D Gaussian groups with unit sigma; cluster means separation apart."""
-    _check(k, n_per_group, n_clusters)
-    n_clusters = n_clusters or max(1, k // 2)
-    rng = np.random.default_rng(seed)
-    levels = _level_names(k)
-    cluster_of = _assign_clusters(k, n_clusters)
+def _gaussian(n_clusters, separation):
+    """Unit-sigma normal groups; cluster means ``separation`` apart."""
     means = tuple(c * separation for c in range(n_clusters))
-    values, labels = [], []
-    for lv, c in zip(levels, cluster_of):
-        values.append(rng.normal(means[c], 1.0, n_per_group))
-        labels.extend([lv] * n_per_group)
-    data = ResponseData(GAUSSIAN_1D, np.concatenate(values))
-    return Fixture(
-        data=data,
-        grouping=Grouping(tuple(labels), levels),
-        planted=_planted_partition(levels, cluster_of, means),
-        seed=seed,
-    )
+    return means, ("y",), lambda rng, mean, n: rng.normal(mean, 1.0, n)
 
 
-def make_gaussian_nd(
-    k: int,
-    n_per_group: int,
-    separation: float,
-    seed: int,
-    n_clusters: int | None = None,
-    dim: int = 2,
-) -> Fixture:
-    _check(k, n_per_group, n_clusters)
-    n_clusters = n_clusters or max(1, k // 2)
-    rng = np.random.default_rng(seed)
-    levels = _level_names(k)
-    cluster_of = _assign_clusters(k, n_clusters)
+def _gaussian_nd(n_clusters, separation, dim=2):
+    """Unit-covariance normal groups; cluster means ``separation`` apart
+    along the diagonal."""
     direction = np.ones(dim) / math.sqrt(dim)
-    means = tuple(
-        tuple(c * separation * direction) for c in range(n_clusters)
-    )
-    values, labels = [], []
-    for lv, c in zip(levels, cluster_of):
-        values.append(rng.normal(np.asarray(means[c]), 1.0, (n_per_group, dim)))
-        labels.extend([lv] * n_per_group)
-    data = ResponseData(GAUSSIAN_ND, np.concatenate(values))
-    return Fixture(
-        data=data,
-        grouping=Grouping(tuple(labels), levels),
-        planted=_planted_partition(levels, cluster_of, means),
-        seed=seed,
-    )
+    means = tuple(tuple(c * separation * direction) for c in range(n_clusters))
+    columns = tuple(f"y{j + 1}" for j in range(dim))
+    return means, columns, lambda rng, mean, n: rng.normal(np.asarray(mean), 1.0, (n, dim))
 
 
-def make_binomial(
-    k: int,
-    n_per_group: int,
-    separation: float,
-    seed: int,
-    n_clusters: int | None = None,
-    proportions: tuple[float, ...] | None = None,
-) -> Fixture:
+def _binomial(n_clusters, separation, proportions=None):
     """Bernoulli groups; cluster success probabilities spread on the logit
     scale by ``separation`` unless explicit ``proportions`` are given."""
-    _check(k, n_per_group, n_clusters)
     if proportions is not None:
-        n_clusters = len(proportions)
         probs = tuple(float(p) for p in proportions)
     else:
-        n_clusters = n_clusters or max(1, k // 2)
         center = (n_clusters - 1) / 2.0
-        probs = tuple(
-            1.0 / (1.0 + math.exp(-separation * (c - center)))
-            for c in range(n_clusters)
-        )
-    rng = np.random.default_rng(seed)
-    levels = _level_names(k)
-    cluster_of = _assign_clusters(k, n_clusters)
-    values, labels = [], []
-    for lv, c in zip(levels, cluster_of):
-        values.append(rng.binomial(1, probs[c], n_per_group).astype(float))
-        labels.extend([lv] * n_per_group)
-    data = ResponseData(BINOMIAL, np.concatenate(values))
-    return Fixture(
-        data=data,
-        grouping=Grouping(tuple(labels), levels),
-        planted=_planted_partition(levels, cluster_of, probs),
-        seed=seed,
-    )
+        probs = tuple(1.0 / (1.0 + math.exp(-separation * (c - center)))
+                      for c in range(n_clusters))
+    return probs, ("y",), lambda rng, p, n: rng.binomial(1, p, n).astype(float)
 
 
-def make_survival(
-    k: int,
-    n_per_group: int,
-    separation: float,
-    seed: int,
-    n_clusters: int | None = None,
-    censor_rate: float = 0.25,
-) -> Fixture:
+def _survival(n_clusters, separation, censor_rate=0.25):
     """Exponential survival times; cluster log hazard ratios ``separation``
     apart, with independent exponential censoring."""
-    _check(k, n_per_group, n_clusters)
-    n_clusters = n_clusters or max(1, k // 2)
-    rng = np.random.default_rng(seed)
-    levels = _level_names(k)
-    cluster_of = _assign_clusters(k, n_clusters)
-    alphas = tuple(c * separation for c in range(n_clusters))
-    values, labels = [], []
-    for lv, c in zip(levels, cluster_of):
-        rate = math.exp(alphas[c])
-        t_event = rng.exponential(1.0 / rate, n_per_group)
-        t_censor = rng.exponential(1.0 / (rate * censor_rate), n_per_group)
-        t = np.minimum(t_event, t_censor)
+
+    def draw(rng, alpha, n):
+        rate = math.exp(alpha)
+        t_event = rng.exponential(1.0 / rate, n)
+        t_censor = rng.exponential(1.0 / (rate * censor_rate), n)
         e = (t_event <= t_censor).astype(float)
-        values.append(np.column_stack([np.maximum(t, 1e-9), e]))
-        labels.extend([lv] * n_per_group)
-    data = ResponseData(SURVIVAL, np.concatenate(values))
-    return Fixture(
-        data=data,
-        grouping=Grouping(tuple(labels), levels),
-        planted=_planted_partition(levels, cluster_of, alphas),
-        seed=seed,
-    )
+        return np.column_stack([np.maximum(np.minimum(t_event, t_censor), 1e-9), e])
+
+    return tuple(c * separation for c in range(n_clusters)), ("time", "event"), draw
 
 
-_MAKERS = {
-    "gaussian": make_gaussian,
-    "gaussianNd": make_gaussian_nd,
-    "binomial": make_binomial,
-    "survival": make_survival,
+# fixture kind -> (response kind, (n_clusters, separation, **extras) ->
+# (one hashable parameter per cluster, data.csv value columns,
+#  (rng, parameter, n) -> n values))
+FIXTURE_KINDS = {
+    "gaussian": (GAUSSIAN_1D, _gaussian),
+    "gaussianNd": (GAUSSIAN_ND, _gaussian_nd),
+    "binomial": (BINOMIAL, _binomial),
+    "survival": (SURVIVAL, _survival),
 }
 
 
-def make_fixture(kind: str, k: int, n_per_group: int, separation: float, seed: int, **kw) -> Fixture:
-    if kind not in _MAKERS:
+def make_fixture(kind: str, k: int, n_per_group: int, separation: float, seed: int,
+                 n_clusters: int | None = None, **kw) -> Fixture:
+    """A dataset of ``k`` levels with ``n_per_group`` rows each, whose levels
+    fall into ``n_clusters`` clusters (default ``k // 2``, at least 1).
+
+    Extras per kind: ``dim`` (gaussianNd, default 2), ``proportions``
+    (binomial: one success probability per cluster, which sets the cluster
+    count) and ``censor_rate`` (survival, default 0.25).
+    """
+    if kind not in FIXTURE_KINDS:
         raise FactorFuseError(f"unknown fixture kind: {kind!r}")
-    return _MAKERS[kind](k, n_per_group, separation, seed, **kw)
-
-
-def _check(k: int, n_per_group: int, n_clusters: int | None):
-    if k < 2:
-        raise FactorFuseError("fixtures need k >= 2 groups")
-    if n_per_group < 2:
-        raise FactorFuseError("fixtures need at least 2 observations per group")
-    if n_clusters is not None and n_clusters < 1:
-        raise FactorFuseError("fixtures need at least 1 cluster")
+    if (k < 2 or n_per_group < 2 or (n_clusters is not None and n_clusters < 1)
+            or not math.isfinite(separation)):
+        raise FactorFuseError("fixtures need k >= 2, n_per_group >= 2, n_clusters >= 1 "
+                              "and a finite separation")
+    response_kind, clusters = FIXTURE_KINDS[kind]
+    params, columns, draw = clusters(n_clusters or max(1, k // 2), separation, **kw)
+    base, extra = divmod(k, len(params))
+    cluster_of = [c for c in range(len(params)) for _ in range(base + (c < extra))]
+    width = max(2, len(str(k)))
+    levels = tuple(f"L{i + 1:0{width}d}" for i in range(k))
+    rng = np.random.default_rng(seed)
+    values = np.concatenate([draw(rng, params[c], n_per_group) for c in cluster_of])
+    planted: dict = {}
+    for lv, c in zip(levels, cluster_of):
+        planted.setdefault(params[c], []).append(lv)
+    return Fixture(
+        data=ResponseData(response_kind, values),
+        grouping=Grouping(tuple(lv for lv in levels for _ in range(n_per_group)), levels),
+        planted=tuple(map(tuple, planted.values())),
+        seed=seed,
+        columns=columns,
+    )

@@ -171,9 +171,14 @@ class GicProfile:
     argmin_step: int
 
 
+def check_penalty(penalty: float) -> None:
+    """A GIC penalty must be finite and positive."""
+    if not (math.isfinite(penalty) and penalty > 0):
+        raise FactorFuseError("GIC penalty must be finite and positive")
+
+
 def gic_profile(path: MergingPath, penalty: float) -> GicProfile:
-    if penalty <= 0:
-        raise FactorFuseError("GIC penalty must be positive")
+    check_penalty(penalty)
     rows = []
     for i, step in enumerate(path.steps):
         count = step.model.partition.size
@@ -195,8 +200,8 @@ class SelectionCriterion:
     def __post_init__(self):
         if self.kind not in ("gic", "pvalue", "loglik"):
             raise FactorFuseError(f"unknown selection criterion: {self.kind!r}")
-        if self.kind == "gic" and self.value <= 0:
-            raise FactorFuseError("GIC penalty must be positive")
+        if self.kind == "gic":
+            check_penalty(self.value)
         if self.kind == "pvalue" and not 0.0 < self.value < 1.0:
             raise FactorFuseError("p-value threshold must be in (0, 1)")
         if self.kind == "loglik" and not math.isfinite(self.value):

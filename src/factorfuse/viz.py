@@ -534,8 +534,6 @@ def render_merging_path_svg(
 ) -> str:
     if not spec.panels:
         raise IncompatiblePanel("at least one panel must be requested")
-    if "response" in spec.panels:
-        check_panel_compat(data.kind, spec.response_panel)
 
     layout = layout_tree(path, history, spec, data, grouping, gic)
     if spec.show_split:

@@ -27,7 +27,7 @@ from factorfuse import (
 )
 from factorfuse.cli import main as cli_main
 from factorfuse.data import Grouping, Partition, ResponseData
-from factorfuse.fixtures import make_binomial, make_gaussian
+from factorfuse.fixtures import make_fixture
 
 from conftest import (
     make_gaussian_data,
@@ -164,8 +164,8 @@ def test_criterion_4_evaluation_count_contracts():
 def test_criterion_5a_gaussian_planted_recovery():
     hits = 0
     for seed in range(100):
-        fx = make_gaussian(k=8, n_per_group=200, separation=5.0, seed=seed,
-                           n_clusters=4)
+        fx = make_fixture("gaussian", k=8, n_per_group=200, separation=5.0, seed=seed,
+                          n_clusters=4)
         path = merge_factors(fx.data, fx.grouping, "adaptive")
         part = cut_tree(path, SelectionCriterion("gic", 2.0))
         if partition_as_sets(part) == {frozenset(c) for c in fx.planted}:
@@ -177,8 +177,8 @@ def test_criterion_5a_gaussian_planted_recovery():
 def test_criterion_5b_binomial_planted_recovery():
     hits = 0
     for seed in range(100):
-        fx = make_binomial(k=4, n_per_group=500, separation=0.0, seed=seed,
-                           proportions=(0.1, 0.4, 0.6, 0.9))
+        fx = make_fixture("binomial", k=4, n_per_group=500, separation=0.0, seed=seed,
+                          proportions=(0.1, 0.4, 0.6, 0.9))
         path = merge_factors(fx.data, fx.grouping, "adaptive")
         part = cut_tree(path, SelectionCriterion("gic", 2.0))
         if part.size == 4:

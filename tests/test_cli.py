@@ -121,7 +121,7 @@ def test_csv_artifacts_quote_awkward_level_names(tmp_path):
     with open(p, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["y", "group"])
-        for lv, mu in (("a,b", 0.0), ('say "hi"', 0.3), ("c", 4.0)):
+        for lv, mu in (("a,b", 0.0), ('say "hi"', 0.3), ("c", 4.0), ("a\rb", 9.0)):
             writer.writerows([[mu + d, lv] for d in (-0.5, 0.1, 0.4)])
     out = tmp_path / "out"
     assert run(["merge", "--input", p, "--family", "gaussian", "--response", "y",
@@ -136,7 +136,7 @@ def test_csv_artifacts_quote_awkward_level_names(tmp_path):
         partition = list(csv.reader(fh))
     assert partition == [["orig", "abbrev", "pred"]] + [
         [r["orig"], r["abbrev"], r["pred"]] for r in result["optimalPartition"]]
-    assert {r[0] for r in partition[1:]} == {"a,b", 'say "hi"', "c"}
+    assert {r[0] for r in partition[1:]} == {"a,b", 'say "hi"', "c", "a\rb"}
     assert any("," in r[1] for r in history[2:]) and any('"' in r[1] for r in partition[1:])
 
 
@@ -276,6 +276,31 @@ def test_exit_2_on_bad_flags(gaussian_csv, tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("flags", [
+    ["--criterion", "pvalue", "--value", "2"],
+    ["--criterion", "pvalue", "--value", "0"],
+    ["--criterion", "gic", "--value", "0"],
+    ["--criterion", "gic", "--value", "inf"],
+    ["--criterion", "gic", "--value", "nan"],
+    ["--criterion", "loglik", "--value", "nan"],
+    ["--criterion", "loglik", "--value=-inf"],
+    ["--penalty", "0"],
+    ["--penalty", "-1"],
+    ["--penalty", "inf"],
+    ["--penalty", "nan"],
+    ["--response-panel", "tukey"],
+    ["--response-panel", "nonsense"],
+    ["--response-panel", "survival"],  # not valid for gaussian data
+], ids=" ".join)
+def test_exit_2_on_bad_merge_config_writes_nothing(gaussian_csv, tmp_path, flags, capsys):
+    out = tmp_path / "o"
+    rc = run(["merge", "--input", gaussian_csv, "--family", "gaussian", "--response", "y",
+              "--factor", "group", *flags, "--out", out])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("configuration error: ")
+    assert not out.exists()
+
+
 def test_exit_2_on_bad_fixture_params(tmp_path):
     rc = run(["fixture", "--kind", "gaussian", "--k", "1", "--n-per-group", "5",
               "--out", tmp_path / "o"])
@@ -286,6 +311,15 @@ def test_exit_2_on_bad_fixture_params(tmp_path):
 def test_exit_2_on_bad_fixture_clusters(clusters, tmp_path):
     rc = run(["fixture", "--kind", "gaussian", "--k", "4", "--n-per-group", "5",
               "--clusters", clusters, "--out", tmp_path / "o"])
+    assert rc == 2
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "survival"])
+@pytest.mark.parametrize("separation", ["inf", "nan"])
+def test_exit_2_on_non_finite_fixture_separation(kind, separation, tmp_path):
+    rc = run(["fixture", "--kind", kind, "--k", "4", "--n-per-group", "5",
+              "--separation", separation, "--out", tmp_path / "o"])
     assert rc == 2
     assert not (tmp_path / "o").exists()
 
@@ -488,6 +522,21 @@ def test_abbreviation_collisions_disambiguated():
     assert len(set(abbr.values())) == 3
     for v in abbr.values():
         assert len(v) <= 6
+
+
+def test_abbreviation_suffix_skips_taken_names(tmp_path):
+    # "abcdef1" and "abcdef2" both shorten to "abcd"; "abcd2" is another level's name
+    levels = ["abcd2", "abcdef1", "abcdef2"]
+    assert abbreviate_levels(levels) == {"abcd2": "abcd2", "abcdef1": "abcd", "abcdef2": "abcd3"}
+    assert abbreviate_levels(levels[::-1]) == {
+        "abcdef2": "abcd", "abcdef1": "abcd3", "abcd2": "abcd2"}
+    p = tmp_path / "data.csv"
+    write_csv(p, ("y", "group"), [(i + 3 * j, lv) for j, lv in enumerate(levels) for i in range(3)])
+    out = tmp_path / "out"
+    assert run(["merge", "--input", p, "--family", "gaussian", "--response", "y",
+                "--factor", "group", "--out", out]) == 0
+    names = json.loads((out / "result.json").read_text())["input"]["levelNames"]
+    assert names == {"abcd2": "abcd2", "abcd": "abcdef1", "abcd3": "abcdef2"}
 
 
 # ---------------------------------------------------------------------------
