@@ -85,18 +85,11 @@ _VOWELS = set("aeiouAEIOU")
 def _abbreviate_one(name: str) -> str:
     if len(name) <= 6:
         return name
-    picked = [0]
+    # the first character, then the first three later consonants, topped up
+    # with the first later vowels; kept in name order
     consonants = [i for i in range(1, len(name)) if name[i] not in _VOWELS]
     vowels = [i for i in range(1, len(name)) if name[i] in _VOWELS]
-    for i in consonants:
-        if len(picked) >= 4:
-            break
-        picked.append(i)
-    for i in vowels:
-        if len(picked) >= 4:
-            break
-        picked.append(i)
-    return "".join(name[i] for i in sorted(picked))
+    return "".join(name[i] for i in sorted([0, *(consonants + vowels)[:3]]))
 
 
 def abbreviate_levels(levels) -> dict[str, str]:

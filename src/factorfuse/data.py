@@ -8,7 +8,6 @@ table, and the CLI takes its ingest row masks and messages from it.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -26,8 +25,8 @@ SURVIVAL = "survival"
 class Domain:
     """The responses one kind accepts."""
 
-    # number of value columns; a kind with one column holds (n,) values
-    columns: range
+    # number of value columns: 1 holds (n,) values, None any d >= 2
+    columns: int | None
     # the value shape, as error messages name it
     shape: str
     # value columns that must be > 0, and columns that must be 0 or 1
@@ -40,7 +39,7 @@ class Domain:
 
     @property
     def scalar(self) -> bool:
-        return self.columns == range(1, 2)
+        return self.columns == 1
 
     def outside(self, values: np.ndarray) -> np.ndarray:
         """Mask of the rows of (n, c) ``values`` outside the domain; a NaN in
@@ -54,11 +53,10 @@ class Domain:
 
 
 DOMAINS = {
-    GAUSSIAN_1D: Domain(range(1, 2), "(n,)", (), (), "", weights=True),
-    GAUSSIAN_ND: Domain(range(2, sys.maxsize), "(n, d) with d >= 2", (), (), "", weights=True),
-    BINOMIAL: Domain(range(1, 2), "(n,)", (), (0,), "binomial response must be 0 or 1",
-                     weights=True),
-    SURVIVAL: Domain(range(2, 3), "(n, 2) time/event", (0,), (1,),
+    GAUSSIAN_1D: Domain(1, "(n,)", (), (), "", weights=True),
+    GAUSSIAN_ND: Domain(None, "(n, d) with d >= 2", (), (), "", weights=True),
+    BINOMIAL: Domain(1, "(n,)", (), (0,), "binomial response must be 0 or 1", weights=True),
+    SURVIVAL: Domain(2, "(n, 2) time/event", (0,), (1,),
                      "invalid survival time/event pair", weights=False),
 }
 
@@ -87,9 +85,11 @@ class ResponseData:
         domain = DOMAINS[self.kind]
         values = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", values)
-        rows = values[:, None] if values.ndim == 1 else values
-        if values.ndim != (1 if domain.scalar else 2) or rows.shape[1] not in domain.columns:
+        d = values.shape[1] if values.ndim == 2 else 1
+        if values.ndim != (1 if domain.scalar else 2) or not (
+                d == domain.columns or domain.columns is None and d >= 2):
             raise FactorFuseError(f"{self.kind} values must be {domain.shape}")
+        rows = values.reshape(len(values), d)
         outside = np.flatnonzero(domain.outside(rows))
         if len(outside):
             raise FactorFuseError(f"observation {outside[0]}: {domain.reason}")

@@ -46,7 +46,6 @@ from .errors import (
     NoEvents,
     NonConvergence,
     SingularCovariance,
-    WeightsNotSupported,
 )
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -383,8 +382,6 @@ def _score_binomial(stats: LevelStats, sums, i, j, model) -> np.ndarray:
 def _survival_stats(stats: LevelStats) -> None:
     """Tables over the T distinct event times: ``D[l, t]`` counts level l's
     events at time t and ``R[l, t]`` its rows at risk then."""
-    if stats.data.weights is not None:
-        raise WeightsNotSupported("survival fits do not accept weights")
     t, e = stats.data.values.T
     codes, k = stats.grouping.codes, len(stats.levels)
     times = np.unique(t[e == 1.0])

@@ -507,14 +507,10 @@ def _render_global_panel(path: MergingPath, x0: float, y0: float) -> str:
     verdict = "rejected at 0.05" if p < 0.05 else "not rejected at 0.05"
     parts = [f'<g id="panel-d">']
     parts.extend(_panel_frame(x0, y0, "Global null hypothesis"))
-    parts.append(_text(x0 + PAD, y0 + PAD + 30.0,
-                       f"LRT statistic: {stat:.4f}", size=13.0))
-    parts.append(_text(x0 + PAD, y0 + PAD + 54.0,
-                       f"degrees of freedom: {df}", size=13.0))
-    parts.append(_text(x0 + PAD, y0 + PAD + 78.0,
-                       f"p-value: {p:.4g}", size=13.0))
-    parts.append(_text(x0 + PAD, y0 + PAD + 102.0,
-                       f"verdict: {verdict}", size=13.0))
+    lines = (f"LRT statistic: {stat:.4f}", f"degrees of freedom: {df}",
+             f"p-value: {p:.4g}", f"verdict: {verdict}")
+    for i, line in enumerate(lines):
+        parts.append(_text(x0 + PAD, y0 + PAD + (30.0 + 24.0 * i), line, size=13.0))
     parts.append("</g>")
     return "\n".join(parts)
 

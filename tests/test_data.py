@@ -25,6 +25,8 @@ RESPONSE_TABLE = [
      (FactorFuseError, "gaussianNd values must be (n, d) with d >= 2")),
     ("gaussianNd-1d", "gaussianNd", [0.0, 1.0], None,
      (FactorFuseError, "gaussianNd values must be (n, d) with d >= 2")),
+    ("gaussianNd-3d", "gaussianNd", [[[0.0, 1.0]]], None,
+     (FactorFuseError, "gaussianNd values must be (n, d) with d >= 2")),
     ("binomial", "binomial", [0.0, 1.0, -0.0], None, None),
     ("binomial-2d", "binomial", [[0.0], [1.0]], None,
      (FactorFuseError, "binomial values must be (n,)")),
