@@ -161,23 +161,16 @@ class Grouping:
         return dict(zip(self.levels, np.split(rows, np.cumsum(list(self.counts.values()))[:-1])))
 
 
-def cluster_label(members_in_merge_order: tuple[str, ...]) -> str:
-    return "".join(f"({m})" for m in members_in_merge_order)
-
-
 @dataclass(frozen=True)
 class Cluster:
-    """One cluster of original levels; ``members`` keeps merge order."""
+    """One cluster of original levels; ``members`` keeps merge order, which
+    the label, worked out once, follows."""
 
     members: tuple[str, ...]
+    label: str = field(init=False, repr=False, compare=False)
 
-    @property
-    def label(self) -> str:
-        return cluster_label(self.members)
-
-    @property
-    def member_set(self) -> frozenset[str]:
-        return frozenset(self.members)
+    def __post_init__(self):
+        object.__setattr__(self, "label", "".join(f"({m})" for m in self.members))
 
 
 @dataclass(frozen=True)
@@ -206,32 +199,20 @@ class Partition:
     def level_set(self) -> frozenset[str]:
         return frozenset(m for c in self.clusters for m in c.members)
 
-    def label_of(self, level: str) -> str:
-        for c in self.clusters:
-            if level in c.members:
-                return c.label
-        raise KeyError(level)
-
     def merge(self, label_a: str, label_b: str) -> "Partition":
         """Merge two clusters; the result sits at the left child's position
         and its label is the concatenation in merge order."""
-        idx = {c.label: i for i, c in enumerate(self.clusters)}
-        ia, ib = idx[label_a], idx[label_b]
+        labels = self.labels
+        for label in (label_a, label_b):
+            if label not in labels:
+                raise FactorFuseError(f"no cluster labelled {label!r} to merge")
+        ia, ib = labels.index(label_a), labels.index(label_b)
         if ia == ib:
             raise FactorFuseError("cannot merge a cluster with itself")
-        a, b = self.clusters[ia], self.clusters[ib]
-        # merged cluster replaces the leftmost of the pair; member order is
-        # merge order (a then b), which drives the concatenated label
-        merged = Cluster(a.members + b.members)
-        new = []
-        for i, c in enumerate(self.clusters):
-            if i == min(ia, ib):
-                new.append(merged)
-            elif i in (ia, ib):
-                continue
-            else:
-                new.append(c)
-        return Partition(tuple(new))
+        # member order is merge order (a then b), which drives the label
+        c, (lo, hi) = self.clusters, sorted((ia, ib))
+        merged = Cluster(c[ia].members + c[ib].members)
+        return Partition(c[:lo] + (merged,) + c[lo + 1:hi] + c[hi + 1:])
 
     def is_coarsening_of(self, finer: "Partition") -> bool:
         """True if every cluster of ``finer`` is contained in one of ours."""

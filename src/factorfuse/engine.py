@@ -15,9 +15,10 @@ pair of clusters per step.  The strategies differ in two choices:
 
 Candidates are scored from per-cluster sufficient statistics and the fit of
 the current partition (:func:`~factorfuse.families.score_pairs`); only the
-chosen partition is fitted.  The path counts candidates scored, distances
-measured and path models fitted, so the evaluation-cost contract of each
-strategy can be asserted.  Every strategy picks its pair with
+chosen partition is fitted.  A merge re-sums only the merged cluster, and the
+path fit reads the sums the loop keeps.  The path counts candidates scored,
+distances measured and path models fitted, so the evaluation-cost contract of
+each strategy can be asserted.  Every strategy picks its pair with
 :func:`_select`: scores within ``NEAR_TIE`` of the best are tied and the
 lexicographically smallest pair of cluster labels wins.
 """
@@ -31,8 +32,7 @@ import numpy as np
 
 from .data import Grouping, Partition, ResponseData
 from .errors import InvalidStrategy
-from .families import (FAMILIES, FittedModel, LevelStats, cluster_sums, fit_stats, merge_sums,
-                       score_pairs)
+from .families import FAMILIES, FittedModel, LevelStats, cluster_sums, fit_stats, score_pairs
 from .mds import mds_project_1d
 
 STRATEGIES = ("adaptive", "fast-adaptive", "fixed", "fast-fixed")
@@ -153,12 +153,13 @@ def _adjacent(size: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Clusters:
-    """The current partition with its per-cluster sums and its fitted model,
-    merged in step, and the evaluations spent on it per category."""
+    """The current partition, per cluster its level codes in declared order and
+    its sums, and its fitted model, merged in step; and the evaluations spent."""
 
     def __init__(self, stats: LevelStats, partition: Partition):
         self.stats = stats
         self.model = fit_stats(stats, partition)
+        self.codes = stats.cluster_rows(partition)
         self.sums = cluster_sums(stats, partition)
         self.counts = Counter(path=1)
 
@@ -181,10 +182,15 @@ class _Clusters:
 
     def merge(self, a: int, b: int) -> PathStep:
         """Merge the clusters at positions a < b and fit the result; the merged
-        cluster takes position a and the clusters after b move up by one."""
-        labels = self.labels
-        self.model = fit_stats(self.stats, self.model.partition.merge(labels[a], labels[b]))
-        self.sums = merge_sums(self.sums, a, b)
+        cluster takes position a and the clusters after b move up by one.  Only
+        the merged cluster is summed afresh, as :func:`cluster_sums` sums it."""
+        labels, stats, codes = self.labels, self.stats, self.codes
+        codes[a] = np.sort(np.concatenate((codes[a], codes.pop(b))))
+        self.sums = {name: np.delete(s, b, axis=0) for name, s in self.sums.items()}
+        for name, s in self.sums.items():
+            s[a] = np.add.reduce(getattr(stats, name)[codes[a]])
+        partition = self.model.partition.merge(labels[a], labels[b])
+        self.model = stats.family.fit(stats, partition, self.sums)
         self.counts["path"] += 1
         return PathStep((labels[a], labels[b]), self.model)
 
@@ -210,22 +216,24 @@ class _Likelihood:
 
 class _CompleteLinkage:
     """Complete linkage on the LRT distances between pairs of levels, each
-    measured with all other levels singleton."""
+    measured with all other levels singleton; ``row[s]`` is the row of ``dist``
+    that holds the cluster at position s."""
 
     def __init__(self, clusters: _Clusters):
         i, j = np.triu_indices(clusters.size, k=1)
         self.dist = np.zeros((clusters.size, clusters.size))
         self.dist[i, j] = self.dist[j, i] = clusters.distance(i, j)
+        self.row = np.arange(clusters.size)
 
     def scores(self, i, j):
-        return -self.dist[i, j]
+        return -self.dist[self.row[i], self.row[j]]
 
     def merged(self, a, b):
         # Lance-Williams update for complete linkage: the merged cluster is as
         # far from each other cluster as the farther of its two children
-        dist = self.dist
-        dist[a] = dist[:, a] = np.maximum(dist[a], dist[b])
-        self.dist = np.delete(np.delete(dist, b, axis=0), b, axis=1)
+        dist, ra, rb = self.dist, self.row[a], self.row[b]
+        dist[ra] = dist[:, ra] = np.maximum(dist[ra], dist[rb])
+        self.row = np.delete(self.row, b)
 
 
 class _AdjacentLinkage:

@@ -24,6 +24,7 @@ so that nested partitions differ by exactly one degree of freedom per merge.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
@@ -129,13 +130,17 @@ def fit(data: ResponseData, grouping: Grouping, partition: Partition) -> FittedM
 def fit_stats(stats: LevelStats, partition: Partition) -> FittedModel:
     """Fit from precomputed level statistics (the engine's hot path)."""
     have = frozenset(stats.levels)
-    missing = partition.level_set() - have
+    members = Counter(m for c in partition.clusters for m in c.members)
+    missing = members.keys() - have
     if missing:
         raise EmptyCluster(
             "partition names levels with no observations: %s"
             % ", ".join(sorted(missing))
         )
-    if partition.level_set() != have:
+    shared = [m for m, n in members.items() if n > 1]
+    if shared:
+        raise DegenerateData(f"level {shared[0]!r} is in more than one cluster")
+    if members.keys() != have:
         raise DegenerateData("partition does not cover the grouping levels")
     return stats.family.fit(stats, partition, cluster_sums(stats, partition))
 
@@ -143,7 +148,8 @@ def fit_stats(stats: LevelStats, partition: Partition) -> FittedModel:
 def cluster_sums(stats: LevelStats, partition: Partition) -> dict[str, np.ndarray]:
     """Level statistics summed per cluster: one row per cluster of ``partition``.
 
-    A merge updates them through :func:`merge_sums`, without refitting.
+    Each row adds up its levels in declared order; the engine re-sums a merged
+    cluster's row the same way, so its path fits read the same bits.
     """
     rows = stats.cluster_rows(partition)
     # add.reduce sums along the first axis like .sum(axis=0), with less call overhead

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -55,7 +56,9 @@ def _binomial(n_clusters, separation, proportions=None):
     """Bernoulli groups; cluster success probabilities spread on the logit
     scale by ``separation`` unless explicit ``proportions`` are given."""
     if proportions is not None:
-        probs = tuple(float(p) for p in proportions)
+        probs = tuple(float(p) if isinstance(p, Real) else math.nan for p in proportions)
+        if not probs or not all(0 <= p <= 1 for p in probs):
+            raise FactorFuseError("binomial proportions must be one or more numbers in [0, 1]")
     else:
         center = (n_clusters - 1) / 2.0
         probs = tuple(1.0 / (1.0 + math.exp(-separation * (c - center)))

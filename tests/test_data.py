@@ -1,10 +1,10 @@
-"""Response validation from the domain table, and the fixture generator's
-cluster assignment and planted partitions."""
+"""Response validation from the domain table, the fixture generator's
+cluster assignment and planted partitions, and partition merges."""
 
 import numpy as np
 import pytest
 
-from factorfuse.data import ResponseData
+from factorfuse.data import Partition, ResponseData
 from factorfuse.errors import FactorFuseError, WeightsNotSupported
 from factorfuse.fixtures import make_fixture
 
@@ -90,7 +90,9 @@ def test_response_data_table(kind, values, weights, expected):
     assert type(exc.value) is error and str(exc.value) == message
 
 
-# (id, make_fixture arguments, expected planted clusters as level numbers)
+# (id, make_fixture arguments, expected planted clusters as level numbers, or
+# the message of the FactorFuseError raised)
+BAD_PROPORTIONS = "binomial proportions must be one or more numbers in [0, 1]"
 FIXTURE_TABLE = [
     ("default-half-of-k", ("gaussian", 6, 3, 1.0, 0), {}, [[1, 2], [3, 4], [5, 6]]),
     ("default-k3-one-cluster", ("binomial", 3, 3, 1.0, 0), {}, [[1, 2, 3]]),
@@ -105,6 +107,16 @@ FIXTURE_TABLE = [
      {"n_clusters": 4, "proportions": (0.1, 0.9)}, [[1, 2, 3], [4, 5]]),
     ("equal-proportions-merge", ("binomial", 6, 2, 1.0, 0),
      {"proportions": (0.5, 0.5, 0.2)}, [[1, 2, 3, 4], [5, 6]]),
+    ("proportions-bounds", ("binomial", 4, 2, 1.0, 0), {"proportions": (0.0, 1)},
+     [[1, 2], [3, 4]]),
+    ("proportions-array", ("binomial", 4, 2, 1.0, 0), {"proportions": np.array([0.2, 0.7])},
+     [[1, 2], [3, 4]]),
+] + [
+    (f"proportions-{name}", ("binomial", 4, 3, 1.0, 0), {"proportions": proportions},
+     BAD_PROPORTIONS)
+    for name, proportions in [("empty", ()), ("above-1", (1.5, 0.2)), ("below-0", (-0.1,)),
+                              ("nan", (NAN, 0.5)), ("inf", (float("inf"),)),
+                              ("not-a-number", ("0.5",))]
 ] + [
     (f"separation-0-{kind}", (kind, 6, 2, 0.0, 4), {"n_clusters": 3}, [[1, 2, 3, 4, 5, 6]])
     for kind in ("gaussian", "gaussianNd", "binomial", "survival")
@@ -123,6 +135,11 @@ SHAPES = {
                          ids=[r[0] for r in FIXTURE_TABLE])
 def test_fixture_table(args, kw, planted):
     kind, k, n_per_group = args[:3]
+    if isinstance(planted, str):
+        with pytest.raises(FactorFuseError) as exc:
+            make_fixture(*args, **kw)
+        assert type(exc.value) is FactorFuseError and str(exc.value) == planted
+        return
     fx = make_fixture(*args, **kw)
     levels = tuple(f"L{i:02d}" for i in range(1, k + 1))
     assert fx.planted == tuple(tuple(levels[i - 1] for i in c) for c in planted)
@@ -144,3 +161,18 @@ def test_fixture_extras():
     assert events[0] > events[1]
     with pytest.raises(FactorFuseError, match="unknown fixture kind"):
         make_fixture("poisson", 4, 3, 1.0, 0)
+
+
+def test_partition_merge():
+    part = Partition.singletons(("a", "b", "c", "d"))
+    # the merged cluster takes the left child's place, its label merge order
+    assert part.merge("(d)", "(b)").labels == ("(a)", "(d)(b)", "(c)")
+    assert part.merge("(a)", "(b)").merge("(c)", "(a)(b)").labels == ("(c)(a)(b)", "(d)")
+    with pytest.raises(FactorFuseError, match="cannot merge a cluster with itself"):
+        part.merge("(a)", "(a)")
+    for a, b, missing in [("(a)", "(e)", "(e)"), ("(e)", "(a)", "(e)"),
+                          ("(a)(b)", "(c)", "(a)(b)")]:
+        with pytest.raises(FactorFuseError) as exc:
+            part.merge(a, b)
+        assert type(exc.value) is FactorFuseError
+        assert str(exc.value) == f"no cluster labelled {missing!r} to merge"

@@ -346,8 +346,8 @@ def test_first_merge_agreement_adaptive_vs_fixed(rng):
 
 def test_fixed_matches_scipy_complete_linkage(rng):
     hierarchy = pytest.importorskip("scipy.cluster.hierarchy")
-    for _ in range(5):
-        k = 7
+    # at k=24 merges retire rows in the middle of the distance matrix
+    for k in [7] * 5 + [24] * 2:
         by = {f"G{i + 1}": list(rng.normal(rng.uniform(0, 4), 1.0, 8)) for i in range(k)}
         data, g = make_gaussian_data(by)
         groups = [np.array(by[lv]) for lv in g.levels]
@@ -368,7 +368,7 @@ def test_fixed_matches_scipy_complete_linkage(rng):
         path = merge_factors(data, g, "fixed")
         got = []
         for prev, step in zip(path.steps, path.steps[1:]):
-            of = {c.label: c.member_set for c in prev.model.partition.clusters}
+            of = {c.label: frozenset(c.members) for c in prev.model.partition.clusters}
             got.append({of[label] for label in step.merged_pair})
         assert got == want
 
@@ -419,6 +419,34 @@ def test_repeat_runs_identical(strategy, rng):
     p2 = merge_factors(data, g, strategy)
     assert path_merge_sequence(p1) == path_merge_sequence(p2)
     assert [s.model.loglik for s in p1.steps] == [s.model.loglik for s in p2.steps]
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "binomial", "gaussianNd", "survival"])
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_kept_sums_equal_cluster_sums(kind, strategy, monkeypatch):
+    # path fits read the sums the loop keeps; a fresh cluster_sums of each
+    # partition must give the same bits, and so the same fit
+    merge = engine._Clusters.merge
+    merges = []
+
+    def checked_merge(clusters, a, b):
+        step = merge(clusters, a, b)
+        partition = step.model.partition
+        fresh = families.cluster_sums(clusters.stats, partition)
+        assert fresh.keys() == clusters.sums.keys()
+        for name, want in fresh.items():
+            got = clusters.sums[name]
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape,
+                                                             want.tobytes()), name
+        refit = families.fit_stats(clusters.stats, partition)
+        assert (step.model.loglik, step.model.flags) == (refit.loglik, refit.flags)
+        merges.append(partition)
+        return step
+
+    monkeypatch.setattr(engine._Clusters, "merge", checked_merge)
+    fx = make_fixture(kind, 12, 20, 1.0, 0)
+    merge_factors(fx.data, fx.grouping, strategy)
+    assert len(merges) == 11
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from factorfuse import families, fit, group_summary, kaplan_meier
-from factorfuse.data import Grouping, Partition, ResponseData
+from factorfuse.data import Cluster, Grouping, Partition, ResponseData
 from factorfuse.engine import merge_factors
 from factorfuse.families import (
     LevelStats,
@@ -21,6 +21,7 @@ from factorfuse.families import (
     score_pairs,
 )
 from factorfuse.errors import (
+    DegenerateData,
     DegeneratePoints,
     EmptyCluster,
     FactorFuseError,
@@ -122,6 +123,14 @@ class TestGaussian1d:
         data, g = make_gaussian_data({"a": [1.0, 2.0]})
         part = Partition.singletons(("a", "b"))
         with pytest.raises(EmptyCluster):
+            fit(data, g, part)
+
+    @pytest.mark.parametrize("clusters", [(("a", "b"), ("b", "c")), (("a", "b", "c"), ("b",))])
+    def test_overlapping_clusters_rejected(self, clusters):
+        # a level in two clusters would count its rows twice
+        data, g = make_gaussian_data({"a": [1.0, 2.0], "b": [3.0, 5.0], "c": [4.0, 7.0]})
+        part = Partition(tuple(Cluster(c) for c in clusters))
+        with pytest.raises(DegenerateData, match=r"^level 'b' is in more than one cluster$"):
             fit(data, g, part)
 
 
