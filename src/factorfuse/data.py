@@ -179,18 +179,18 @@ class Partition:
 
     Cluster order is meaningful: the fast strategies merge only clusters
     adjacent in this order, and a merged cluster takes the position of its
-    left child.
+    left child.  The cluster labels are worked out once, in cluster order.
     """
 
     clusters: tuple[Cluster, ...]
+    labels: tuple[str, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "labels", tuple(c.label for c in self.clusters))
 
     @staticmethod
     def singletons(levels) -> "Partition":
         return Partition(tuple(Cluster((lv,)) for lv in levels))
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(c.label for c in self.clusters)
 
     @property
     def size(self) -> int:

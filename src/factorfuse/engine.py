@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Grouping, Partition, ResponseData
-from .errors import InvalidStrategy
+from .errors import FactorFuseError, InvalidStrategy
 from .families import FAMILIES, FittedModel, LevelStats, cluster_sums, fit_stats, score_pairs
 from .mds import mds_project_1d
 
@@ -85,12 +85,17 @@ def ordering_statistic(
     gaussian1d -> mean; binomial -> success proportion; survival -> log
     hazard ratio; gaussianNd -> the 1-D non-metric MDS projection of the k
     estimated means in the Mahalanobis metric of the pooled covariance.  The
-    full model is fitted in level order unless ``full_model`` is given.  Ties,
-    including gaussianNd means that all coincide, keep the original level order.
+    full model is fitted in level order unless ``full_model`` is given, in any
+    cluster order.  Ties, including gaussianNd means that all coincide, keep
+    the original level order.
     """
     if full_model is None:
         full_model = fit_stats(LevelStats(data, grouping), Partition.singletons(grouping.levels))
-    value = FAMILIES[data.kind].order_value(full_model, grouping.levels, mds_project_1d)
+    position = {c.members: s for s, c in enumerate(full_model.partition.clusters)}
+    positions = [position.get((lv,)) for lv in grouping.levels]
+    if None in positions or full_model.partition.size != grouping.k:
+        raise FactorFuseError("full model is not one cluster per level of the grouping")
+    value = FAMILIES[data.kind].order_value(full_model, positions, mds_project_1d)
     return tuple(grouping.levels[t] for t in np.argsort(value, kind="stable"))
 
 
@@ -121,7 +126,7 @@ def merge_factors(
     steps = [PathStep(None, clusters.model)]
     while clusters.size > 1:
         i, j = _adjacent(clusters.size) if fast else np.triu_indices(clusters.size, k=1)
-        best = _select(ranking.scores(i, j), clusters.labels, i, j)
+        best = _select(ranking.scores(i, j), clusters.model.partition.labels, i, j)
         a, b = int(i[best]), int(j[best])
         steps.append(clusters.merge(a, b))
         ranking.merged(a, b)
@@ -139,12 +144,14 @@ def _select(scores: np.ndarray, labels, i: np.ndarray, j: np.ndarray) -> int:
 
     Higher scores are better.  Scores within ``NEAR_TIE`` of the best are
     tied, so exact analytic ties that rounding splits still resolve to the
-    lexicographically smallest pair of labels.
+    lexicographically smallest pair of labels; only the labels at the
+    distinct positions of tied pairs are compared, left positions first.
     """
     tied = np.flatnonzero(scores >= scores.max() - NEAR_TIE)
-    # the labels are distinct, so pairs of their ranks sort as the label pairs do
-    rank = np.argsort(sorted(range(len(labels)), key=labels.__getitem__))
-    return int(tied[np.lexsort((rank[j[tied]], rank[i[tied]]))[0]])
+    for side in (i, j):
+        smallest = min(np.flatnonzero(np.bincount(side[tied])).tolist(), key=labels.__getitem__)
+        tied = tied[side[tied] == smallest]
+    return int(tied[0])
 
 
 def _adjacent(size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -167,10 +174,6 @@ class _Clusters:
     def size(self) -> int:
         return self.model.partition.size
 
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return self.model.partition.labels
-
     def score(self, i: np.ndarray, j: np.ndarray, category: str = "candidates") -> np.ndarray:
         """Log-likelihood after merging each pair (i[t], j[t])."""
         self.counts[category] += len(i)
@@ -184,7 +187,7 @@ class _Clusters:
         """Merge the clusters at positions a < b and fit the result; the merged
         cluster takes position a and the clusters after b move up by one.  Only
         the merged cluster is summed afresh, as :func:`cluster_sums` sums it."""
-        labels, stats, codes = self.labels, self.stats, self.codes
+        labels, stats, codes = self.model.partition.labels, self.stats, self.codes
         codes[a] = np.sort(np.concatenate((codes[a], codes.pop(b))))
         self.sums = {name: np.delete(s, b, axis=0) for name, s in self.sums.items()}
         for name, s in self.sums.items():

@@ -57,18 +57,26 @@ COX_MAX_ITER = 50
 
 # The fits take logarithms with math.log and the scorers with numpy's
 # vectorised log, which can differ from it in the last bit; the fits keep
-# math.log so that path log-likelihoods do not change.
+# math.log so that path log-likelihoods do not change, and math.exp so that
+# hazard ratios do not.
 _math_log = np.vectorize(math.log, otypes=[float])
+_math_exp = np.vectorize(math.exp, otypes=[float])
 
 
 @dataclass(frozen=True)
 class FittedModel:
-    """ML estimates and maximized log-likelihood for one partition."""
+    """ML estimates and maximized log-likelihood for one partition.
+
+    ``estimates`` maps each estimate name to an array with a row per cluster
+    in partition order: ``mean`` (Gaussian, (c,) or (c, d)), ``p`` and
+    ``logit`` (binomial), ``alpha`` and ``hazard_ratio`` (survival, whose
+    reference cluster is at position 0).
+    """
 
     family: str
     partition: Partition
     loglik: float
-    estimates: dict
+    estimates: dict[str, np.ndarray]
     nuisance: dict | None = None
     flags: tuple[str, ...] = ()
 
@@ -90,8 +98,8 @@ class Family:
     # (stats, cluster sums, i, j, fitted model of the partition the sums are
     # of) -> loglik with each pair (i[t], j[t]) merged
     score: Callable
-    # (full model, levels, 1-D projection) -> ordering value per level from the
-    # model's estimates; gaussianNd projects its k means, Mahalanobis metric
+    # (full model, positions, 1-D projection) -> ordering value of the clusters
+    # at ``positions``; gaussianNd projects their means in the Mahalanobis metric
     order_value: Callable
     # the estimate group_summary reports per cluster
     estimate: str
@@ -204,9 +212,9 @@ def _ward(sw: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
 
 
 def _estimate(key: str) -> Callable:
-    """Order levels by one scalar estimate of the full model."""
-    def value(model: FittedModel, levels, project) -> np.ndarray:
-        return np.array([model.estimates[f"({lv})"][key] for lv in levels])
+    """Order clusters by one scalar estimate of the full model."""
+    def value(model: FittedModel, positions, project) -> np.ndarray:
+        return model.estimates[key][positions]
     return value
 
 
@@ -218,10 +226,22 @@ def _estimate(key: str) -> Callable:
 def _moment_stats(stats: LevelStats) -> None:
     """Weighted count, sum and sum of squares of a scalar response per level."""
     y, w, levels = _sorted_rows(stats)
-    wy = w * y
-    stats.sw = np.array([w[s].sum() for s in levels])
-    stats.swy = np.array([wy[s].sum() for s in levels])
-    stats.swy2 = np.array([(wy[s] * y[s]).sum() for s in levels])
+    with np.errstate(over="ignore", invalid="ignore"):  # Gaussian: see _check_moments
+        wy = w * y
+        stats.sw = np.array([w[s].sum() for s in levels])
+        stats.swy = np.array([wy[s].sum() for s in levels])
+        stats.swy2 = np.array([(wy[s] * y[s]).sum() for s in levels])
+
+
+def _check_moments(stats: LevelStats, squares: np.ndarray) -> None:
+    """Raise unless sum(w) * sum(w y^2) is finite, ``squares`` holding each
+    level's sum(w y^2): by Cauchy-Schwarz it bounds swy^2 = (sum w y)^2, the
+    product the fits and scorers form per cluster."""
+    with np.errstate(over="ignore"):
+        bound = float(stats.sw.sum()) * float(squares.sum())
+    if not math.isfinite(bound):
+        raise DegenerateData("responses too large or not finite: "
+                             "sum(w) * sum(w y^2) is not finite")
 
 
 # The variance floor lies above the rounding noise of swy2 - swy^2/sw.  A sum
@@ -236,6 +256,7 @@ def _moment_stats(stats: LevelStats) -> None:
 # summed at once or merged one by one.  Hence the multiple 2(k + 49) + 3.
 def _gaussian_1d_stats(stats: LevelStats) -> None:
     _moment_stats(stats)
+    _check_moments(stats, stats.swy2)
     y = stats.data.values
     rng = float(y.max() - y.min()) if len(y) else 0.0
     mean_square = float(stats.swy2.sum() / stats.sw.sum()) if len(y) else 0.0
@@ -255,12 +276,11 @@ def _rss_loglik(stats: LevelStats, sums, log, added=0.0):
 
 def _fit_gaussian_1d(stats: LevelStats, partition: Partition, sums) -> FittedModel:
     loglik, sigma2 = _rss_loglik(stats, sums, math.log)
-    means = (sums["swy"] / sums["sw"]).tolist()
     return FittedModel(
         family=GAUSSIAN_1D,
         partition=partition,
         loglik=loglik,
-        estimates={c.label: {"mean": mu} for c, mu in zip(partition.clusters, means)},
+        estimates={"mean": sums["swy"] / sums["sw"]},
         nuisance={"sigma2": float(sigma2)},
         flags=("degenerate_variance",) if sigma2 == stats.var_floor else (),
     )
@@ -275,10 +295,12 @@ def _score_gaussian_1d(stats: LevelStats, sums, i, j, model) -> np.ndarray:
 
 def _gaussian_nd_stats(stats: LevelStats) -> None:
     y, w, levels = _sorted_rows(stats)
-    wy = w[:, None] * y
-    stats.sw = np.array([w[s].sum() for s in levels])
-    stats.swy = np.array([wy[s].sum(axis=0) for s in levels])
-    stats.swyyt = np.array([np.einsum("i,ij,ik->jk", w[s], y[s], y[s]) for s in levels])
+    with np.errstate(over="ignore", invalid="ignore"):  # see _check_moments
+        wy = w[:, None] * y
+        stats.sw = np.array([w[s].sum() for s in levels])
+        stats.swy = np.array([wy[s].sum(axis=0) for s in levels])
+        stats.swyyt = np.array([np.einsum("i,ij,ik->jk", w[s], y[s], y[s]) for s in levels])
+    _check_moments(stats, stats.swyyt.diagonal(axis1=1, axis2=2))
 
 
 def _scatter_loglik(stats: LevelStats, sums, added=0.0):
@@ -294,12 +316,11 @@ def _scatter_loglik(stats: LevelStats, sums, added=0.0):
 
 def _fit_gaussian_nd(stats: LevelStats, partition: Partition, sums) -> FittedModel:
     loglik, cov, flags = _scatter_loglik(stats, sums)
-    means = sums["swy"] / sums["sw"][:, None]
     return FittedModel(
         family=GAUSSIAN_ND,
         partition=partition,
         loglik=loglik,
-        estimates={c.label: {"mean": mu} for c, mu in zip(partition.clusters, means)},
+        estimates={"mean": sums["swy"] / sums["sw"][:, None]},
         nuisance={"cov": cov},
         flags=flags,
     )
@@ -329,10 +350,10 @@ def _ensure_nonsingular(cov: np.ndarray, d: int) -> tuple[np.ndarray, tuple[str,
     raise SingularCovariance("pooled covariance singular after ridge")
 
 
-def _projected_means(model: FittedModel, levels, project) -> np.ndarray:
-    """1-D projection of the k level means in the Mahalanobis metric of the
-    pooled covariance; means that all coincide tie."""
-    means = np.array([model.estimates[f"({lv})"]["mean"] for lv in levels])
+def _projected_means(model: FittedModel, positions, project) -> np.ndarray:
+    """1-D projection of the means of the clusters at ``positions`` in the
+    Mahalanobis metric of the pooled covariance; means that all coincide tie."""
+    means = model.estimates["mean"][positions]
     chol = np.linalg.cholesky(model.nuisance["cov"])
     # z = chol^-1 mean by forward substitution: unlike a pivoting solve, it
     # leaves z bitwise equal if a response column is scaled by a power of two
@@ -342,7 +363,7 @@ def _projected_means(model: FittedModel, levels, project) -> np.ndarray:
     try:
         return project(z)
     except DegeneratePoints:
-        return np.zeros(len(levels))
+        return np.zeros(len(means))
 
 
 # ------------------------------------------------------------------ #
@@ -359,15 +380,14 @@ def _binomial_loglik(sw: np.ndarray, swy: np.ndarray, log=np.log) -> np.ndarray:
 
 def _fit_binomial(stats: LevelStats, partition: Partition, sums) -> FittedModel:
     sw, swy = sums["sw"], sums["swy"]
-    est = {}
-    for c, p in zip(partition.clusters, (swy / sw).tolist()):
-        logit = -math.inf if p <= 0.0 else math.inf if p >= 1.0 else math.log(p / (1.0 - p))
-        est[c.label] = {"p": p, "logit": logit}
+    p = swy / sw
+    with np.errstate(divide="ignore"):  # p = 0 or 1 gives a logit of -inf or inf
+        estimates = {"p": p, "logit": np.log(p / (1.0 - p))}
     return FittedModel(
         family=BINOMIAL,
         partition=partition,
         loglik=float(_pooled(_binomial_loglik(sw, swy, _math_log))),
-        estimates=est,
+        estimates=estimates,
         nuisance=None,
     )
 
@@ -466,11 +486,8 @@ def _fit_cox(stats: LevelStats, partition: Partition, sums) -> FittedModel:
     if stats.D.shape[1] == 0:
         raise NoEvents("survival data has no uncensored events")
     alpha, ll = _cox_newton(sums["D"], sums["R"], np.zeros(len(sums["D"])))
-    est = {
-        cl.label: {"alpha": a, "hazard_ratio": math.exp(a), "reference": j == 0}
-        for j, (cl, a) in enumerate(zip(partition.clusters, alpha.tolist()))
-    }
-    return FittedModel(family=SURVIVAL, partition=partition, loglik=ll, estimates=est)
+    return FittedModel(family=SURVIVAL, partition=partition, loglik=ll,
+                       estimates={"alpha": alpha, "hazard_ratio": _math_exp(alpha)})
 
 
 def _score_cox(stats: LevelStats, sums, i, j, model: FittedModel) -> np.ndarray:
@@ -478,8 +495,7 @@ def _score_cox(stats: LevelStats, sums, i, j, model: FittedModel) -> np.ndarray:
     # candidate's merged tables by Newton from the current fit, with the
     # merged pair's coefficients pooled by their events; a converged fit
     # leaves no cluster without events
-    labels = model.partition.labels
-    alpha = np.array([model.estimates[lb]["alpha"] for lb in labels])
+    labels, alpha = model.partition.labels, model.estimates["alpha"]
     events = np.add.reduce(sums["D"], axis=1)
     scores = []
     for a, b in zip(i.tolist(), j.tolist()):
@@ -526,8 +542,7 @@ FAMILIES = {
 
 def group_summary(model: FittedModel) -> dict:
     """Per-cluster scalar (or vector) summary keyed by cluster label."""
-    key = FAMILIES[model.family].estimate
-    return {label: est[key] for label, est in model.estimates.items()}
+    return dict(zip(model.partition.labels, model.estimates[FAMILIES[model.family].estimate]))
 
 
 def kaplan_meier(times: np.ndarray, events: np.ndarray):

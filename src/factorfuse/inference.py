@@ -130,24 +130,12 @@ class HistoryRow:
 
 
 def merging_history(path: MergingPath) -> list[HistoryRow]:
-    rows = [
-        HistoryRow(0, "", "", path.full_model.loglik, 1.0, 1.0)
-    ]
-    for i in range(1, len(path.steps)):
-        step = path.steps[i]
-        prev = path.steps[i - 1].model
-        stat_prev = lrt(step.model, prev)
+    rows = [HistoryRow(0, "", "", path.full_model.loglik, 1.0, 1.0)]
+    for i, (prev, step) in enumerate(zip(path.steps, path.steps[1:]), start=1):
+        stat_prev = lrt(step.model, prev.model)
         stat_full = lrt(step.model, path.full_model)
-        rows.append(
-            HistoryRow(
-                step=i,
-                group_a=step.merged_pair[0],
-                group_b=step.merged_pair[1],
-                loglik=step.model.loglik,
-                pval_vs_full=chi_square_sf(stat_full, i),
-                pval_vs_previous=chi_square_sf(stat_prev, 1),
-            )
-        )
+        rows.append(HistoryRow(i, *step.merged_pair, step.model.loglik,
+                               chi_square_sf(stat_full, i), chi_square_sf(stat_prev, 1)))
     return rows
 
 
@@ -212,19 +200,12 @@ def cut_step(path: MergingPath, criterion: SelectionCriterion) -> int:
     """Index of the selected step on the path."""
     if criterion.kind == "gic":
         return gic_profile(path, criterion.value).argmin_step
+    # the last step that the criterion keeps, else the full model
     if criterion.kind == "pvalue":
-        rows = merging_history(path)
-        chosen = 0
-        for row in rows:
-            if row.pval_vs_full > criterion.value:
-                chosen = row.step
-        return chosen
-    full_ll = path.full_model.loglik
-    chosen = 0
-    for i, step in enumerate(path.steps):
-        if step.model.loglik >= full_ll - criterion.value:
-            chosen = i
-    return chosen
+        return max((r.step for r in merging_history(path) if r.pval_vs_full > criterion.value),
+                   default=0)
+    floor = path.full_model.loglik - criterion.value
+    return max((i for i, s in enumerate(path.steps) if s.model.loglik >= floor), default=0)
 
 
 def cut_tree(path: MergingPath, criterion: SelectionCriterion) -> Partition:

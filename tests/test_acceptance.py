@@ -221,7 +221,7 @@ def test_criterion_7_cox_correctness():
         m = fit(data, g, singletons_of(g))
         grp01 = np.array([0] * half + [1] * (n - half))
         want = oracle_cox_alpha(data.values[:, 0], data.values[:, 1], grp01)
-        worst_alpha = max(worst_alpha, abs(m.estimates["(b)"]["alpha"] - want))
+        worst_alpha = max(worst_alpha, abs(m.estimates["alpha"][1] - want))
 
         null = fit(data, g, singletons_of(g).merge("(a)", "(b)"))
         times, events = data.values[:, 0], data.values[:, 1]

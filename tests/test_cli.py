@@ -361,6 +361,26 @@ def test_exit_3_on_nonbinary_binomial(tmp_path):
     assert rc == 3
 
 
+@pytest.mark.parametrize("header, rows", [
+    (("y", "group"), [(1e200, "a"), (1e200, "a"), (1e200, "b"), (2e200, "b")]),
+    (("y1", "y2", "group"), [(1e200, y2, lv) for lv, col in (("a", (0.5, 1.5, 2.0)),
+                                                             ("b", (0.1, 3.0, 1.0)))
+                             for y2 in col]),
+])
+def test_exit_3_without_warnings_when_squares_overflow(header, rows, tmp_path, capsys):
+    p = tmp_path / "huge.csv"
+    write_csv(p, header, rows)
+    responses = [arg for col in header[:-1] for arg in ("--response", col)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = run(["merge", "--input", p, "--family", "gaussian", *responses,
+                  "--factor", "group", "--out", tmp_path / "o"])
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        "error: responses too large or not finite: sum(w) * sum(w y^2) is not finite\n")
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 def test_exit_4_on_monotone_cox(tmp_path):
     # perfectly separated survival groups make the coefficient infinite
     rows = []

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from factorfuse import engine, families, fit, merge_factors, ordering_statistic
 from factorfuse.data import Grouping, Partition, ResponseData
 from factorfuse.engine import NEAR_TIE, _select
-from factorfuse.errors import InvalidStrategy
+from factorfuse.errors import FactorFuseError, InvalidStrategy
 from factorfuse.fixtures import make_fixture
 
 from conftest import (
@@ -77,22 +77,33 @@ def test_single_level_rejected():
 # adaptive matches the brute-force greedy oracle
 
 
+MAKE_DATA = {"gaussian1d": make_gaussian_data, "binomial": make_binomial_data,
+             "gaussianNd": make_gaussian_nd_data}
+
+
+def tie_heavy_binomial():
+    """24 levels of 3 rows, whose proportions are 0, 1/3, 2/3 and 1: most
+    candidate merges of a step tie exactly."""
+    successes = np.random.default_rng(24).permutation(np.arange(24) % 4)
+    return {f"G{i + 1}": [1.0] * s + [0.0] * (3 - s) for i, s in enumerate(successes.tolist())}
+
+
 @pytest.mark.parametrize("kind", ["gaussian1d", "binomial"])
 def test_adaptive_matches_greedy_oracle(kind, rng):
+    inputs = [tie_heavy_binomial()] if kind == "binomial" else []
     for _ in range(8):
         k = int(rng.integers(3, 7))
         if kind == "gaussian1d":
-            by = {f"G{i + 1}": list(rng.normal(i * 0.7, 1, 10)) for i in range(k)}
-            data, g = make_gaussian_data(by)
+            inputs.append({f"G{i + 1}": list(rng.normal(i * 0.7, 1, 10)) for i in range(k)})
         else:
-            by = {
+            inputs.append({
                 f"G{i + 1}": list(
                     rng.binomial(1, 0.15 + 0.7 * i / k, 10).astype(float)
                 )
                 for i in range(k)
-            }
-            data, g = make_binomial_data(by)
-        path = merge_factors(data, g, "adaptive")
+            })
+    for by in inputs:
+        path = merge_factors(*MAKE_DATA[kind](by), "adaptive")
         assert path_merge_sequence(path) == oracle_greedy_path(kind, by)
 
 
@@ -100,19 +111,20 @@ def test_adaptive_matches_greedy_oracle(kind, rng):
 def test_fast_adaptive_matches_adjacent_greedy_oracle(kind, rng):
     # in 1-D the best pair is almost always adjacent in the ordering anyway;
     # the MDS ordering of gaussianNd means is where adjacency bites
+    inputs = [tie_heavy_binomial()] if kind == "binomial" else []
     for _ in range(8):
         k = int(rng.integers(3, 9))
         if kind == "gaussian1d":
-            by = {f"G{i + 1}": list(rng.normal(rng.uniform(0, 3), 1, 10)) for i in range(k)}
-            data, g = make_gaussian_data(by)
+            inputs.append({f"G{i + 1}": list(rng.normal(rng.uniform(0, 3), 1, 10))
+                           for i in range(k)})
         elif kind == "gaussianNd":
-            by = {f"G{i + 1}": rng.normal(rng.uniform(0, 3, 2), 1.0, (10, 2)) for i in range(k)}
-            data, g = make_gaussian_nd_data(by)
+            inputs.append({f"G{i + 1}": rng.normal(rng.uniform(0, 3, 2), 1.0, (10, 2))
+                           for i in range(k)})
         else:
-            by = {f"G{i + 1}": list(rng.binomial(1, rng.uniform(0.1, 0.9), 10).astype(float))
-                  for i in range(k)}
-            data, g = make_binomial_data(by)
-        path = merge_factors(data, g, "fast-adaptive")
+            inputs.append({f"G{i + 1}": list(rng.binomial(1, rng.uniform(0.1, 0.9), 10)
+                                              .astype(float)) for i in range(k)})
+    for by in inputs:
+        path = merge_factors(*MAKE_DATA[kind](by), "fast-adaptive")
         want = oracle_greedy_path(kind, by, order=path.ordering, adjacent=True)
         assert path_merge_sequence(path) == want
 
@@ -294,6 +306,25 @@ def test_ordering_statistic_survival():
     data, g = make_survival_data(rows)
     # higher hazard (larger alpha) sorts later; "slow" has lower hazard
     assert ordering_statistic(data, g) == ("slow", "fast")
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "gaussianNd", "binomial", "survival"])
+def test_ordering_statistic_reads_a_full_model_in_any_cluster_order(kind):
+    fx = make_fixture(kind, 6, 20, 1.0, 3)
+    reversed_full = fit(fx.data, fx.grouping, Partition.singletons(fx.grouping.levels[::-1]))
+    assert ordering_statistic(fx.data, fx.grouping, reversed_full) == (
+        ordering_statistic(fx.data, fx.grouping))
+
+
+def test_ordering_statistic_refuses_a_model_not_one_cluster_per_level():
+    fx4, fx5 = (make_fixture("gaussian", k, 10, 1.0, 0) for k in (4, 5))
+    singletons = Partition.singletons(fx4.grouping.levels)
+    coarse = fit(fx4.data, fx4.grouping, singletons.merge(*singletons.labels[:2]))
+    full4, full5 = (fit(fx.data, fx.grouping, Partition.singletons(fx.grouping.levels))
+                    for fx in (fx4, fx5))
+    for fx, model in ((fx4, coarse), (fx5, full4), (fx4, full5)):
+        with pytest.raises(FactorFuseError, match="not one cluster per level of the grouping"):
+            ordering_statistic(fx.data, fx.grouping, model)
 
 
 def test_ordering_statistic_gaussian_nd_projects_the_k_means(monkeypatch):

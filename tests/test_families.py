@@ -59,7 +59,7 @@ class TestGaussian1d:
     def test_single_cluster_closed_form(self):
         data, g = make_gaussian_data({"a": [1, 1, 2, 2]})
         m = fit(data, g, singletons_of(g))
-        assert m.estimates["(a)"]["mean"] == pytest.approx(1.5)
+        assert m.estimates["mean"][0] == pytest.approx(1.5)
         # frozen from an independent closed-form evaluation
         assert m.loglik == pytest.approx(-2.903165410579, abs=1e-9)
 
@@ -100,9 +100,9 @@ class TestGaussian1d:
         mw = fit(dw, gw, singletons_of(gw))
         mr = fit(dr, gr, singletons_of(gr))
         assert mw.loglik == pytest.approx(mr.loglik, abs=1e-10)
-        for lab in ("(a)", "(b)"):
-            assert mw.estimates[lab]["mean"] == pytest.approx(
-                mr.estimates[lab]["mean"], abs=1e-10
+        for s in (0, 1):
+            assert mw.estimates["mean"][s] == pytest.approx(
+                mr.estimates["mean"][s], abs=1e-10
             )
 
     @given(
@@ -184,13 +184,16 @@ class TestBinomial:
         data, g = make_binomial_data({"a": [1, 1, 0, 0]})
         m = fit(data, g, singletons_of(g))
         assert m.loglik == pytest.approx(4 * math.log(0.5), abs=1e-12)
-        assert m.estimates["(a)"]["p"] == pytest.approx(0.5)
+        assert m.estimates["p"][0] == pytest.approx(0.5)
 
     def test_degenerate_proportion_finite(self):
-        data, g = make_binomial_data({"a": [1, 1, 1]})
-        m = fit(data, g, singletons_of(g))
+        data, g = make_binomial_data({"a": [1, 1, 1], "b": [0, 0]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = fit(data, g, singletons_of(g))
         assert m.loglik == pytest.approx(0.0, abs=1e-12)
-        assert m.estimates["(a)"]["logit"] == math.inf
+        assert m.estimates["logit"][0] == math.inf
+        assert m.estimates["logit"][1] == -math.inf
 
     def test_two_cluster_frozen_value(self):
         data, g = make_binomial_data({"a": [1, 0, 0], "b": [1, 1, 0]})
@@ -243,7 +246,7 @@ class TestCox:
         events = data.values[:, 1]
         grp01 = np.array([0, 0, 0, 1, 1, 1])
         want = oracle_cox_alpha(times, events, grp01)
-        assert m.estimates["(b)"]["alpha"] == pytest.approx(want, abs=1e-5)
+        assert m.estimates["alpha"][1] == pytest.approx(want, abs=1e-5)
         # frozen loglik from the same independent maximization
         assert m.loglik == pytest.approx(-6.338172707031, abs=1e-6)
 
@@ -266,13 +269,13 @@ class TestCox:
         rows = [(1.0, 1), (2.0, 0), (3.0, 1)]
         data, g = make_survival_data({"a": rows, "b": rows})
         m = fit(data, g, singletons_of(g))
-        assert m.estimates["(b)"]["alpha"] == pytest.approx(0.0, abs=1e-8)
+        assert m.estimates["alpha"][1] == pytest.approx(0.0, abs=1e-8)
 
     def test_reference_cluster_is_first(self):
         data, g = make_survival_data(COX_ROWS)
         m = fit(data, g, singletons_of(g))
-        assert m.estimates["(a)"]["alpha"] == 0.0
-        assert m.estimates["(a)"]["reference"] is True
+        assert m.estimates["alpha"][0] == 0.0
+        assert m.partition.labels[0] == "(a)"
 
     def test_no_events_raises(self):
         data, g = make_survival_data({"a": [(1.0, 0)], "b": [(2.0, 0)]})
@@ -292,7 +295,7 @@ class TestCox:
         events = data.values[:, 1]
         grp01 = np.array([0, 0, 0, 1, 1])
         want = oracle_cox_alpha(times, events, grp01)
-        assert m.estimates["(b)"]["alpha"] == pytest.approx(want, abs=1e-5)
+        assert m.estimates["alpha"][1] == pytest.approx(want, abs=1e-5)
 
     def test_multi_cluster_fits_match_scipy_oracle(self, rng):
         for _ in range(8):
@@ -309,8 +312,7 @@ class TestCox:
                 cluster = np.array([cluster_of[lv] for lv in g.labels])
                 alpha, ll = oracle_cox_fit(values[:, 0], values[:, 1], cluster)
                 assert m.loglik == pytest.approx(ll, abs=1e-8)
-                got = [m.estimates[c.label]["alpha"] for c in part.clusters]
-                assert np.allclose(got, alpha, rtol=0.0, atol=1e-5)
+                assert np.allclose(m.estimates["alpha"], alpha, rtol=0.0, atol=1e-5)
                 part = part.merge(part.labels[0], part.labels[-1])
 
     @pytest.mark.parametrize("rows", [
