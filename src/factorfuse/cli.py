@@ -307,9 +307,9 @@ def cmd_merge(args) -> int:
             "ordering": list(path.ordering),
             "steps": [
                 {
-                    "step": i,
-                    "groupA": s.merged_pair[0] if s.merged_pair else "",
-                    "groupB": s.merged_pair[1] if s.merged_pair else "",
+                    "step": r.step,
+                    "groupA": r.group_a,
+                    "groupB": r.group_b,
                     "loglik": s.model.loglik,
                     "clusterCount": s.model.partition.size,
                     "clusters": [
@@ -318,7 +318,7 @@ def cmd_merge(args) -> int:
                     ],
                     "flags": list(s.model.flags),
                 }
-                for i, s in enumerate(path.steps)
+                for s, r in zip(path.steps, history)
             ],
         },
         "history": history_rows,

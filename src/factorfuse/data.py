@@ -177,9 +177,11 @@ class Cluster:
 class Partition:
     """An ordered, disjoint, exhaustive grouping of the original levels.
 
-    Cluster order is meaningful: the fast strategies merge only clusters
-    adjacent in this order, and a merged cluster takes the position of its
-    left child.  The cluster labels are worked out once, in cluster order.
+    A cluster is identified by its position.  Cluster order is meaningful:
+    the fast strategies merge only clusters adjacent in this order, and a
+    merged cluster takes the position of its left child.  The cluster labels
+    are display text, worked out once, in cluster order; they can repeat, as
+    when a level name contains ``)(``.
     """
 
     clusters: tuple[Cluster, ...]
@@ -199,19 +201,16 @@ class Partition:
     def level_set(self) -> frozenset[str]:
         return frozenset(m for c in self.clusters for m in c.members)
 
-    def merge(self, label_a: str, label_b: str) -> "Partition":
-        """Merge two clusters; the result sits at the left child's position
-        and its label is the concatenation in merge order."""
-        labels = self.labels
-        for label in (label_a, label_b):
-            if label not in labels:
-                raise FactorFuseError(f"no cluster labelled {label!r} to merge")
-        ia, ib = labels.index(label_a), labels.index(label_b)
-        if ia == ib:
+    def merge(self, a: int, b: int) -> "Partition":
+        """Merge the clusters at positions a and b, in either order; the members
+        are a's then b's, and the result sits at the smaller position."""
+        c = self.clusters
+        if not (0 <= a < len(c) and 0 <= b < len(c)):
+            raise FactorFuseError(f"cannot merge positions {a} and {b} of {len(c)} clusters")
+        if a == b:
             raise FactorFuseError("cannot merge a cluster with itself")
-        # member order is merge order (a then b), which drives the label
-        c, (lo, hi) = self.clusters, sorted((ia, ib))
-        merged = Cluster(c[ia].members + c[ib].members)
+        lo, hi = sorted((a, b))
+        merged = Cluster(c[a].members + c[b].members)
         return Partition(c[:lo] + (merged,) + c[lo + 1:hi] + c[hi + 1:])
 
     def is_coarsening_of(self, finer: "Partition") -> bool:

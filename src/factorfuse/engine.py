@@ -43,9 +43,11 @@ NEAR_TIE = 1e-9
 
 @dataclass(frozen=True)
 class PathStep:
-    """One model on the path; ``merged_pair`` is None for the full model."""
+    """One model on the path; ``merged_pair`` holds the positions (a, b), a < b,
+    of the clusters merged in the previous step's partition (None for the full
+    model), and :func:`~factorfuse.inference.merging_history` their labels."""
 
-    merged_pair: tuple[str, str] | None
+    merged_pair: tuple[int, int] | None
     model: FittedModel
 
 
@@ -187,15 +189,15 @@ class _Clusters:
         """Merge the clusters at positions a < b and fit the result; the merged
         cluster takes position a and the clusters after b move up by one.  Only
         the merged cluster is summed afresh, as :func:`cluster_sums` sums it."""
-        labels, stats, codes = self.model.partition.labels, self.stats, self.codes
+        stats, codes = self.stats, self.codes
         codes[a] = np.sort(np.concatenate((codes[a], codes.pop(b))))
         self.sums = {name: np.delete(s, b, axis=0) for name, s in self.sums.items()}
         for name, s in self.sums.items():
             s[a] = np.add.reduce(getattr(stats, name)[codes[a]])
-        partition = self.model.partition.merge(labels[a], labels[b])
+        partition = self.model.partition.merge(a, b)
         self.model = stats.family.fit(stats, partition, self.sums)
         self.counts["path"] += 1
-        return PathStep((labels[a], labels[b]), self.model)
+        return PathStep((a, b), self.model)
 
 
 # ------------------------------------------------------------------ #

@@ -136,7 +136,8 @@ def fit(data: ResponseData, grouping: Grouping, partition: Partition) -> FittedM
 
 
 def fit_stats(stats: LevelStats, partition: Partition) -> FittedModel:
-    """Fit from precomputed level statistics (the engine's hot path)."""
+    """Fit from precomputed level statistics, after checking that
+    ``partition`` holds each level once; the merge loop fits its full model here."""
     have = frozenset(stats.levels)
     members = Counter(m for c in partition.clusters for m in c.members)
     missing = members.keys() - have
@@ -208,7 +209,8 @@ def _pooled(per_cluster: np.ndarray) -> np.ndarray:
 
 def _ward(sw: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """w_i w_j / (w_i + w_j): the scatter a merge adds per squared mean gap."""
-    return sw[i] * sw[j] / (sw[i] + sw[j])
+    # the fraction is at most 1, so no product of two weight sums can overflow
+    return sw[i] / (sw[i] + sw[j]) * sw[j]
 
 
 def _estimate(key: str) -> Callable:

@@ -134,7 +134,8 @@ def merging_history(path: MergingPath) -> list[HistoryRow]:
     for i, (prev, step) in enumerate(zip(path.steps, path.steps[1:]), start=1):
         stat_prev = lrt(step.model, prev.model)
         stat_full = lrt(step.model, path.full_model)
-        rows.append(HistoryRow(i, *step.merged_pair, step.model.loglik,
+        a, b = (prev.model.partition.labels[s] for s in step.merged_pair)
+        rows.append(HistoryRow(i, a, b, step.model.loglik,
                                chi_square_sf(stat_full, i), chi_square_sf(stat_prev, 1)))
     return rows
 

@@ -17,7 +17,7 @@ import numpy as np
 from .data import Grouping, ResponseData
 from .engine import MergingPath, ordering_statistic
 from .errors import IncompatiblePanel
-from .families import FAMILIES, FittedModel, group_summary, kaplan_meier
+from .families import FAMILIES, FittedModel, kaplan_meier
 from .inference import (
     GicProfile,
     HistoryRow,
@@ -126,8 +126,6 @@ class TreeJoin:
     step: int
     x: float
     y: float
-    child_a: str
-    child_b: str
     y_a: float
     y_b: float
     x_a: float
@@ -163,71 +161,48 @@ def layout_tree(
     grouping: Grouping,
     gic: GicProfile,
 ) -> TreeLayout:
-    order = path.ordering or ordering_statistic(data, grouping, full_model=path.full_model)
-    # display value per level; a vector summary shows its first coordinate
-    summary = group_summary(path.full_model)
-    effects = {lv: float(np.ravel(summary[f"({lv})"])[0]) for lv in grouping.levels}
+    """A leaf per level, in the plot's level order, and a join per step at
+    its ``merged_pair`` positions; cluster labels, which can repeat, key
+    nothing."""
+    full = path.full_model
+    order = path.ordering or ordering_statistic(data, grouping, full_model=full)
+    # display value per level, read from the full model's clusters by
+    # position; a vector estimate shows its first coordinate
+    estimate = full.estimates[FAMILIES[full.family].estimate]
+    effects = dict(zip((c.members[0] for c in full.partition.clusters),
+                       estimate.reshape(len(estimate), -1)[:, 0].tolist()))
     palette = PALETTES.get(spec.palette, DEFAULT_PALETTE)
     colors = _optimal_colors(path, gic, palette)
 
-    k = len(order)
+    # every path has k >= 2 levels, so the leaves span [0, 1]
+    ys = np.linspace(0.0, 1.0, len(order))
     if spec.nodes_spacing == "effects":
-        vals = np.array([effects[lv] for lv in order], dtype=float)
+        vals = np.array([effects[lv] for lv in order])
         span = float(vals.max() - vals.min())
         if span > 0:
             ys = (vals - vals.min()) / span
-        else:
-            ys = np.linspace(0.0, 1.0, k)
-    else:
-        ys = np.linspace(0.0, 1.0, k) if k > 1 else np.array([0.5])
-
-    leaf_x = path.full_model.loglik
-    y_of = {f"({lv})": float(ys[i]) for i, lv in enumerate(order)}
-    x_of = {f"({lv})": leaf_x for lv in order}
+    leaf_y = dict(zip(order, ys.tolist()))
 
     leaves = tuple(
-        TreeLeaf(
-            level=lv,
-            label=f"({lv})",
-            y=float(ys[i]),
-            color=colors[lv],
-            summary=effects[lv],
-        )
-        for i, lv in enumerate(order)
+        TreeLeaf(level=lv, label=f"({lv})", y=leaf_y[lv], color=colors[lv], summary=effects[lv])
+        for lv in order
     )
 
+    # where each cluster of the partition before a step is drawn, by position
+    y = [leaf_y[c.members[0]] for c in full.partition.clusters]
+    x = [full.loglik] * len(y)
     joins = []
-    for i in range(1, len(path.steps)):
-        step = path.steps[i]
+    for i, step in enumerate(path.steps[1:], start=1):
         a, b = step.merged_pair
-        x = step.model.loglik
-        ya, yb = y_of[a], y_of[b]
-        y = 0.5 * (ya + yb)
-        joins.append(
-            TreeJoin(
-                step=i,
-                x=x,
-                y=y,
-                child_a=a,
-                child_b=b,
-                y_a=ya,
-                y_b=yb,
-                x_a=x_of[a],
-                x_b=x_of[b],
-                stars=_stars(history[i].pval_vs_previous),
-            )
-        )
-        label = a + b
-        y_of[label] = y
-        x_of[label] = x
+        join = TreeJoin(step=i, x=step.model.loglik, y=0.5 * (y[a] + y[b]), y_a=y[a],
+                        y_b=y[b], x_a=x[a], x_b=x[b],
+                        stars=_stars(history[i].pval_vs_previous))
+        joins.append(join)
+        y[a], x[a] = join.y, join.x
+        del y[b], x[b]
 
     logliks = [s.model.loglik for s in path.steps]
-    return TreeLayout(
-        leaves=leaves,
-        joins=tuple(joins),
-        loglik_range=(min(logliks), max(logliks)),
-        colors=colors,
-    )
+    return TreeLayout(leaves, tuple(joins), (min(logliks), max(logliks)), colors)
 
 
 # ------------------------------------------------------------------ #

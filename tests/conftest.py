@@ -24,6 +24,15 @@ from factorfuse.families import _cox_newton, merge_sums
 # dataset builders
 
 
+# Levels a, b, a)(b and z, with b near a and z near a)(b: once a and b merge,
+# the clusters {a, b} and {a)(b} share the label (a)(b), and only their
+# positions tell them apart
+COLLIDING_LABELS = {
+    "a": [0.0, 1.0, 2.0], "b": [0.1, 1.1, 2.1],
+    "a)(b": [5.0, 6.0, 7.0], "z": [5.2, 6.2, 7.2],
+}
+
+
 def make_gaussian_data(values_by_level: dict[str, list[float]]):
     vals, labels = [], []
     for lv, vs in values_by_level.items():

@@ -24,6 +24,7 @@ from factorfuse import (
     gic_profile,
     lrt,
     merge_factors,
+    merging_history,
 )
 from factorfuse.cli import main as cli_main
 from factorfuse.data import Grouping, Partition, ResponseData
@@ -50,7 +51,7 @@ def report(num: int, name: str, ok: bool, detail: str = ""):
 
 
 def merge_sequence(path):
-    return [s.merged_pair for s in path.steps[1:]]
+    return [(r.group_a, r.group_b) for r in merging_history(path)[1:]]
 
 
 def partition_as_sets(partition: Partition):
@@ -223,7 +224,7 @@ def test_criterion_7_cox_correctness():
         want = oracle_cox_alpha(data.values[:, 0], data.values[:, 1], grp01)
         worst_alpha = max(worst_alpha, abs(m.estimates["alpha"][1] - want))
 
-        null = fit(data, g, singletons_of(g).merge("(a)", "(b)"))
+        null = fit(data, g, singletons_of(g).merge(0, 1))
         times, events = data.values[:, 0], data.values[:, 1]
         closed = sum(
             -math.log(float((times >= t).sum()))
@@ -335,8 +336,7 @@ def test_criterion_11_adaptive_vs_fixed_divergence():
         pre = pa.steps[diverged].model.partition
         assert pre == pf.steps[diverged].model.partition
         adaptive_ll = pa.steps[diverged + 1].model.loglik
-        fixed_pair = seq_f[diverged]
-        fixed_ll = fit(data, g, pre.merge(*fixed_pair)).loglik
+        fixed_ll = fit(data, g, pre.merge(*pf.steps[diverged + 1].merged_pair)).loglik
         ok &= adaptive_ll >= fixed_ll - 1e-12
         detail = (f"diverge at merge {diverged + 1}, adaptive "
                   f"{adaptive_ll:.4f} vs fixed {fixed_ll:.4f}")

@@ -12,10 +12,13 @@ from factorfuse.cli import (
     format_history_csv,
     main,
 )
-from factorfuse import families
+from factorfuse import families, fit
+from factorfuse.data import Cluster, Partition
 from factorfuse.errors import FactorFuseError, IncompatiblePanel, MonotoneLikelihood, NonConvergence
 from factorfuse.fixtures import make_fixture
 from factorfuse.viz import RESPONSE_PANELS, check_panel_compat
+
+from conftest import COLLIDING_LABELS, make_gaussian_data
 
 
 def run(argv):
@@ -351,6 +354,26 @@ def test_exit_3_on_single_level(tmp_path):
     rc = run(["merge", "--input", p, "--family", "gaussian", "--response", "y",
               "--factor", "group", "--out", tmp_path / "o"])
     assert rc == 3
+
+
+@pytest.mark.parametrize("method", ["adaptive", "fast-adaptive", "fixed", "fast-fixed"])
+def test_merge_with_repeated_cluster_labels(method, tmp_path):
+    # two clusters labelled (a)(b) after step 1, and step 2 merges the second
+    # with (z): each step's loglik is the fit of the clusters it lists
+    p = tmp_path / "data.csv"
+    write_csv(p, ("y", "group"), [(v, lv) for lv, vs in COLLIDING_LABELS.items() for v in vs])
+    out = tmp_path / "o"
+    assert run(["merge", "--input", p, "--family", "gaussian", "--response", "y",
+                "--factor", "group", "--method", method, "--out", out]) == 0
+    data, g = make_gaussian_data(COLLIDING_LABELS)
+    steps = json.loads((out / "result.json").read_text())["path"]["steps"]
+    assert [s["step"] for s in steps] == [0, 1, 2, 3]
+    assert [c["label"] for c in steps[1]["clusters"]] == ["(a)(b)", "(a)(b)", "(z)"]
+    assert (steps[2]["groupA"], steps[2]["groupB"]) == ("(a)(b)", "(z)")
+    assert steps[2]["clusters"][1]["members"] == ["a)(b", "z"]
+    for step in steps:
+        partition = Partition(tuple(Cluster(tuple(c["members"])) for c in step["clusters"]))
+        assert step["loglik"] == fit(data, g, partition).loglik
 
 
 def test_exit_3_on_nonbinary_binomial(tmp_path):

@@ -165,14 +165,17 @@ def test_fixture_extras():
 
 def test_partition_merge():
     part = Partition.singletons(("a", "b", "c", "d"))
-    # the merged cluster takes the left child's place, its label merge order
-    assert part.merge("(d)", "(b)").labels == ("(a)", "(d)(b)", "(c)")
-    assert part.merge("(a)", "(b)").merge("(c)", "(a)(b)").labels == ("(c)(a)(b)", "(d)")
+    # merging b into d: the members keep merge order, at b's position
+    into_d = part.merge(3, 1)
+    assert into_d.labels == ("(a)", "(d)(b)", "(c)")
+    assert into_d.clusters[1].members == ("d", "b")
+    assert part.merge(0, 1).merge(1, 0).labels == ("(c)(a)(b)", "(d)")
     with pytest.raises(FactorFuseError, match="cannot merge a cluster with itself"):
-        part.merge("(a)", "(a)")
-    for a, b, missing in [("(a)", "(e)", "(e)"), ("(e)", "(a)", "(e)"),
-                          ("(a)(b)", "(c)", "(a)(b)")]:
+        part.merge(0, 0)
+    # positions past the end, and negative ones, which would index from the end
+    for p, a, b in [(part, 0, 4), (part, 4, 0), (part, -1, 0), (part, 1, -4),
+                    (into_d, 0, 3)]:
         with pytest.raises(FactorFuseError) as exc:
-            part.merge(a, b)
+            p.merge(a, b)
         assert type(exc.value) is FactorFuseError
-        assert str(exc.value) == f"no cluster labelled {missing!r} to merge"
+        assert str(exc.value) == f"cannot merge positions {a} and {b} of {p.size} clusters"

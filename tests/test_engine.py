@@ -7,13 +7,14 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from factorfuse import engine, families, fit, merge_factors, ordering_statistic
+from factorfuse import engine, families, fit, merge_factors, merging_history, ordering_statistic
 from factorfuse.data import Grouping, Partition, ResponseData
 from factorfuse.engine import NEAR_TIE, _select
 from factorfuse.errors import FactorFuseError, InvalidStrategy
 from factorfuse.fixtures import make_fixture
 
 from conftest import (
+    COLLIDING_LABELS,
     make_binomial_data,
     make_gaussian_data,
     make_gaussian_nd_data,
@@ -30,7 +31,7 @@ STRATEGIES = ("adaptive", "fast-adaptive", "fixed", "fast-fixed")
 
 
 def path_merge_sequence(path):
-    return [s.merged_pair for s in path.steps[1:]]
+    return [(r.group_a, r.group_b) for r in merging_history(path)[1:]]
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +57,8 @@ def test_k2_single_merge(strategy):
     data, g = make_gaussian_data({"a": [0.0, 1.0], "b": [5.0, 6.0]})
     path = merge_factors(data, g, strategy)
     assert len(path.steps) == 2
-    assert path.steps[1].merged_pair == ("(a)", "(b)")
+    assert path.steps[1].merged_pair == (0, 1)
+    assert path_merge_sequence(path) == [("(a)", "(b)")]
     assert path.steps[1].model.partition.labels == ("(a)(b)",)
 
 
@@ -171,11 +173,11 @@ def test_near_tie_merges_lexicographic_pair():
     by = {"A": [-0.25, 0.25], "B": [0.05, 0.55], "C": [0.35, 0.85]}
     data, g = make_gaussian_data(by)
     full = Partition.singletons(g.levels)
-    ab, bc = (fit(data, g, full.merge(a, b)).loglik for a, b in (("(A)", "(B)"), ("(B)", "(C)")))
+    ab, bc = (fit(data, g, full.merge(a, b)).loglik for a, b in ((0, 1), (1, 2)))
     assert 0.0 < bc - ab < NEAR_TIE
     for strategy in STRATEGIES:
         path = merge_factors(data, g, strategy)
-        assert path.steps[1].merged_pair == ("(A)", "(B)"), strategy
+        assert path_merge_sequence(path)[0] == ("(A)", "(B)"), strategy
 
 
 _LABELS = st.lists(
@@ -190,6 +192,8 @@ _SCORES = st.lists(st.sampled_from([0.0, -0.5e-9, -1e-9, -2e-9, -1.0]), min_size
 
 @given(labels=_LABELS, scores=_SCORES)
 @example(labels=["(A)(B)", "(A)", "(B)"], scores=[0.0] * 21)
+# repeated labels: the tie between (0, 2) and (1, 2) goes to the leftmost
+@example(labels=["(x)", "(x)", "(y)"], scores=[-1.0] + [0.0] * 20)
 def test_select_matches_label_tuple_rule(labels, scores):
     labels = tuple(labels)
     i, j = np.triu_indices(len(labels), k=1)
@@ -208,7 +212,7 @@ def test_identical_clusters_merge_first(rng):
     }
     data, g = make_gaussian_data(by)
     path = merge_factors(data, g, "adaptive")
-    assert path.steps[1].merged_pair == ("(A)", "(B)")
+    assert path_merge_sequence(path)[0] == ("(A)", "(B)")
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +323,7 @@ def test_ordering_statistic_reads_a_full_model_in_any_cluster_order(kind):
 def test_ordering_statistic_refuses_a_model_not_one_cluster_per_level():
     fx4, fx5 = (make_fixture("gaussian", k, 10, 1.0, 0) for k in (4, 5))
     singletons = Partition.singletons(fx4.grouping.levels)
-    coarse = fit(fx4.data, fx4.grouping, singletons.merge(*singletons.labels[:2]))
+    coarse = fit(fx4.data, fx4.grouping, singletons.merge(0, 1))
     full4, full5 = (fit(fx.data, fx.grouping, Partition.singletons(fx.grouping.levels))
                     for fx in (fx4, fx5))
     for fx, model in ((fx4, coarse), (fx5, full4), (fx4, full5)):
@@ -399,8 +403,8 @@ def test_fixed_matches_scipy_complete_linkage(rng):
         path = merge_factors(data, g, "fixed")
         got = []
         for prev, step in zip(path.steps, path.steps[1:]):
-            of = {c.label: frozenset(c.members) for c in prev.model.partition.clusters}
-            got.append({of[label] for label in step.merged_pair})
+            clusters = prev.model.partition.clusters
+            got.append({frozenset(clusters[s].members) for s in step.merged_pair})
         assert got == want
 
 
@@ -452,7 +456,7 @@ def test_repeat_runs_identical(strategy, rng):
     assert [s.model.loglik for s in p1.steps] == [s.model.loglik for s in p2.steps]
 
 
-@pytest.mark.parametrize("kind", ["gaussian", "binomial", "gaussianNd", "survival"])
+@pytest.mark.parametrize("kind", ["gaussian", "binomial", "gaussianNd", "survival", "collision"])
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_kept_sums_equal_cluster_sums(kind, strategy, monkeypatch):
     # path fits read the sums the loop keeps; a fresh cluster_sums of each
@@ -475,9 +479,13 @@ def test_kept_sums_equal_cluster_sums(kind, strategy, monkeypatch):
         return step
 
     monkeypatch.setattr(engine._Clusters, "merge", checked_merge)
-    fx = make_fixture(kind, 12, 20, 1.0, 0)
-    merge_factors(fx.data, fx.grouping, strategy)
-    assert len(merges) == 11
+    if kind == "collision":
+        data, g = make_gaussian_data(COLLIDING_LABELS)
+    else:
+        fx = make_fixture(kind, 12, 20, 1.0, 0)
+        data, g = fx.data, fx.grouping
+    merge_factors(data, g, strategy)
+    assert len(merges) == g.k - 1
 
 
 # ---------------------------------------------------------------------------
@@ -535,5 +543,5 @@ def test_gaussian_nd_path(rng):
         path = merge_factors(data, g, strategy)
         assert len(path.steps) == 4
     # near clusters merge before far ones under adaptive
-    first = merge_factors(data, g, "adaptive").steps[1].merged_pair
+    first = path_merge_sequence(merge_factors(data, g, "adaptive"))[0]
     assert set(first) in ({"(A)", "(B)"}, {"(C)", "(D)"})

@@ -100,7 +100,7 @@ class TestLrt:
         data, g = make_gaussian_data({"a": [0.0, 1.0, 0.5], "b": [4.0, 5.0, 4.5]})
         fine = singletons_of(g)
         m2 = fit(data, g, fine)
-        m1 = fit(data, g, fine.merge("(a)", "(b)"))
+        m1 = fit(data, g, fine.merge(0, 1))
         vals = data.values
         rss2 = sum(
             float(((vals[i : i + 3] - vals[i : i + 3].mean()) ** 2).sum())
@@ -113,8 +113,8 @@ class TestLrt:
     def test_not_nested_rejected(self):
         data, g = make_gaussian_data({"a": [0.0, 1], "b": [2.0, 3], "c": [5.0, 6]})
         fine = singletons_of(g)
-        m_ab = fit(data, g, fine.merge("(a)", "(b)"))
-        m_bc = fit(data, g, fine.merge("(b)", "(c)"))
+        m_ab = fit(data, g, fine.merge(0, 1))
+        m_bc = fit(data, g, fine.merge(1, 2))
         with pytest.raises(NotNested):
             lrt(m_ab, m_bc)
 
@@ -137,7 +137,7 @@ class TestLrt:
         data, g = make_gaussian_data({"a": [0.0, 1], "b": [9.0, 10]})
         fine = singletons_of(g)
         m2 = fit(data, g, fine)
-        m1 = fit(data, g, fine.merge("(a)", "(b)"))
+        m1 = fit(data, g, fine.merge(0, 1))
         # corrupt the finer model's loglik below the coarser one's
         bad = dataclasses.replace(m2, loglik=m1.loglik - 1e-3)
         with pytest.raises(NumericalInconsistency):
@@ -149,7 +149,7 @@ class TestLrt:
         data, g = make_gaussian_data({"a": [0.0, 1], "b": [9.0, 10]})
         fine = singletons_of(g)
         m2 = fit(data, g, fine)
-        m1 = fit(data, g, fine.merge("(a)", "(b)"))
+        m1 = fit(data, g, fine.merge(0, 1))
         near = dataclasses.replace(m2, loglik=m1.loglik - 1e-10)
         assert lrt(m1, near) == 0.0
 
