@@ -11,7 +11,7 @@ import csv
 import json
 import sys
 import time
-from itertools import chain, compress
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -126,25 +126,34 @@ def _parse_float(raw: str) -> float:
         return np.nan
 
 
-def _load_csv(path: Path) -> tuple[list[str], list[list[str]]]:
-    """Header and data rows; blank lines are dropped, as ``csv.DictReader``
-    drops them, and take no row number."""
+def _read_columns(path: Path, names: list[str]) -> dict[str, list[str]]:
+    """Cells of each of ``names`` that the header has, read in one pass over
+    the file; no other cell is kept.  Blank lines are dropped, as
+    ``csv.DictReader`` drops them, and take no row number.  A repeated header
+    name reads its last column, and a row too short to reach a column reads an
+    empty cell there."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None:
                 raise DataError(f"{path}: empty file")
-            return header, [row for row in reader if row]
-    except OSError as exc:
+            index = {h: i for i, h in enumerate(header)}
+            columns = {name: [] for name in names if name in index}
+            picks = [(cells.append, index[name]) for name, cells in columns.items()]
+            width = max((j + 1 for _, j in picks), default=0)
+            for row in reader:
+                if len(row) < width:
+                    if not row:
+                        continue
+                    row += [""] * (width - len(row))
+                for append, j in picks:
+                    append(row[j])
+            return columns
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-
-
-def _column(header: list[str], rows: list[list[str]], name: str) -> list[str]:
-    """Cells of column ``name``: a repeated name reads its last column, and a
-    row too short to reach it reads an empty cell."""
-    j = {h: i for i, h in enumerate(header)}[name]
-    return [row[j] if j < len(row) else "" for row in rows]
+    except csv.Error as exc:
+        raise DataError(f"cannot read {path}: line {reader.line_num}: {exc}") from exc
 
 
 def _build_dataset(args) -> tuple[ResponseData, Grouping, dict]:
@@ -153,16 +162,23 @@ def _build_dataset(args) -> tuple[ResponseData, Grouping, dict]:
     A row is rejected when its label, a response or its weight is missing;
     out-of-domain responses and weights <= 0 raise, naming the first such
     row.  Within a row the checks run in that order: label, response, domain,
-    weight present, weight positive.
+    weight present, weight positive.  Labels are stripped, tested and
+    abbreviated once per distinct raw label, and each row carries its label's
+    code.
     """
-    header, rows = _load_csv(Path(args.input))
+    survival = args.family == "survival"
+    response_cols = [args.time, args.event] if survival else args.response or []
+    needed = [*response_cols, args.factor]
+    if args.weights:
+        needed.append(args.weights)
+    # the whole file is read before the arguments are checked, so a file error
+    # comes first
+    columns = _read_columns(Path(args.input), needed)
 
-    if args.family == "survival":
+    if survival:
         if not args.time or not args.event:
             raise ConfigError("survival needs --time and --event columns")
-        response_cols = [args.time, args.event]
     else:
-        response_cols = args.response or []
         if not response_cols:
             raise ConfigError("--response is required for this family")
         if args.family == "binomial" and len(response_cols) != 1:
@@ -170,22 +186,24 @@ def _build_dataset(args) -> tuple[ResponseData, Grouping, dict]:
     kind = {"survival": SURVIVAL, "binomial": BINOMIAL}.get(
         args.family, GAUSSIAN_1D if len(response_cols) == 1 else GAUSSIAN_ND)
     domain = DOMAINS[kind]
-    needed = [*response_cols, args.factor]
-    if args.weights:
-        needed.append(args.weights)
-    missing_cols = [c for c in needed if c not in header]
+    missing_cols = [c for c in needed if c not in columns]
     if missing_cols:
         raise DataError(f"missing columns: {missing_cols}")
 
-    def numbers(name: str) -> np.ndarray:
-        return np.fromiter(map(_parse_float, _column(header, rows, name)), float, len(rows))
+    raw_labels = columns[args.factor]
+    n = len(raw_labels)
 
-    labels = [cell.strip() for cell in _column(header, rows, args.factor)]
+    def numbers(name: str) -> np.ndarray:
+        return np.fromiter(map(_parse_float, columns[name]), float, n)
+
+    code_of = {raw: c for c, raw in enumerate(dict.fromkeys(raw_labels))}
+    codes = np.fromiter(map(code_of.__getitem__, raw_labels), np.intp, n)
+    names = [raw.strip() for raw in code_of]
     values = np.column_stack([numbers(c) for c in response_cols])
-    usable = np.fromiter((lab.lower() not in _MISSING for lab in labels), bool, len(rows))
+    usable = np.array([name.lower() not in _MISSING for name in names], bool)[codes]
     usable &= ~np.isnan(values).any(axis=1)
     bad_domain = usable & domain.outside(values)
-    w = numbers(args.weights) if args.weights else np.ones(len(rows))
+    w = numbers(args.weights) if args.weights else np.ones(n)
     raising = np.flatnonzero(bad_domain | (usable & (w <= 0)))
     if len(raising):
         i = raising[0]
@@ -195,13 +213,14 @@ def _build_dataset(args) -> tuple[ResponseData, Grouping, dict]:
 
     if not kept.any():
         raise DataError("no usable rows after rejecting invalid ones")
-    labels = list(compress(labels, kept.tolist()))
-    distinct = sorted(set(labels))
+    codes = codes[kept]
+    distinct = sorted({names[c] for c in np.flatnonzero(np.bincount(codes)).tolist()})
     if len(distinct) < 2:
         raise DataError("need at least 2 factor levels")
 
     abbrev = abbreviate_levels(distinct)
-    short_labels = tuple(map(abbrev.__getitem__, labels))
+    short_of_code = [abbrev.get(name) for name in names]
+    short_labels = tuple(map(short_of_code.__getitem__, codes.tolist()))
 
     values = values[kept]
     try:
@@ -211,8 +230,8 @@ def _build_dataset(args) -> tuple[ResponseData, Grouping, dict]:
         raise DataError(str(exc)) from exc
     grouping = Grouping(short_labels, tuple(sorted(abbrev.values())))
     meta = {
-        "rows": len(rows),
-        "accepted": len(labels),
+        "rows": n,
+        "accepted": len(short_labels),
         "rejectedRows": (np.flatnonzero(~kept) + 1).tolist(),
         "levelNames": {abbrev[lv]: lv for lv in distinct},
     }

@@ -59,8 +59,12 @@ COX_MAX_ITER = 50
 # vectorised log, which can differ from it in the last bit; the fits keep
 # math.log so that path log-likelihoods do not change, and math.exp so that
 # hazard ratios do not.
-_math_log = np.vectorize(math.log, otypes=[float])
-_math_exp = np.vectorize(math.exp, otypes=[float])
+def _math_log(x: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(math.log, x.tolist()), float, len(x))
+
+
+def _math_exp(x: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(math.exp, x.tolist()), float, len(x))
 
 
 @dataclass(frozen=True)

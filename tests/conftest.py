@@ -11,12 +11,18 @@ warm-started code to the plain version it replaced, and some reuse its parts.
 
 from __future__ import annotations
 
+import csv
 import math
+from itertools import compress
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from factorfuse.data import Grouping, Partition, ResponseData
+from factorfuse import cli
+from factorfuse.data import (BINOMIAL, DOMAINS, GAUSSIAN_1D, GAUSSIAN_ND, SURVIVAL, Grouping,
+                             Partition, ResponseData)
+from factorfuse.errors import WeightsNotSupported
 from factorfuse.families import _cox_newton, merge_sums
 
 
@@ -427,6 +433,95 @@ def reference_kaplan_meier(times, events):
         n_at_risk -= j - i
         i = j
     return np.asarray(out_t), np.asarray(out_s)
+
+
+# ---------------------------------------------------------------------------
+# whole-file ingest reference: every row kept as a list, then the named
+# columns picked out, and each row's label stripped and tested on its own
+
+
+def _reference_load_csv(path: Path) -> tuple[list[str], list[list[str]]]:
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise cli.DataError(f"{path}: empty file")
+            return header, [row for row in reader if row]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise cli.DataError(f"cannot read {path}: {exc}") from exc
+    except csv.Error as exc:
+        raise cli.DataError(f"cannot read {path}: line {reader.line_num}: {exc}") from exc
+
+
+def _reference_column(header: list[str], rows: list[list[str]], name: str) -> list[str]:
+    j = {h: i for i, h in enumerate(header)}[name]
+    return [row[j] if j < len(row) else "" for row in rows]
+
+
+def reference_build_dataset(args):
+    """``cli._build_dataset`` as a whole-file read with per-row label checks."""
+    header, rows = _reference_load_csv(Path(args.input))
+
+    if args.family == "survival":
+        if not args.time or not args.event:
+            raise cli.ConfigError("survival needs --time and --event columns")
+        response_cols = [args.time, args.event]
+    else:
+        response_cols = args.response or []
+        if not response_cols:
+            raise cli.ConfigError("--response is required for this family")
+        if args.family == "binomial" and len(response_cols) != 1:
+            raise cli.ConfigError("binomial takes exactly one --response column")
+    kind = {"survival": SURVIVAL, "binomial": BINOMIAL}.get(
+        args.family, GAUSSIAN_1D if len(response_cols) == 1 else GAUSSIAN_ND)
+    domain = DOMAINS[kind]
+    needed = [*response_cols, args.factor]
+    if args.weights:
+        needed.append(args.weights)
+    missing_cols = [c for c in needed if c not in header]
+    if missing_cols:
+        raise cli.DataError(f"missing columns: {missing_cols}")
+
+    def numbers(name: str) -> np.ndarray:
+        return np.fromiter(map(cli._parse_float, _reference_column(header, rows, name)),
+                           float, len(rows))
+
+    labels = [cell.strip() for cell in _reference_column(header, rows, args.factor)]
+    values = np.column_stack([numbers(c) for c in response_cols])
+    usable = np.fromiter((lab.lower() not in cli._MISSING for lab in labels), bool, len(rows))
+    usable &= ~np.isnan(values).any(axis=1)
+    bad_domain = usable & domain.outside(values)
+    w = numbers(args.weights) if args.weights else np.ones(len(rows))
+    raising = np.flatnonzero(bad_domain | (usable & (w <= 0)))
+    if len(raising):
+        i = raising[0]
+        reason = domain.reason if bad_domain[i] else "weights must be positive"
+        raise cli.DataError(f"row {i + 1}: {reason}")
+    kept = usable & ~np.isnan(w)
+
+    if not kept.any():
+        raise cli.DataError("no usable rows after rejecting invalid ones")
+    labels = list(compress(labels, kept.tolist()))
+    distinct = sorted(set(labels))
+    if len(distinct) < 2:
+        raise cli.DataError("need at least 2 factor levels")
+
+    abbrev = cli.abbreviate_levels(distinct)
+    values = values[kept]
+    try:
+        data = ResponseData(kind, values[:, 0] if domain.scalar else values,
+                            w[kept] if args.weights else None)
+    except WeightsNotSupported as exc:
+        raise cli.DataError(str(exc)) from exc
+    grouping = Grouping(tuple(map(abbrev.__getitem__, labels)), tuple(sorted(abbrev.values())))
+    meta = {
+        "rows": len(rows),
+        "accepted": len(labels),
+        "rejectedRows": (np.flatnonzero(~kept) + 1).tolist(),
+        "levelNames": {abbrev[lv]: lv for lv in distinct},
+    }
+    return data, grouping, meta
 
 
 # ---------------------------------------------------------------------------

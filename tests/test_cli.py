@@ -6,6 +6,8 @@ import warnings
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from factorfuse.cli import (
     abbreviate_levels,
@@ -18,7 +20,7 @@ from factorfuse.errors import FactorFuseError, IncompatiblePanel, MonotoneLikeli
 from factorfuse.fixtures import make_fixture
 from factorfuse.viz import RESPONSE_PANELS, check_panel_compat
 
-from conftest import COLLIDING_LABELS, make_gaussian_data
+from conftest import COLLIDING_LABELS, make_gaussian_data, reference_build_dataset
 
 
 def run(argv):
@@ -46,6 +48,10 @@ def gaussian_csv(tmp_path):
 
 
 ARTIFACTS = ("result.json", "history.csv", "partition.csv", "merging_path.svg", "gic.svg")
+
+# bytes no UTF-8 decoder reads, and a quoted cell over csv.field_size_limit()
+UNDECODABLE = b"y,g\n1,a\n2,\xe9b\n"
+OVERSIZED = b'y,g\n1,a\n2,"' + b"x" * 200_000 + b'"\n3,b\n'
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +354,16 @@ def test_exit_3_on_missing_column(gaussian_csv, tmp_path):
     assert rc == 3
 
 
+@pytest.mark.parametrize("content", [UNDECODABLE, OVERSIZED], ids=["undecodable", "oversized"])
+def test_exit_3_on_unreadable_input(content, tmp_path):
+    p = tmp_path / "bad.csv"
+    p.write_bytes(content)
+    rc = run(["merge", "--input", p, "--family", "gaussian", "--response", "y",
+              "--factor", "g", "--out", tmp_path / "o"])
+    assert rc == 3
+    assert not (tmp_path / "o").exists()
+
+
 def test_exit_3_on_single_level(tmp_path):
     p = tmp_path / "one.csv"
     write_csv(p, ("y", "group"), [(1.0, "a"), (2.0, "a"), (3.0, "a")])
@@ -598,8 +614,9 @@ def _ok(kind, values, weights, labels, meta, levels=("a", "b")):
     return (kind, values, weights, tuple(labels), levels, meta)
 
 
-# (id, CSV text, flags, expected): expected is what _build_dataset returns as
-# (kind, values, weights, labels, levels, meta), or (exception type, message)
+# (id, CSV text or bytes, flags, expected): expected is what _build_dataset
+# returns as (kind, values, weights, labels, levels, meta), or (exception type,
+# message)
 INGEST_TABLE = [
     ("blank-lines-skipped", "y,g\n1,a\n\n\nna,b\n2,b\n\n3,a\n", {},
      _ok("gaussian1d", [1.0, 2.0, 3.0], None, "aba", _meta(4, [2]))),
@@ -677,6 +694,11 @@ INGEST_TABLE = [
      ("DataError", "weights are not supported for survival data")),
     # file and column errors
     ("empty-file", "", {}, ("DataError", "{path}: empty file")),
+    ("undecodable-byte", UNDECODABLE, {},
+     ("DataError", "cannot read {path}: 'utf-8' codec can't decode byte 0xe9 in position 10: "
+                   "invalid continuation byte")),
+    ("oversized-cell", OVERSIZED, {},
+     ("DataError", "cannot read {path}: line 3: field larger than field limit (131072)")),
     ("blank-header", "\ny,g\n1,a\n2,b\n", {}, ("DataError", "missing columns: ['y', 'g']")),
     ("missing-column", "y,g\n1,a\n", {"weights": "w"}, ("DataError", "missing columns: ['w']")),
     ("survival-needs-time", "y,g\n1,a\n", {"family": "survival", "time": None},
@@ -698,7 +720,7 @@ def test_ingest_table(text, flags, expected, tmp_path):
     from factorfuse import cli
 
     path = tmp_path / "in.csv"
-    path.write_bytes(text.encode("utf-8"))
+    path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     survival = flags.get("family") == "survival"
     args = argparse.Namespace(
         input=str(path), family="gaussian", factor="g", weights=None,
@@ -725,3 +747,89 @@ def test_ingest_table(text, flags, expected, tmp_path):
         assert data.weights.tobytes() == np.array(weights, dtype=float).tobytes()
     assert grouping.labels == labels and grouping.levels == levels
     assert got_meta == meta
+
+
+# ---------------------------------------------------------------------------
+# streaming ingest against the whole-file reference on generated CSV texts
+
+_MISSING_CELLS = ["", "  ", "na", "NA", " nA ", "nan", "NaN ", "null", "NULL", " None", "none"]
+_CELLS = {
+    "y": ["0", "1", "0", "1", "0", "1", "2", "1.5", " 3 ", "1e3", "1_0", "inf", "-0", "x"],
+    "t": ["1", "2", " 2.5 ", "1e3", "3", "4", "5", "0"],
+    "e": ["0", "1", " 1 ", "1.0", "0", "1", "0", "2"],
+    "w": ["1", "2", " 0.5 ", "3", "1", "2", "-1"],
+    "g": ["a", "b", " a", "b ", "a)(b", "c,d", 'e"f', "g\nh", "i\r\nj", "k\rl",
+          "longname", "longnome"],
+}
+_INGEST_FLAGS = {
+    "gaussian": {"response": ["y"]},
+    "gaussianNd": {"response": ["y", "y2"]},
+    "binomial": {"family": "binomial", "response": ["y"]},
+    "survival": {"family": "survival", "response": None, "time": "t", "event": "e"},
+    "survival-no-event": {"family": "survival", "response": None, "time": "t", "event": None},
+    "binomial-two": {"family": "binomial", "response": ["y", "y2"]},
+}
+
+
+def _csv_line(cells, quote_all, ending):
+    quoted = ('"' + c.replace('"', '""') + '"' if quote_all or any(ch in c for ch in ',"\r\n')
+              else c for c in cells)
+    return ",".join(quoted) + ending
+
+
+@st.composite
+def _ingest_cases(draw):
+    flags = dict(family="gaussian", response=None, time=None, event=None, factor="g",
+                 weights=draw(st.sampled_from([None, "w"])))
+    # mostly valid flags: the two bad ones end before any row is checked
+    flags.update(_INGEST_FLAGS[draw(st.sampled_from(
+        ["gaussian", "gaussianNd", "binomial", "survival"] * 4
+        + ["survival-no-event", "binomial-two"]))])
+    named = [*(flags["response"] or [flags["time"], flags["event"]]), "g", flags["weights"]]
+    header = draw(st.permutations([c for c in named if c]))
+    header += draw(st.lists(st.sampled_from(["y", "y2", "t", "e", "g", "w", "z"]), max_size=2))
+    if draw(st.sampled_from([False] * 9 + [True])):  # a named column goes missing
+        del header[draw(st.integers(0, len(header) - 1))]
+    if draw(st.sampled_from([False] * 19 + [True])):
+        return flags, ""
+    endings = st.sampled_from(["\n", "\r\n", "\r"])
+    lines = [_csv_line(header, draw(st.booleans()), draw(endings))]
+    for _ in range(draw(st.sampled_from([*range(4, 17), 1, 0]))):
+        shape = draw(st.sampled_from(["cells"] * 6 + ["blank", "spaces"]))
+        if shape != "cells":
+            lines.append(("" if shape == "blank" else "  ") + draw(endings))
+            continue
+        width = max(1, len(header) + draw(st.integers(-2, 2)))
+        pools = [_CELLS.get(h.rstrip("2"), _CELLS["g"]) for h in (header + [""] * width)[:width]]
+        cells = [draw(st.sampled_from(pool * 3 + _MISSING_CELLS)) for pool in pools]
+        lines.append(_csv_line(cells, draw(st.booleans()), draw(endings)))
+    return flags, "".join(lines)
+
+
+def _ingest_outcome(build, args):
+    try:
+        data, grouping, meta = build(args)
+    except FactorFuseError as exc:
+        return type(exc), str(exc)
+    weights = None if data.weights is None else data.weights.tobytes()
+    return (data.kind, data.values.shape, data.values.tobytes(), weights,
+            grouping.labels, grouping.levels, meta)
+
+
+@pytest.fixture(scope="module")
+def ingest_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("ingest") / "in.csv"
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_ingest_cases())
+def test_streaming_ingest_matches_whole_file_reference(case, ingest_path):
+    import argparse
+
+    from factorfuse import cli
+
+    flags, text = case
+    ingest_path.write_bytes(text.encode("utf-8"))
+    args = argparse.Namespace(input=str(ingest_path), **flags)
+    assert _ingest_outcome(cli._build_dataset, args) == _ingest_outcome(
+        reference_build_dataset, args)

@@ -768,3 +768,11 @@ def test_cox_trial_steps_raise_no_numpy_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         merge_factors(fx.data, fx.grouping, "adaptive")
+
+
+@given(st.lists(st.floats(1e-300, 1e300), max_size=8), st.lists(st.floats(-700, 700), max_size=8))
+def test_fit_log_and_exp_are_math_log_and_exp_bitwise(xs, ys):
+    # path logliks and hazard ratios keep the bits of math.log and math.exp
+    x, y = np.array(xs, float), np.array(ys, float)
+    assert families._math_log(x).tobytes() == np.array([math.log(v) for v in xs], float).tobytes()
+    assert families._math_exp(y).tobytes() == np.array([math.exp(v) for v in ys], float).tobytes()
