@@ -54,6 +54,9 @@ LOG_2PI = math.log(2.0 * math.pi)
 # Newton-Raphson settings for the Cox fit
 COX_TOL = 1e-8
 COX_MAX_ITER = 50
+# Cells in the largest array a Cox evaluation builds: candidates are fitted in
+# blocks of rows, and the risk-set products built in chunks of event times
+COX_CELLS = 1 << 16
 
 # The fits take logarithms with math.log and the scorers with numpy's
 # vectorised log, which can differ from it in the last bit; the fits keep
@@ -170,16 +173,6 @@ def cluster_sums(stats: LevelStats, partition: Partition) -> dict[str, np.ndarra
         name: np.array([np.add.reduce(getattr(stats, name)[r]) for r in rows])
         for name in stats.family.sums
     }
-
-
-def merge_sums(sums: dict[str, np.ndarray], a: int, b: int) -> dict[str, np.ndarray]:
-    """Cluster sums after merging clusters a < b: row b is added to row a
-    and dropped, as :meth:`Partition.merge` places the merged cluster at a."""
-    merged = {}
-    for name, s in sums.items():
-        merged[name] = np.delete(s, b, axis=0)
-        merged[name][a] += s[b]
-    return merged
 
 
 def score_pairs(stats: LevelStats, sums: dict[str, np.ndarray],
@@ -343,9 +336,11 @@ def _score_gaussian_nd(stats: LevelStats, sums, i, j, model) -> np.ndarray:
 
 def _ensure_nonsingular(cov: np.ndarray, d: int) -> tuple[np.ndarray, tuple[str, ...]]:
     """Ridge the covariance matrices (shape ``(..., d, d)``) that are
-    numerically singular; raise if one stays singular."""
+    numerically singular: whose least eigenvalue is at most 1e-10 times
+    their mean eigenvalue, whatever the scale of the responses.  Raise if
+    one stays singular."""
     trace = np.trace(cov, axis1=-2, axis2=-1) / d
-    singular = np.linalg.eigvalsh(cov).min(axis=-1) <= 1e-10 * np.maximum(1.0, trace)
+    singular = np.linalg.eigvalsh(cov).min(axis=-1) <= 1e-10 * trace
     if not singular.any():
         return cov, ()
     # one ridge attempt, then give up
@@ -426,95 +421,206 @@ def _survival_stats(stats: LevelStats) -> None:
     stats.R = np.cumsum(rows[:, :0:-1], axis=1)[:, ::-1].astype(float)
 
 
-def _breslow_terms(D: np.ndarray, R: np.ndarray):
-    """Events per cluster, events per time, and log R (-inf where no row is
-    at risk): all the partial likelihood reads from a partition's tables."""
-    log_r = np.log(R, out=np.full(R.shape, -np.inf), where=R > 0)
-    return np.add.reduce(D, axis=1), np.add.reduce(D, axis=0), log_r
+class _RiskSets:
+    """The Breslow partial likelihood of one partition's tables, with its
+    gradient and Hessian, for rows of cluster coefficients at once.
 
-
-def _breslow(alpha: np.ndarray, terms):
-    """Breslow partial log-likelihood with gradient and Hessian; each risk
-    set's sum of R exp(alpha) is a log-sum-exp, so nothing overflows."""
-    per_cluster, per_time, log_r = terms
-    x = log_r + alpha[:, None]
-    top = x.max(axis=0)  # finite: some row is at risk at every event time
-    share = np.exp(x - top)
-    total = np.add.reduce(share, axis=0)
-    share /= total
-    loglik = float(alpha @ per_cluster - per_time @ (top + np.log(total)))
-    expected = share @ per_time
-    hess = (share * per_time) @ share.T
-    hess.flat[:: len(hess) + 1] -= expected
-    return loglik, per_cluster - expected, hess
-
-
-def _newton_step(grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
-    """Newton step on the free coefficients alpha[1:]."""
-    try:
-        return np.linalg.solve(-hess[1:, 1:], grad[1:])
-    except np.linalg.LinAlgError as exc:
-        raise NonConvergence("singular Hessian in Cox fit") from exc
-
-
-def _cox_newton(D: np.ndarray, R: np.ndarray, alpha: np.ndarray) -> tuple[np.ndarray, float]:
-    """Coefficients (reference ``alpha[0] = 0``) and maximised partial
-    log-likelihood of the clusters whose tables are ``D`` and ``R``.
-
-    Newton-Raphson from ``alpha`` (with ``alpha[0] == 0``) halves steps that
-    lower the loglik and stops once a step gains less than ``COX_TOL``.  As
-    in R's ``survival::coxph``, a coefficient is infinite if its remaining
-    Newton step exceeds both ``COX_TOL`` and ``sqrt(COX_TOL) |alpha|``.
+    A row's log-likelihood is summed without BLAS, whose results for one row
+    can change with the number of rows beside it: step halving compares a
+    row's values from evaluations of different sets of rows.  ``rows`` is
+    the most rows evaluated at once.
     """
-    terms = _breslow_terms(D, R)
-    ll, grad, hess = _breslow(alpha, terms)
-    for _ in range(COX_MAX_ITER):
-        step = _newton_step(grad, hess)  # empty for one cluster: done at once
+
+    def __init__(self, D: np.ndarray, R: np.ndarray, rows: int):
+        c, T = R.shape
+        self.events, self.per_time, self.R = np.add.reduce(D, axis=1), np.add.reduce(D, axis=0), R
+        if rows == 1:  # one row reads R directly
+            return
+        # the distinct Hessian entries (i, j), i <= j, and where each entry
+        # of a c x c Hessian is among them
+        self.upper, self.entry = np.triu_indices(c), np.empty((c, c), int)
+        self.entry[self.upper] = self.entry[self.upper[::-1]] = np.arange(len(self.upper[0]))
+        # R_ti R_tj of every event time t and entry (i, j), a table row per
+        # time: one GEMM against it gives every row's Hessian.  It is built
+        # once where it fits the cell budget, and per chunk of times at each
+        # evaluation otherwise.
+        width = max(1, COX_CELLS // len(self.upper[0]))
+        self.chunks = [slice(s, s + width) for s in range(0, T, width)]
+        self.table = self._products(self.chunks[0]) if len(self.chunks) == 1 else None
+
+    def _products(self, times: slice) -> np.ndarray:
+        r = self.R[:, times]
+        return (r[self.upper[0]] * r[self.upper[1]]).T
+
+    def evaluate(self, A: np.ndarray):
+        """Log-likelihood (m,), gradient (m, c) and Hessian (m, c, c) at each
+        row of coefficients ``A`` (m, c).  Each cluster weighs exp(A - max A)
+        <= 1, so nothing overflows; a risk set whose weights all underflow
+        gives a non-finite value, which the caller rejects."""
+        m, c = A.shape
+        R, diagonal = self.R, np.arange(c)
+        with np.errstate(all="ignore"):
+            x = A - A.max(axis=1, keepdims=True)
+            w = np.exp(x)
+            total = np.einsum("mc,ct->mt", w, R)  # row by row, unlike w @ R
+            loglik = np.einsum("mc,c->m", x, self.events) - np.einsum(
+                "mt,t->m", np.log(total), self.per_time)
+            q = self.per_time / total
+            expected = w * (q @ R.T)
+            q /= total
+            if m == 1:  # the table does not pay for one row
+                hess = ((R * q) @ R.T)[None] * (w[:, :, None] * w[:, None, :])
+            else:
+                i, j = self.upper
+                if self.table is not None:
+                    pairs = q @ self.table
+                else:
+                    pairs = sum(q[:, s] @ self._products(s) for s in self.chunks)
+                hess = (pairs * (w[:, i] * w[:, j]))[:, self.entry]
+            hess[:, diagonal, diagonal] -= expected
+        return loglik, self.events - expected, hess
+
+
+def _solve_steps(grad: np.ndarray, hess: np.ndarray):
+    """Newton steps -hess^-1 grad of stacked rows, and which rows' Hessians
+    are singular (their steps are left at 0)."""
+    try:
+        return np.linalg.solve(-hess, grad[..., None])[..., 0], np.zeros(len(grad), bool)
+    except np.linalg.LinAlgError:
+        steps, singular = np.zeros_like(grad), np.zeros(len(grad), bool)
+        for t in range(len(grad)):
+            try:
+                steps[t] = np.linalg.solve(-hess[t], grad[t])
+            except np.linalg.LinAlgError:
+                singular[t] = True
+        return steps, singular
+
+
+def _tie(a: np.ndarray, b: np.ndarray, c: int):
+    """Row t ties clusters a[t] < b[t] of c: the position of each cluster's
+    coefficient among the c - 1 of the merged partition (b takes a's, and
+    the clusters after b move up by one), and the derivative of the c
+    coefficients by the c - 1, which folds a gradient g and Hessian H into
+    the merged coefficients as g @ F and F^T H F."""
+    clusters = np.arange(c)
+    at = np.where(clusters == b[:, None], a[:, None], clusters - (clusters > b[:, None]))
+    fold = np.zeros((len(a), c, c - 1))
+    fold[np.arange(len(a))[:, None], clusters, at] = 1.0
+    return at, fold
+
+
+def _cox_fit_rows(sets: _RiskSets, start: np.ndarray, a=None, b=None):
+    """Maximise the partial likelihood of ``sets`` from each row of ``start``.
+
+    Each row of ``start`` holds the coefficients of a partition's clusters,
+    the reference ``start[:, 0] == 0`` first.  Without ``a`` and ``b`` that
+    partition is the one whose tables ``sets`` holds; row t otherwise fits
+    it with the clusters a[t] < b[t] merged, which is the same partial
+    likelihood with both coefficients tied.
+
+    Newton-Raphson on the free coefficients halves steps that lower the
+    loglik or reach non-finite values, and stops once a step gains less than
+    ``COX_TOL``.  As in R's ``survival::coxph``, a coefficient is infinite if
+    its remaining Newton step exceeds both ``COX_TOL`` and
+    ``sqrt(COX_TOL) |alpha|``.  The rows step in lockstep, each leaving once
+    it converges or fails.
+
+    Returns the fitted coefficients, the maximised log-likelihoods, and
+    (row, error) of the first row that failed, or None.
+    """
+    m, n = start.shape
+    if a is not None:
+        at, fold = _tie(a, b, len(sets.R))
+        fold = fold[:, :, 1:]  # the free coefficients
+
+    def evaluate(rows, coef):
+        if a is None:
+            ll, grad, hess = sets.evaluate(coef)
+            return ll, grad[:, 1:], hess[:, 1:, 1:]
+        ll, grad, hess = sets.evaluate(np.take_along_axis(coef, at[rows], axis=1))
+        f = fold[rows]
+        with np.errstate(all="ignore"):  # non-finite values are rejected below
+            return ll, (grad[:, None] @ f)[:, 0], f.transpose(0, 2, 1) @ hess @ f
+
+    failed: dict[int, Exception] = {}
+
+    def fail(rows, error):
+        failed.update(dict.fromkeys(rows.tolist(), error))
+
+    coef, active, converged = start.copy(), np.arange(m), np.zeros(m, bool)
+    ll, grad, hess = evaluate(active, coef)
+    for iteration in range(COX_MAX_ITER + 1):
+        step, singular = _solve_steps(grad[active], hess[active])
+        done = converged[active]
+        if done.any() or singular.any():
+            fail(active[singular], NonConvergence("singular Hessian in Cox fit"))
+            # rows whose last step gained less than COX_TOL leave, unless the
+            # step left on some coefficient says it is infinite
+            done &= ~singular
+            left = np.abs(step[done])
+            infinite = ((left > COX_TOL) & (left > math.sqrt(COX_TOL) * np.abs(coef[active[done], 1:]))).any(axis=1)
+            fail(active[done][infinite], MonotoneLikelihood("Cox coefficient may be infinite"))
+            # no row after the first failed one can be the first to fail
+            going = ~done & ~singular & (active < min(failed, default=m))
+            step, active = step[going], active[going]
+        if not len(active) or iteration == COX_MAX_ITER:
+            break
+        pending = np.arange(len(active))
         for halvings in range(40):
-            trial = alpha.copy()
-            trial[1:] += 0.5**halvings * step
-            ll_new, grad_new, hess_new = _breslow(trial, terms)
-            if ll_new >= ll - 1e-12:
+            if not len(pending):
                 break
-        else:
-            raise NonConvergence("step halving failed in Cox fit")
-        delta = ll_new - ll
-        alpha, ll, grad, hess = trial, ll_new, grad_new, hess_new
-        if abs(delta) < COX_TOL:
-            left = np.abs(_newton_step(grad, hess))
-            if np.any((left > COX_TOL) & (left > math.sqrt(COX_TOL) * np.abs(alpha[1:]))):
-                raise MonotoneLikelihood("Cox coefficient may be infinite")
-            return alpha, ll
-    raise NonConvergence("Cox Newton-Raphson did not converge")
+            rows = active[pending]
+            trial = coef[rows]
+            trial[:, 1:] += 0.5**halvings * step[pending]
+            ll_new, grad_new, hess_new = evaluate(rows, trial)
+            ok = ((ll_new >= ll[rows] - 1e-12) & np.isfinite(ll_new)
+                  & np.isfinite(grad_new).all(axis=1) & np.isfinite(hess_new).all(axis=(1, 2)))
+            rows = rows[ok]
+            converged[rows] = np.abs(ll_new[ok] - ll[rows]) < COX_TOL
+            coef[rows], ll[rows], grad[rows], hess[rows] = trial[ok], ll_new[ok], grad_new[ok], hess_new[ok]
+            pending = pending[~ok]
+        if len(pending):
+            fail(active[pending], NonConvergence("step halving failed in Cox fit"))
+            active = active[active < min(failed, default=m)]
+    fail(active, NonConvergence("Cox Newton-Raphson did not converge"))
+    return coef, ll, min(failed.items()) if failed else None
 
 
 def _fit_cox(stats: LevelStats, partition: Partition, sums) -> FittedModel:
     if stats.D.shape[1] == 0:
         raise NoEvents("survival data has no uncensored events")
-    alpha, ll = _cox_newton(sums["D"], sums["R"], np.zeros(len(sums["D"])))
-    return FittedModel(family=SURVIVAL, partition=partition, loglik=ll,
-                       estimates={"alpha": alpha, "hazard_ratio": _math_exp(alpha)})
+    sets = _RiskSets(sums["D"], sums["R"], 1)
+    coef, ll, failed = _cox_fit_rows(sets, np.zeros((1, len(sums["D"]))))
+    if failed:
+        raise failed[1]
+    return FittedModel(family=SURVIVAL, partition=partition, loglik=float(ll[0]),
+                       estimates={"alpha": coef[0], "hazard_ratio": _math_exp(coef[0])})
 
 
 def _score_cox(stats: LevelStats, sums, i, j, model: FittedModel) -> np.ndarray:
-    # the partial likelihood has no closed-form merge update: fit each
-    # candidate's merged tables by Newton from the current fit, with the
-    # merged pair's coefficients pooled by their events; a converged fit
-    # leaves no cluster without events
+    # the partial likelihood has no closed-form merge update: fit every
+    # candidate on the current tables by Newton from the current fit, with
+    # the merged pair's coefficients pooled by their events (a converged fit
+    # leaves no cluster without events), in blocks of rows within the budget
     labels, alpha = model.partition.labels, model.estimates["alpha"]
-    events = np.add.reduce(sums["D"], axis=1)
+    c, T = sums["R"].shape
+    sets = _RiskSets(sums["D"], sums["R"], len(i))
+    block = max(1, COX_CELLS // max(T, c * c))
     scores = []
-    for a, b in zip(i.tolist(), j.tolist()):
-        merged = merge_sums(sums, a, b)
-        start = np.delete(alpha, b)
-        start[a] = (events[a] * alpha[a] + events[b] * alpha[b]) / (events[a] + events[b])
-        start -= start[0]
-        try:
-            scores.append(_cox_newton(merged["D"], merged["R"], start)[1])
-        except (NonConvergence, MonotoneLikelihood) as exc:
-            raise type(exc)(f"{exc}: candidate merge of {labels[a]} and {labels[b]} "
+    for s in range(0, len(i), block):
+        a, b = i[s:s + block], j[s:s + block]
+        t, free = np.arange(len(a)), np.arange(c - 1)
+        start = alpha[free + (free >= b[:, None])]
+        pooled = (sets.events[a] * alpha[a] + sets.events[b] * alpha[b]) / (sets.events[a] + sets.events[b])
+        start[t, a] = pooled
+        start -= start[:, :1]
+        _, ll, failed = _cox_fit_rows(sets, start, a, b)
+        if failed:
+            row, exc = failed
+            raise type(exc)(f"{exc}: candidate merge of {labels[a[row]]} and {labels[b[row]]} "
                             f"at {len(labels)} clusters") from exc
-    return np.array(scores)
+        scores.append(ll)
+    return np.concatenate(scores)
 
 
 # ------------------------------------------------------------------ #

@@ -22,8 +22,8 @@ import pytest
 from factorfuse import cli
 from factorfuse.data import (BINOMIAL, DOMAINS, GAUSSIAN_1D, GAUSSIAN_ND, SURVIVAL, Grouping,
                              Partition, ResponseData)
-from factorfuse.errors import WeightsNotSupported
-from factorfuse.families import _cox_newton, merge_sums
+from factorfuse.errors import MonotoneLikelihood, NonConvergence, WeightsNotSupported
+from factorfuse.families import COX_MAX_ITER, COX_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -402,11 +402,79 @@ def reference_cox_loglik_grad_hess(alpha, t, e, g, n_clusters):
     return loglik, grad, hess
 
 
+def merge_sums(sums, a, b):
+    """Cluster sums after merging clusters a < b: row b is added to row a
+    and dropped, as ``Partition.merge`` places the merged cluster at a."""
+    merged = {}
+    for name, s in sums.items():
+        merged[name] = np.delete(s, b, axis=0)
+        merged[name][a] += s[b]
+    return merged
+
+
+def breslow_terms(D, R):
+    """Events per cluster, events per time, and log R (-inf where no row is
+    at risk): all the partial likelihood reads from a partition's tables."""
+    log_r = np.log(R, out=np.full(R.shape, -np.inf), where=R > 0)
+    return np.add.reduce(D, axis=1), np.add.reduce(D, axis=0), log_r
+
+
+def breslow(alpha, terms):
+    """Breslow partial log-likelihood with gradient and Hessian of one
+    coefficient vector; each risk set's sum of R exp(alpha) is a
+    log-sum-exp over the clusters at risk, so nothing overflows."""
+    per_cluster, per_time, log_r = terms
+    x = log_r + alpha[:, None]
+    top = x.max(axis=0)  # finite: some row is at risk at every event time
+    share = np.exp(x - top)
+    total = np.add.reduce(share, axis=0)
+    share /= total
+    loglik = float(alpha @ per_cluster - per_time @ (top + np.log(total)))
+    expected = share @ per_time
+    hess = (share * per_time) @ share.T
+    hess.flat[:: len(hess) + 1] -= expected
+    return loglik, per_cluster - expected, hess
+
+
+def _newton_step(grad, hess):
+    try:
+        return np.linalg.solve(-hess[1:, 1:], grad[1:])
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergence("singular Hessian in Cox fit") from exc
+
+
+def cox_newton(D, R, alpha):
+    """One Cox fit of the tables ``D`` and ``R``, Newton-Raphson from
+    ``alpha`` (``alpha[0] == 0``) on one coefficient vector, with the step
+    halving, tolerance and divergence rule of the fits in ``families``."""
+    terms = breslow_terms(D, R)
+    ll, grad, hess = breslow(alpha, terms)
+    for _ in range(COX_MAX_ITER):
+        step = _newton_step(grad, hess)
+        for halvings in range(40):
+            trial = alpha.copy()
+            trial[1:] += 0.5**halvings * step
+            ll_new, grad_new, hess_new = breslow(trial, terms)
+            if ll_new >= ll - 1e-12:
+                break
+        else:
+            raise NonConvergence("step halving failed in Cox fit")
+        delta = ll_new - ll
+        alpha, ll, grad, hess = trial, ll_new, grad_new, hess_new
+        if abs(delta) < COX_TOL:
+            left = np.abs(_newton_step(grad, hess))
+            if np.any((left > COX_TOL) & (left > math.sqrt(COX_TOL) * np.abs(alpha[1:]))):
+                raise MonotoneLikelihood("Cox coefficient may be infinite")
+            return alpha, ll
+    raise NonConvergence("Cox Newton-Raphson did not converge")
+
+
 def reference_cox_scores(stats, sums, i, j, model=None):
     """Cox candidate scores fitted cold: Newton from alpha = 0 on each
-    candidate's merged tables, one candidate at a time; ``model`` is unused."""
+    candidate's merged tables, one candidate and one coefficient vector at a
+    time, with log-sum-exp risk sets; ``model`` is unused."""
     merged = (merge_sums(sums, a, b) for a, b in zip(i.tolist(), j.tolist()))
-    return np.array([_cox_newton(m["D"], m["R"], np.zeros(len(m["D"])))[1] for m in merged])
+    return np.array([cox_newton(m["D"], m["R"], np.zeros(len(m["D"])))[1] for m in merged])
 
 
 def reference_kaplan_meier(times, events):

@@ -439,17 +439,17 @@ def test_exit_4_names_the_failing_survival_candidate(error, monkeypatch, tmp_pat
     p = tmp_path / "surv.csv"
     write_csv(p, ("time", "event", "group"),
               [(float(t), 1, lv) for s, lv in enumerate("abc") for t in range(1 + s, 30, 3)])
-    newton = families._cox_newton
+    newton = families._cox_fit_rows
     calls = []
 
-    def failing(D, R, alpha):
-        # the full model is the first fit; fail the second candidate, (a)+(c)
+    def failing(*args, **kwargs):
+        # the full model is the first fit and the three candidates the second;
+        # fail the second candidate, (a)+(c)
         calls.append(1)
-        if len(calls) == 3:
-            raise error("forced failure")
-        return newton(D, R, alpha)
+        coef, ll, failed = newton(*args, **kwargs)
+        return coef, ll, (1, error("forced failure")) if len(calls) == 2 else failed
 
-    monkeypatch.setattr(families, "_cox_newton", failing)
+    monkeypatch.setattr(families, "_cox_fit_rows", failing)
     rc = run(["merge", "--input", p, "--family", "survival", "--time", "time",
               "--event", "event", "--factor", "group", "--method", "adaptive",
               "--out", tmp_path / "o"])

@@ -1,6 +1,7 @@
 """Merging strategies: path validity, counts, adjacency, determinism."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -513,6 +514,50 @@ def test_fast_fixed_completes_on_32_survival_levels(seed):
         lls = [s.model.loglik for s in merge_factors(fx.data, fx.grouping, strategy).steps]
         assert len(lls) == 32
         assert all(b <= a + 1e-9 for a, b in zip(lls, lls[1:]))
+
+
+@pytest.mark.parametrize("seed", [0, 2, 4])
+def test_fast_adaptive_completes_on_40_survival_levels(seed):
+    # step halving compares logliks of one candidate from evaluations of
+    # different sets of candidates; with risk sums that depend on the batch
+    # (a BLAS GEMM), all 40 halvings of some candidate fail on some of them
+    fx = make_fixture("survival", 40, 20, 1.0, seed)
+    assert len(merge_factors(fx.data, fx.grouping, "fast-adaptive").steps) == 40
+
+
+@pytest.mark.parametrize("cells", [1, 4096])
+def test_cox_scores_do_not_depend_on_the_cell_budget(cells, monkeypatch):
+    # one row per block (cells=1), and blocks of 15 rows whose risk-set
+    # products are built in chunks of 30 event times (cells=4096), against
+    # every candidate in one block with one product table
+    fx = make_fixture("survival", 16, 20, 1.0, 0)
+    stats = families.LevelStats(fx.data, fx.grouping)
+    part = Partition.singletons(fx.grouping.levels)
+    for merges in ((), (0, 3, 7)):
+        for a in merges:
+            part = part.merge(a, a + 1)
+        sums, model = families.cluster_sums(stats, part), families.fit_stats(stats, part)
+        i, j = np.triu_indices(part.size, k=1)
+        whole = families.score_pairs(stats, sums, i, j, model)
+        with monkeypatch.context() as m:
+            m.setattr(families, "COX_CELLS", cells)
+            blocked = families.score_pairs(stats, sums, i, j, model)
+        assert np.allclose(blocked, whole, rtol=1e-12, atol=0.0)
+        labels = part.labels
+        assert _select(blocked, labels, i, j) == _select(whole, labels, i, j)
+
+
+def test_cox_scoring_memory_is_bounded():
+    # 63 candidates of 64 clusters at 682 event times: unblocked, the table
+    # of risk-set products alone takes 11 MiB, and the peak reaches 25 MiB
+    fx = make_fixture("survival", 64, 20, 1.0, 4)
+    tracemalloc.start()
+    try:
+        merge_factors(fx.data, fx.grouping, "fast-fixed")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 @pytest.mark.parametrize("k", [10, 16])

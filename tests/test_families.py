@@ -13,11 +13,10 @@ from factorfuse.data import Cluster, Grouping, Partition, ResponseData
 from factorfuse.engine import merge_factors
 from factorfuse.families import (
     LevelStats,
-    _breslow,
-    _breslow_terms,
+    _RiskSets,
+    _tie,
     cluster_sums,
     fit_stats,
-    merge_sums,
     score_pairs,
 )
 from factorfuse.errors import (
@@ -32,10 +31,12 @@ from factorfuse.errors import (
 from factorfuse.fixtures import make_fixture
 from factorfuse.mds import mds_project_1d
 
+import conftest
 from conftest import (
     make_binomial_data,
     make_gaussian_data,
     make_survival_data,
+    merge_sums,
     oracle_binomial_loglik,
     oracle_cox_alpha,
     oracle_cox_fit,
@@ -173,6 +174,18 @@ class TestGaussianNd:
         g = Grouping(("a",) * 3 + ("b",) * 3)
         m = fit(data, g, singletons_of(g))
         assert "ridged_covariance" in m.flags
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e-5, 1e-3, 1e3])
+    def test_small_covariance_is_not_ridged(self, scale):
+        # singularity is relative to the covariance's own size: responses
+        # scaled by s keep their fit unridged, and the loglik loses n d log s
+        fx = make_fixture("gaussianNd", 8, 10, 1.0, 0)
+        part = singletons_of(fx.grouping)
+        base = fit(fx.data, fx.grouping, part)
+        m = fit(ResponseData("gaussianNd", fx.data.values * scale), fx.grouping, part)
+        n, d = fx.data.values.shape
+        assert base.flags == () and m.flags == ()
+        assert abs(m.loglik - (base.loglik - n * d * math.log(scale))) <= 1e-9 * n
 
 
 # ---------------------------------------------------------------------------
@@ -621,18 +634,25 @@ class TestPairScorer:
         part = singletons_of(fx.grouping)
         sums, model = cluster_sums(stats, part), fit_stats(stats, part)
         i, j = np.triu_indices(part.size, k=1)
-        calls = []
+        # coefficient vectors evaluated: rows of the lockstep fit, and one
+        # per call of the cold reference
+        rows, calls = [], []
+        evaluate, breslow = _RiskSets.evaluate, conftest.breslow
+
+        def counted_rows(self, A):
+            rows.append(len(A))
+            return evaluate(self, A)
 
         def counted(alpha, terms):
             calls.append(1)
-            return _breslow(alpha, terms)
+            return breslow(alpha, terms)
 
-        monkeypatch.setattr(families, "_breslow", counted)
+        monkeypatch.setattr(_RiskSets, "evaluate", counted_rows)
+        monkeypatch.setattr(conftest, "breslow", counted)
         warm = score_pairs(stats, sums, i, j, model)
-        n_warm = len(calls)
         cold = reference_cox_scores(stats, sums, i, j)
         assert len(i) == 120
-        assert n_warm < len(calls) - n_warm
+        assert sum(rows) < len(calls)
         assert np.allclose(warm, cold, rtol=1e-12, atol=1e-9)
 
 
@@ -730,21 +750,53 @@ def test_cox_tables_match_row_reference(rng):
                 sums = cluster_sums(stats, part)
                 t, e, gi = reference_cox_arrays(d, gg, part)
                 scale = 1e-12 * max(e.sum(), 1.0)
-                for _ in range(5):
-                    alpha = rng.normal(0.0, 3.0, part.size)
-                    alpha[0] = 0.0
-                    ll, grad, hess = _breslow(alpha, _breslow_terms(sums["D"], sums["R"]))
+                alphas = rng.normal(0.0, 3.0, (5, part.size))
+                alphas[:, 0] = 0.0
+                # one row at a time on this partition's own tables
+                for alpha in alphas:
+                    ll, grad, hess = _RiskSets(sums["D"], sums["R"], 1).evaluate(alpha[None])
                     ll_ref, grad_ref, hess_ref = reference_cox_loglik_grad_hess(alpha, t, e, gi, part.size)
-                    assert abs(ll - ll_ref) <= 1e-12 * abs(ll_ref)
-                    assert np.allclose(grad, grad_ref, rtol=1e-12, atol=scale)
-                    assert np.allclose(hess, hess_ref, rtol=1e-12, atol=scale)
+                    assert abs(ll[0] - ll_ref) <= 1e-12 * abs(ll_ref)
+                    assert np.allclose(grad[0], grad_ref, rtol=1e-12, atol=scale)
+                    assert np.allclose(hess[0], hess_ref, rtol=1e-12, atol=scale)
                 if part.size == 1:
                     break
+                # rows at once on the previous partition's tables, each with
+                # the merged pair's coefficients tied and folded into one
                 a, b = rng.choice(part.size, 2, replace=False)  # either order
-                part = part.merge(a, b)
-                merged = merge_sums(sums, min(a, b), max(a, b))
+                lo, hi = min(a, b), max(a, b)
+                parent, part = sums, part.merge(a, b)
+                t, e, gi = reference_cox_arrays(d, gg, part)
+                alphas = rng.normal(0.0, 3.0, (5, part.size))
+                alphas[:, 0] = 0.0
+                at, fold = _tie(np.full(len(alphas), lo), np.full(len(alphas), hi), part.size + 1)
+                tied = np.take_along_axis(alphas, at, axis=1)
+                assert np.array_equal(tied, np.insert(alphas, hi, alphas[:, lo], axis=1))
+                ll, grad, hess = _RiskSets(parent["D"], parent["R"], len(tied)).evaluate(tied)
+                grad, hess = (grad[:, None] @ fold)[:, 0], fold.transpose(0, 2, 1) @ hess @ fold
+                for r, alpha in enumerate(alphas):
+                    ll_ref, grad_ref, hess_ref = reference_cox_loglik_grad_hess(alpha, t, e, gi, part.size)
+                    assert abs(ll[r] - ll_ref) <= 1e-12 * abs(ll_ref)
+                    assert np.allclose(grad[r], grad_ref, rtol=1e-12, atol=scale)
+                    assert np.allclose(hess[r], hess_ref, rtol=1e-12, atol=scale)
+                merged = merge_sums(parent, lo, hi)
                 for name, want in cluster_sums(stats, part).items():
                     assert np.array_equal(merged[name], want), name
+
+
+@pytest.mark.parametrize("k", [16, 40])
+def test_cox_row_logliks_do_not_depend_on_the_other_rows(k, rng):
+    # step halving compares one row's logliks from evaluations of different
+    # sets of rows, so each must keep its bits whichever rows share its batch
+    fx = make_fixture("survival", k, 20, 1.0, 4)
+    stats = LevelStats(fx.data, fx.grouping)
+    A = rng.normal(0.0, 2.0, (60, k))
+    A[:, 0] = 0.0
+    sets = _RiskSets(stats.D, stats.R, len(A))
+    together = sets.evaluate(A)[0]
+    alone = np.concatenate([sets.evaluate(row[None])[0] for row in A])
+    reverse = sets.evaluate(A[::-1].copy())[0][::-1]
+    assert together.tobytes() == alone.tobytes() == reverse.tobytes()
 
 
 @pytest.mark.parametrize("strategy", ["adaptive", "fast-adaptive", "fixed", "fast-fixed"])
