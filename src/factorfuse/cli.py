@@ -9,8 +9,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
+from collections import defaultdict
 from itertools import chain
 from pathlib import Path
 
@@ -267,8 +269,101 @@ def format_history_csv(history_rows: list[dict]) -> str:
     )
 
 
+_escape = json.encoder.encode_basestring_ascii
+
+
+def _float_text(x: float) -> str:
+    """A float as ``json`` writes it: NaN and the infinities by name."""
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _json_parts(obj) -> list[str]:
+    """Pieces of the text that :mod:`json` writes for ``obj`` with
+    ``sort_keys=True, indent=2``.
+
+    ``obj`` nests dicts with string keys, lists and tuples over strings,
+    ints, floats, bools and None; anything else raises ``TypeError``, a
+    non-string key too.  A list, tuple or dict met again at the same depth is
+    encoded once: its pieces are joined on the second meeting and that text
+    is reused.  No other text is joined, so a large result is held once.
+    """
+    parts: list[str] = []
+    append = parts.append
+    # depth -> {id of a container: the slice of its pieces, later its text}
+    seen: defaultdict[int, dict[int, tuple[int, int] | str]] = defaultdict(dict)
+
+    def value(o, depth: int):
+        # no type is both a container and a scalar, so containers go first
+        if isinstance(o, (dict, list, tuple)):
+            container(o, depth)
+        elif isinstance(o, str):
+            append(_escape(o))
+        elif o is None:
+            append("null")
+        elif o is True:
+            append("true")
+        elif o is False:
+            append("false")
+        elif isinstance(o, int):
+            append(int.__repr__(o))
+        elif isinstance(o, float):
+            append(_float_text(o))
+        else:
+            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+    def container(o, depth: int):
+        memo = seen[depth]
+        done = memo.get(id(o))
+        if done is not None:
+            if done.__class__ is tuple:
+                done = memo[id(o)] = "".join(parts[done[0]:done[1]])
+            append(done)
+            return
+        dict_ = isinstance(o, dict)
+        if not o:
+            append("{}" if dict_ else "[]")
+            return
+        start = len(parts)
+        inner = "\n" + "  " * (depth + 1)
+        comma = "," + inner
+        if dict_:
+            for k, v in sorted(o.items()):
+                if not isinstance(k, str):
+                    raise TypeError(f"keys must be str, not {type(k).__name__}")
+                append(comma)
+                append(_escape(k))
+                append(": ")
+                value(v, depth + 1)
+        else:
+            for v in o:
+                append(comma)
+                value(v, depth + 1)
+        parts[start] = ("{" if dict_ else "[") + inner
+        append(inner[:-2] + ("}" if dict_ else "]"))
+        memo[id(o)] = (start, len(parts))
+
+    value(obj, 0)
+    return parts
+
+
 def _write(path: Path, text: str):
     path.write_text(text, encoding="utf-8", newline="\n")
+
+
+def _write_json(path: Path, obj):
+    """Write ``obj`` as :func:`_json_parts` gives it, and a line end; the
+    pieces are joined in batches, not into one text."""
+    parts = _json_parts(obj)
+    parts.append("\n")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for i in range(0, len(parts), 8192):
+            fh.write("".join(parts[i:i + 8192]))
 
 
 def cmd_merge(args) -> int:
@@ -297,6 +392,16 @@ def cmd_merge(args) -> int:
     chosen = cut_step(path, criterion)
 
     level_names = meta["levelNames"]
+    # one entry per cluster: a merge keeps the other clusters, so a cluster is
+    # listed at every step it survives and written once
+    entries: dict[int, dict] = {}
+
+    def cluster_entry(c) -> dict:
+        entry = entries.get(id(c))
+        if entry is None:
+            entry = entries[id(c)] = {"label": c.label, "members": list(c.members)}
+        return entry
+
     history_rows = [
         {
             "step": r.step,
@@ -331,10 +436,7 @@ def cmd_merge(args) -> int:
                     "groupB": r.group_b,
                     "loglik": s.model.loglik,
                     "clusterCount": s.model.partition.size,
-                    "clusters": [
-                        {"label": c.label, "members": list(c.members)}
-                        for c in s.model.partition.clusters
-                    ],
+                    "clusters": [cluster_entry(c) for c in s.model.partition.clusters],
                     "flags": list(s.model.flags),
                 }
                 for s, r in zip(path.steps, history)
@@ -364,7 +466,7 @@ def cmd_merge(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write(out / "result.json", json.dumps(result, sort_keys=True, indent=2) + "\n")
+    _write_json(out / "result.json", result)
     _write(out / "history.csv", format_history_csv(history_rows))
     _write(out / "partition.csv", _csv_text(
         ["orig", "abbrev", "pred"],
@@ -401,7 +503,7 @@ def cmd_fixture(args) -> int:
         "seed": args.seed,
         "clusters": [list(c) for c in fx.planted],
     }
-    _write(out / "truth.json", json.dumps(truth, sort_keys=True, indent=2) + "\n")
+    _write_json(out / "truth.json", truth)
     print(f"wrote fixture with {len(fx.planted)} planted clusters to {out}")
     return 0
 

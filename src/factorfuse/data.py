@@ -164,13 +164,16 @@ class Grouping:
 @dataclass(frozen=True)
 class Cluster:
     """One cluster of original levels; ``members`` keeps merge order, which
-    the label, worked out once, follows."""
+    the label follows: each member in parentheses.  The label is worked out
+    once, when not given; :meth:`Partition.merge` gives it as the two parts'
+    labels joined."""
 
     members: tuple[str, ...]
-    label: str = field(init=False, repr=False, compare=False)
+    label: str | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "label", "".join(f"({m})" for m in self.members))
+        if self.label is None:
+            object.__setattr__(self, "label", "".join(f"({m})" for m in self.members))
 
 
 @dataclass(frozen=True)
@@ -180,15 +183,16 @@ class Partition:
     A cluster is identified by its position.  Cluster order is meaningful:
     the fast strategies merge only clusters adjacent in this order, and a
     merged cluster takes the position of its left child.  The cluster labels
-    are display text, worked out once, in cluster order; they can repeat, as
-    when a level name contains ``)(``.
+    are display text in cluster order, worked out once when not given; they
+    can repeat, as when a level name contains ``)(``.
     """
 
     clusters: tuple[Cluster, ...]
-    labels: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    labels: tuple[str, ...] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(c.label for c in self.clusters))
+        if self.labels is None:
+            object.__setattr__(self, "labels", tuple(c.label for c in self.clusters))
 
     @staticmethod
     def singletons(levels) -> "Partition":
@@ -210,8 +214,10 @@ class Partition:
         if a == b:
             raise FactorFuseError("cannot merge a cluster with itself")
         lo, hi = sorted((a, b))
-        merged = Cluster(c[a].members + c[b].members)
-        return Partition(c[:lo] + (merged,) + c[lo + 1:hi] + c[hi + 1:])
+        merged = Cluster(c[a].members + c[b].members, c[a].label + c[b].label)
+        labels = self.labels
+        return Partition(c[:lo] + (merged,) + c[lo + 1:hi] + c[hi + 1:],
+                         labels[:lo] + (merged.label,) + labels[lo + 1:hi] + labels[hi + 1:])
 
     def is_coarsening_of(self, finer: "Partition") -> bool:
         """True if every cluster of ``finer`` is contained in one of ours."""

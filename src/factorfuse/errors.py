@@ -41,6 +41,10 @@ class NumericalInconsistency(FactorFuseError):
     """A nested model pair produced a log-likelihood ordering violation."""
 
 
+class RepeatedLabel(FactorFuseError):
+    """Two clusters share a label, so a view keyed by label cannot hold both."""
+
+
 class InvalidStrategy(FactorFuseError):
     """Unknown merging strategy name."""
 

@@ -46,6 +46,7 @@ from .errors import (
     MonotoneLikelihood,
     NoEvents,
     NonConvergence,
+    RepeatedLabel,
     SingularCovariance,
 )
 
@@ -653,8 +654,15 @@ FAMILIES = {
 
 
 def group_summary(model: FittedModel) -> dict:
-    """Per-cluster scalar (or vector) summary keyed by cluster label."""
-    return dict(zip(model.partition.labels, model.estimates[FAMILIES[model.family].estimate]))
+    """Per-cluster scalar (or vector) summary keyed by cluster label; raises
+    :class:`RepeatedLabel` when two clusters share a label."""
+    labels = model.partition.labels
+    summary = dict(zip(labels, model.estimates[FAMILIES[model.family].estimate]))
+    if len(summary) < len(labels):
+        repeated = next(lb for i, lb in enumerate(labels) if lb in labels[:i])
+        raise RepeatedLabel(f"clusters share the label {repeated}; "
+                            "read model.estimates by position instead")
+    return summary
 
 
 def kaplan_meier(times: np.ndarray, events: np.ndarray):

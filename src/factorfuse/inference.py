@@ -102,7 +102,13 @@ def lrt(m_small: FittedModel, m_large: FittedModel) -> float:
     """2 * (loglik_large - loglik_small) for nested models (small = coarser)."""
     if not m_small.partition.is_coarsening_of(m_large.partition):
         raise NotNested("first model must be a coarsening of the second")
-    stat = 2.0 * (m_large.loglik - m_small.loglik)
+    return _lrt_stat(m_small.loglik, m_large.loglik)
+
+
+def _lrt_stat(loglik_small: float, loglik_large: float) -> float:
+    """2 * (loglik_large - loglik_small), with a negative value within
+    LRT_NOISE_TOL read as 0."""
+    stat = 2.0 * (loglik_large - loglik_small)
     if stat < 0.0:
         if stat >= -LRT_NOISE_TOL:
             return 0.0
@@ -130,11 +136,23 @@ class HistoryRow:
 
 
 def merging_history(path: MergingPath) -> list[HistoryRow]:
-    rows = [HistoryRow(0, "", "", path.full_model.loglik, 1.0, 1.0)]
+    """One row per step: the labels of the merged clusters and the p-values of
+    the step's model against the full model and the previous one.
+
+    Each step must be its recorded ``merged_pair`` merged in the previous
+    step's partition, else :class:`NotNested` is raised; then every step is
+    nested in the full model too.
+    """
+    full = path.full_model.loglik
+    rows = [HistoryRow(0, "", "", full, 1.0, 1.0)]
     for i, (prev, step) in enumerate(zip(path.steps, path.steps[1:]), start=1):
-        stat_prev = lrt(step.model, prev.model)
-        stat_full = lrt(step.model, path.full_model)
-        a, b = (prev.model.partition.labels[s] for s in step.merged_pair)
+        before = prev.model.partition
+        if before.merge(*step.merged_pair) != step.model.partition:
+            raise NotNested(f"step {i} is not the merge of positions {step.merged_pair} "
+                            "in the previous step")
+        stat_prev = _lrt_stat(step.model.loglik, prev.model.loglik)
+        stat_full = _lrt_stat(step.model.loglik, full)
+        a, b = (before.labels[s] for s in step.merged_pair)
         rows.append(HistoryRow(i, a, b, step.model.loglik,
                                chi_square_sf(stat_full, i), chi_square_sf(stat_prev, 1)))
     return rows

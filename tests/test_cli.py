@@ -5,11 +5,13 @@ import json
 import warnings
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from factorfuse.cli import (
+    _json_parts,
     abbreviate_levels,
     format_history_csv,
     main,
@@ -833,3 +835,87 @@ def test_streaming_ingest_matches_whole_file_reference(case, ingest_path):
     args = argparse.Namespace(input=str(ingest_path), **flags)
     assert _ingest_outcome(cli._build_dataset, args) == _ingest_outcome(
         reference_build_dataset, args)
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer
+
+
+def _dumps(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2)
+
+
+def _json_text(obj) -> str:
+    return "".join(_json_parts(obj))
+
+
+_TEXT = st.text(st.one_of(st.characters(), st.sampled_from('"\\\x00\x1f\x7f\n\t/éü€😀')))
+_SCALARS = st.one_of(
+    _TEXT,
+    st.integers(),
+    st.integers(min_value=-10**60, max_value=10**60),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 2.2250738585072014e-308]),
+    st.floats().map(np.float64),
+    st.booleans(),
+    st.none(),
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=5), st.lists(inner, max_size=5).map(tuple),
+                            st.dictionaries(_TEXT, inner, max_size=5)),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(obj=_VALUES)
+def test_json_writer_matches_json_dumps(obj):
+    assert _json_text(obj) == _dumps(obj)
+
+
+@settings(max_examples=200, deadline=None)
+@given(shared=_VALUES, key=_TEXT)
+def test_json_writer_matches_json_dumps_on_shared_objects(shared, key):
+    # one object at two depths, and again at each: its text is reused only at
+    # the depth it was written at
+    obj = {key: shared, "a": [shared, {"b": shared, key: [shared, shared]}], "c": [[], {}, shared]}
+    assert _json_text(obj) == _dumps(obj)
+
+
+@pytest.mark.parametrize("obj", [
+    np.int64(1), [1, np.int64(2)], {"a": {"b": np.float32(1.0)}}, {"a": {1, 2}}, [object()],
+    {"a": b"bytes"}, [np.bool_(True)],
+])
+def test_json_writer_raises_where_json_dumps_does(obj):
+    with pytest.raises(TypeError):
+        _dumps(obj)
+    with pytest.raises(TypeError):
+        _json_text(obj)
+
+
+@pytest.mark.parametrize("obj", [{1: "a"}, {"a": {None: 1}}, [{("a",): 1}], {1.5: 0, "b": 1}])
+def test_json_writer_takes_string_keys_only(obj):
+    with pytest.raises(TypeError):
+        _json_text(obj)
+
+
+@pytest.mark.parametrize("method", ["adaptive", "fast-fixed"])
+def test_result_json_is_json_dumps_text_with_one_entry_per_cluster(method, tmp_path, monkeypatch):
+    from factorfuse import cli
+
+    written = {}
+    write_json = cli._write_json
+    monkeypatch.setattr(cli, "_write_json",
+                        lambda path, obj: (written.setdefault(path.name, obj), write_json(path, obj)))
+    fx = tmp_path / "fx"
+    assert run(["fixture", "--kind", "gaussian", "--k", 12, "--n-per-group", 4, "--seed", 3,
+                "--out", fx]) == 0
+    assert run(["merge", "--input", fx / "data.csv", "--family", "gaussian", "--response", "y",
+                "--factor", "group", "--method", method, "--out", tmp_path / "o"]) == 0
+    for path in (fx / "truth.json", tmp_path / "o" / "result.json"):
+        text = path.read_text()
+        assert text == _dumps(json.loads(text)) + "\n"
+    # 12 levels and 11 merges make 23 clusters, each entered once
+    entries = {id(c) for s in written["result.json"]["path"]["steps"] for c in s["clusters"]}
+    assert len(entries) == 23

@@ -3,8 +3,10 @@ cluster assignment and planted partitions, and partition merges."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from factorfuse.data import Partition, ResponseData
+from factorfuse.data import Cluster, Partition, ResponseData
 from factorfuse.errors import FactorFuseError, WeightsNotSupported
 from factorfuse.fixtures import make_fixture
 
@@ -179,3 +181,25 @@ def test_partition_merge():
             p.merge(a, b)
         assert type(exc.value) is FactorFuseError
         assert str(exc.value) == f"cannot merge positions {a} and {b} of {p.size} clusters"
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), k=st.integers(2, 12))
+def test_partition_merge_labels_follow_the_members(data, k):
+    # the labels that merge joins from its parts equal the definition, each
+    # member in parentheses, also for a level whose name looks like a merge
+    levels = ["a", "b", "a)(b", "(c)", ""][:k] + [f"L{i}" for i in range(k - 5)]
+    part = Partition.singletons(levels)
+    while part.size > 1:
+        a, b = data.draw(st.lists(st.integers(0, part.size - 1), min_size=2, max_size=2,
+                                  unique=True))
+        merged = part.merge(a, b)
+        lo, hi = sorted((a, b))
+        # the clusters that were not merged are kept as they are
+        kept = part.clusters[:lo] + part.clusters[lo + 1:hi] + part.clusters[hi + 1:]
+        assert all(x is y for x, y in zip(kept, merged.clusters[:lo] + merged.clusters[lo + 1:]))
+        part = merged
+        assert [c.label for c in part.clusters] == [
+            "".join(f"({m})" for m in c.members) for c in part.clusters]
+        assert part.labels == tuple(c.label for c in part.clusters)
+        assert part == Partition(tuple(Cluster(c.members) for c in part.clusters))

@@ -26,6 +26,7 @@ from factorfuse.errors import (
     FactorFuseError,
     MonotoneLikelihood,
     NoEvents,
+    RepeatedLabel,
     WeightsNotSupported,
 )
 from factorfuse.fixtures import make_fixture
@@ -33,6 +34,7 @@ from factorfuse.mds import mds_project_1d
 
 import conftest
 from conftest import (
+    COLLIDING_LABELS,
     make_binomial_data,
     make_gaussian_data,
     make_survival_data,
@@ -358,6 +360,17 @@ class TestSummaries:
         data, g = make_survival_data(COX_ROWS)
         m = fit(data, g, singletons_of(g))
         assert group_summary(m)["(a)"] == pytest.approx(1.0)
+
+    def test_repeated_label_is_refused(self):
+        # levels a, a)(b, b, z: merging a and b gives two clusters labelled (a)(b)
+        data, g = make_gaussian_data(COLLIDING_LABELS)
+        part = singletons_of(g).merge(0, 2)
+        assert part.labels == ("(a)(b)", "(a)(b)", "(z)")
+        with pytest.raises(RepeatedLabel, match=r"clusters share the label \(a\)\(b\)"):
+            group_summary(fit(data, g, part))
+        assert group_summary(fit(data, g, part.merge(0, 2))) == pytest.approx(
+            {"(a)(b)(z)": np.mean(COLLIDING_LABELS["a"] + COLLIDING_LABELS["b"]
+                                  + COLLIDING_LABELS["z"]), "(a)(b)": 6.0})
 
 
 class TestKaplanMeier:

@@ -1,5 +1,6 @@
 """LRT, chi-square tail, history, GIC profiling, and tree cutting."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from factorfuse import (
     optimal_partition_table,
 )
 from factorfuse.data import Cluster, Partition
+from factorfuse.engine import PathStep
 from factorfuse.errors import NotNested, NumericalInconsistency
 from factorfuse.inference import chi_square_quantile, cut_step
 
@@ -204,6 +206,30 @@ class TestGlobalAndHistory:
                 assert row.pval_vs_full == pytest.approx(
                     chi_square_sf(max(2 * (full - model.loglik), 0.0), i), abs=1e-12
                 )
+
+    @staticmethod
+    def _path_with_partitions(*pairs_and_partitions):
+        # a 4-level path whose steps are the given (recorded pair, partition)s
+        data, g = make_gaussian_data({f"L0{i}": [i, i + 0.5, 2.0 * i] for i in range(1, 5)})
+        path = merge_factors(data, g, "adaptive")
+        steps = [path.steps[0]] + [PathStep(pair, fit(data, g, part))
+                                   for pair, part in pairs_and_partitions]
+        return dataclasses.replace(path, steps=tuple(steps))
+
+    def test_history_rejects_a_step_that_is_not_its_recorded_merge(self):
+        # merges L01 and L03 but records positions 0 and 1, (L01) and (L02)
+        fine = Partition.singletons(("L01", "L02", "L03", "L04"))
+        path = self._path_with_partitions(((0, 1), fine.merge(0, 2)))
+        with pytest.raises(NotNested, match=r"step 1 is not the merge of positions \(0, 1\)"):
+            merging_history(path)
+
+    def test_history_rejects_a_step_that_is_not_a_coarsening(self):
+        fine = Partition.singletons(("L01", "L02", "L03", "L04"))
+        path = self._path_with_partitions(((0, 1), fine.merge(0, 1)),
+                                          ((1, 2), fine.merge(2, 3)))
+        with pytest.raises(NotNested, match="step 2 is not the merge"):
+            merging_history(path)
+        assert not path.steps[2].model.partition.is_coarsening_of(path.steps[1].model.partition)
 
     def test_telescoping_identity(self, rng):
         for strategy in ("adaptive", "fixed", "fast-adaptive", "fast-fixed"):
