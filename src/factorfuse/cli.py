@@ -165,7 +165,7 @@ def _build_dataset(args) -> tuple[ResponseData, Grouping, dict]:
     out-of-domain responses and weights <= 0 raise, naming the first such
     row.  Within a row the checks run in that order: label, response, domain,
     weight present, weight positive.  Labels are stripped, tested and
-    abbreviated once per distinct raw label, and each row carries its label's
+    abbreviated once per distinct raw label, and each row carries its level's
     code.
     """
     survival = args.family == "survival"
@@ -221,8 +221,10 @@ def _build_dataset(args) -> tuple[ResponseData, Grouping, dict]:
         raise DataError("need at least 2 factor levels")
 
     abbrev = abbreviate_levels(distinct)
-    short_of_code = [abbrev.get(name) for name in names]
-    short_labels = tuple(map(short_of_code.__getitem__, codes.tolist()))
+    levels = tuple(sorted(abbrev.values()))
+    index = {short: i for i, short in enumerate(levels)}
+    # raw-label code -> level index, once per distinct raw label
+    level_of_code = np.array([index.get(abbrev.get(name), -1) for name in names], np.intp)
 
     values = values[kept]
     try:
@@ -230,10 +232,10 @@ def _build_dataset(args) -> tuple[ResponseData, Grouping, dict]:
                             w[kept] if args.weights else None)
     except WeightsNotSupported as exc:
         raise DataError(str(exc)) from exc
-    grouping = Grouping(short_labels, tuple(sorted(abbrev.values())))
+    grouping = Grouping(codes=level_of_code[codes], levels=levels)
     meta = {
         "rows": n,
-        "accepted": len(short_labels),
+        "accepted": len(codes),
         "rejectedRows": (np.flatnonzero(~kept) + 1).tolist(),
         "levelNames": {abbrev[lv]: lv for lv in distinct},
     }

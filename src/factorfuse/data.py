@@ -108,44 +108,72 @@ class ResponseData:
         return self.values.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Grouping:
     """Observation-to-level assignment for the grouping factor.
 
-    ``levels`` is the ordered list of distinct level names.  When not given
-    it defaults to the sorted distinct labels, which keeps every downstream
-    tie-break invariant under row permutations of the input.
+    ``levels`` is the ordered list of distinct level names.  Give either each
+    row's label, ``Grouping(labels, levels)``, or each row's index into
+    ``levels``, ``Grouping(codes=codes, levels=levels)``.  With labels,
+    ``levels`` defaults to the sorted distinct labels, which keeps every
+    downstream tie-break invariant under row permutations of the input.
 
-    Each row's level is worked out once, here: ``codes[r]`` is the index into
-    ``levels`` of row r's label, from which every per-level statistic is built;
-    ``code_of`` maps a level to its index and ``counts`` to its number of rows.
+    Each row's level is stored once, as ``codes[r]``, the index into
+    ``levels`` of row r's level, from which every per-level statistic is
+    built; ``labels`` is derived from the codes when read.  ``code_of`` maps
+    a level to its index and ``counts`` to its number of rows.
     """
 
-    labels: tuple[str, ...]
-    levels: tuple[str, ...] = field(default=())
-    codes: np.ndarray = field(init=False, repr=False, compare=False)
-    code_of: dict[str, int] = field(init=False, repr=False, compare=False)
-    counts: dict[str, int] = field(init=False, repr=False, compare=False)
+    levels: tuple[str, ...]
+    codes: np.ndarray = field(repr=False)
+    code_of: dict[str, int] = field(repr=False)
+    counts: dict[str, int] = field(repr=False)
 
-    def __post_init__(self):
-        labels = tuple(map(str, self.labels))
-        object.__setattr__(self, "labels", labels)
-        levels = tuple(map(str, self.levels)) if self.levels else tuple(sorted(set(labels)))
-        object.__setattr__(self, "levels", levels)
+    def __init__(self, labels=None, levels=(), *, codes=None):
+        levels = tuple(map(str, levels))
+        if (labels is None) == (codes is None):
+            raise FactorFuseError("a grouping takes either labels or codes")
+        if labels is not None:
+            labels = tuple(map(str, labels))
+            levels = levels or tuple(sorted(set(labels)))
         code_of = {lv: i for i, lv in enumerate(levels)}
         if len(code_of) != len(levels):
             raise FactorFuseError("duplicate level names")
-        codes = np.fromiter(map(code_of.get, labels, repeat(-1)), dtype=np.intp, count=len(labels))
-        unknown = np.flatnonzero(codes < 0)
-        if len(unknown):
-            raise FactorFuseError(f"label {labels[unknown[0]]!r} not among declared levels")
+        if labels is not None:
+            codes = np.fromiter(map(code_of.get, labels, repeat(-1)), np.intp, len(labels))
+            unknown = np.flatnonzero(codes < 0)
+            if len(unknown):
+                raise FactorFuseError(f"label {labels[unknown[0]]!r} not among declared levels")
+        else:
+            codes = np.asarray(codes)
+            if codes.ndim != 1 or codes.dtype.kind not in "iu" and codes.size:
+                raise FactorFuseError("codes must be a 1-d array of integers")
+            codes = codes.astype(np.intp)
+            outside = np.flatnonzero((codes < 0) | (codes >= len(levels)))
+            if len(outside):
+                raise FactorFuseError(f"code {codes[outside[0]]} of row {outside[0]} "
+                                      f"is not an index into {len(levels)} levels")
         counts = dict(zip(levels, np.bincount(codes, minlength=len(levels)).tolist()))
         empty = [lv for lv, c in counts.items() if c == 0]
         if empty:
             raise FactorFuseError(f"levels with no observations: {empty}")
+        object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "codes", codes)
         object.__setattr__(self, "code_of", code_of)
         object.__setattr__(self, "counts", counts)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Grouping):
+            return NotImplemented
+        return self.levels == other.levels and np.array_equal(self.codes, other.codes)
+
+    def __hash__(self) -> int:
+        return hash((self.levels, self.codes.tobytes()))
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        """Each row's level name."""
+        return tuple(np.array(self.levels, dtype=object)[self.codes])
 
     @property
     def k(self) -> int:
@@ -153,7 +181,7 @@ class Grouping:
 
     @property
     def n(self) -> int:
-        return len(self.labels)
+        return len(self.codes)
 
     def indices(self) -> dict[str, np.ndarray]:
         """Observation index array per level, in ascending row order."""

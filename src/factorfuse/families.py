@@ -193,8 +193,17 @@ def _sorted_rows(stats: LevelStats) -> tuple[np.ndarray, np.ndarray, list[slice]
     each level's slice: sums over a slice do not depend on the row order."""
     y, grouping = stats.data.values, stats.grouping
     w = np.ones(len(y)) if stats.data.weights is None else stats.data.weights
-    keys = (y,) if y.ndim == 1 else y.T[::-1]  # lexsort sorts by the last key first
-    order = np.lexsort((w, *keys, grouping.codes))
+    if stats.data.weights is None and y.ndim == 1:
+        # With unit weights, rows tied in y differ at most in the sign of a
+        # zero, which no sum sees: a sum of zeros is -0 only when all are -0.
+        # So a sort by value, then a stable one by level, gives the lexsort's
+        # sums; codes cast to 8 or 16 bits take numpy's radix sort.
+        order = np.argsort(y)
+        codes = grouping.codes.astype(np.min_scalar_type(grouping.k))[order]
+        order = order[np.argsort(codes, kind="stable")]
+    else:
+        keys = (y,) if y.ndim == 1 else y.T[::-1]  # lexsort sorts by the last key first
+        order = np.lexsort((w, *keys, grouping.codes))
     ends = np.cumsum(list(grouping.counts.values())).tolist()
     return y[order], w[order], [slice(a, b) for a, b in zip([0] + ends, ends)]
 

@@ -119,7 +119,7 @@ def make_fixture(kind: str, k: int, n_per_group: int, separation: float, seed: i
         planted.setdefault(params[c], []).append(lv)
     return Fixture(
         data=ResponseData(response_kind, values),
-        grouping=Grouping(tuple(lv for lv in levels for _ in range(n_per_group)), levels),
+        grouping=Grouping(codes=np.repeat(np.arange(k), n_per_group), levels=levels),
         planted=tuple(map(tuple, planted.values())),
         seed=seed,
         columns=columns,

@@ -425,13 +425,44 @@ def test_all_strategies_share_endpoints(rng):
 
 def permutation_cases(rng):
     """gaussian1d, then weighted gaussian1d, gaussianNd and binomial data whose
-    small integer responses repeat within a level under different weights."""
+    small integer responses repeat within a level under different weights,
+    then the unweighted cases of :func:`unweighted_repeat_cases`."""
     yield random_gaussian_dataset(rng, 5, 9)
     g = Grouping(tuple(f"G{i % 5}" for i in range(40)))
     w = rng.uniform(0.5, 2.0, 40)
     yield ResponseData("gaussian1d", rng.integers(0, 4, 40).astype(float), w), g
     yield ResponseData("gaussianNd", rng.integers(0, 3, (40, 2)).astype(float), w), g
     yield ResponseData("binomial", rng.integers(0, 2, 40).astype(float), w), g
+    yield from unweighted_repeat_cases(rng)
+
+
+def unweighted_repeat_cases(rng):
+    """Unweighted gaussian1d and binomial data whose responses repeat within a
+    level, and gaussian1d data whose levels mix 0.0 and -0.0; one level holds
+    only -0.0, so its sum is -0.0."""
+    g = Grouping(codes=np.arange(40) % 5, levels=[f"G{i}" for i in range(5)])
+    yield ResponseData("gaussian1d", rng.integers(0, 4, 40).astype(float)), g
+    yield ResponseData("binomial", rng.integers(0, 2, 40).astype(float)), g
+    signed = rng.choice([-0.0, 0.0, -0.0, 1.5, -2.0], 40)
+    signed[g.codes == 4] = -0.0
+    yield ResponseData("gaussian1d", signed), g
+
+
+def test_sorted_rows_match_the_three_key_lexsort(rng):
+    # without weights, rows are sorted by value and then stably by level: each
+    # level holds the values np.lexsort((w, y, codes)) gives, with the same sums
+    for data, g in unweighted_repeat_cases(rng):
+        for perm in (np.arange(data.n), rng.permutation(data.n)):
+            d = ResponseData(data.kind, data.values[perm])
+            gg = Grouping(codes=g.codes[perm], levels=g.levels)
+            y, w, levels = families._sorted_rows(families.LevelStats(d, gg))
+            ones = np.ones(d.n)
+            order = np.lexsort((ones, d.values, gg.codes))
+            assert np.array_equal(y, d.values[order]) and np.array_equal(w, ones[order])
+            assert [s.stop - s.start for s in levels] == list(gg.counts.values())
+            for s in levels:
+                assert y[s].sum().tobytes() == d.values[order][s].sum().tobytes()
+                assert (y[s] * y[s]).sum().tobytes() == (d.values[order][s] ** 2).sum().tobytes()
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)

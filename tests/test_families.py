@@ -688,6 +688,43 @@ class TestGrouping:
         assert Grouping(("a", "b")) == Grouping(("a", "b"))
         assert hash(Grouping(("a", "b"))) == hash(Grouping(("a", "b")))
 
+    def test_grouping_from_codes_equals_grouping_from_labels(self, rng):
+        levels = ("c", "a", "b")
+        codes = rng.permutation(np.concatenate([[0, 1, 2], rng.integers(0, 3, 47)]))
+        labels = tuple(levels[c] for c in codes)
+        by_codes = Grouping(codes=codes.astype(np.uint8), levels=levels)
+        by_labels = Grouping(labels, levels)
+        assert by_codes == by_labels and hash(by_codes) == hash(by_labels)
+        assert by_codes.labels == by_labels.labels == labels
+        assert by_codes.codes.dtype == by_labels.codes.dtype == np.intp
+        assert np.array_equal(by_codes.codes, by_labels.codes)
+        for name in ("levels", "counts", "code_of", "n", "k"):
+            assert getattr(by_codes, name) == getattr(by_labels, name), name
+        a, b = by_codes.indices(), by_labels.indices()
+        assert a.keys() == b.keys() and all(np.array_equal(a[lv], b[lv]) for lv in a)
+        # the same labels under another level order are another grouping
+        assert by_codes != Grouping(labels)
+        assert Grouping(codes=[], levels=()) == Grouping(())
+
+    @pytest.mark.parametrize("codes, levels, message", [
+        ([0, 3, 1], ("a", "b", "c"), "code 3 of row 1 is not an index into 3 levels"),
+        ([1, 0, -1], ("a", "b"), "code -1 of row 2 is not an index into 2 levels"),
+        ([0], (), "code 0 of row 0 is not an index into 0 levels"),
+        ([0, 2], ("a", "b", "c"), "levels with no observations: ['b']"),
+        ([0, 1], ("a", "a"), "duplicate level names"),
+        ([0.0, 1.0], ("a", "b"), "codes must be a 1-d array of integers"),
+        ([[0, 1]], ("a", "b"), "codes must be a 1-d array of integers"),
+    ])
+    def test_code_errors(self, codes, levels, message):
+        with pytest.raises(FactorFuseError) as err:
+            Grouping(codes=np.array(codes), levels=levels)
+        assert str(err.value) == message
+
+    def test_labels_or_codes_not_both(self):
+        for kwargs in ({}, {"labels": ("a",), "codes": [0]}):
+            with pytest.raises(FactorFuseError, match="either labels or codes"):
+                Grouping(levels=("a",), **kwargs)
+
     @pytest.mark.parametrize("labels, levels, message", [
         (("a", "b"), ("a", "b", "a"), "duplicate level names"),
         (("a", "x", "b", "y"), ("a", "b"), "label 'x' not among declared levels"),
