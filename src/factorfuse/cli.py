@@ -390,8 +390,8 @@ def cmd_merge(args) -> int:
     history = merging_history(path)
     gic = gic_profile(path, spec.penalty)
     stat, df, pvalue = global_null_test(path)
-    table = optimal_partition_table(path, criterion)
-    chosen = cut_step(path, criterion)
+    chosen = cut_step(path, criterion, history=history, gic=gic)
+    table = optimal_partition_table(path, criterion, step=chosen)
 
     level_names = meta["levelNames"]
     # one entry per cluster: a merge keeps the other clusters, so a cluster is

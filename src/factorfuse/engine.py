@@ -117,13 +117,13 @@ def merge_factors(
         raise InvalidStrategy(strategy)
     fast = strategy.startswith("fast-")
     stats = LevelStats(data, grouping)
-    ordering = ()
+    ordering, full = (), None
     if fast:
         # the ordering reads a full model fitted in level order; the path
-        # starts from the full model refitted in the new order
+        # starts from the full model refitted in the new order, from that fit
         full = fit_stats(stats, Partition.singletons(grouping.levels))
         ordering = ordering_statistic(data, grouping, full)
-    clusters = _Clusters(stats, Partition.singletons(ordering or grouping.levels))
+    clusters = _Clusters(stats, Partition.singletons(ordering or grouping.levels), full)
     ranking = _RANKINGS[strategy](clusters)
     steps = [PathStep(None, clusters.model)]
     while clusters.size > 1:
@@ -163,11 +163,12 @@ def _adjacent(size: int) -> tuple[np.ndarray, np.ndarray]:
 
 class _Clusters:
     """The current partition, per cluster its level codes in declared order and
-    its sums, and its fitted model, merged in step; and the evaluations spent."""
+    its sums, and its fitted model, merged in step; and the evaluations spent.
+    Each fit starts from the one before it (see :func:`fit_stats`)."""
 
-    def __init__(self, stats: LevelStats, partition: Partition):
+    def __init__(self, stats: LevelStats, partition: Partition, parent: FittedModel | None):
         self.stats = stats
-        self.model = fit_stats(stats, partition)
+        self.model = fit_stats(stats, partition, parent)
         self.codes = stats.cluster_rows(partition)
         self.sums = cluster_sums(stats, partition)
         self.counts = Counter(path=1)
@@ -195,7 +196,7 @@ class _Clusters:
         for name, s in self.sums.items():
             s[a] = np.add.reduce(getattr(stats, name)[codes[a]])
         partition = self.model.partition.merge(a, b)
-        self.model = stats.family.fit(stats, partition, self.sums)
+        self.model = stats.family.fit(stats, partition, self.sums, self.model)
         self.counts["path"] += 1
         return PathStep((a, b), self.model)
 

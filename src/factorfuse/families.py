@@ -101,7 +101,8 @@ class Family:
     level_stats: Callable
     # per-level statistics that cluster_sums adds up per cluster
     sums: tuple[str, ...]
-    # (stats, partition, cluster sums) -> FittedModel
+    # (stats, partition, cluster sums, parent) -> FittedModel; ``parent`` is
+    # None or a fit of the same levels that the fit may start from
     fit: Callable
     # (stats, cluster sums, i, j, fitted model of the partition the sums are
     # of) -> loglik with each pair (i[t], j[t]) merged
@@ -143,9 +144,15 @@ def fit(data: ResponseData, grouping: Grouping, partition: Partition) -> FittedM
     return fit_stats(LevelStats(data, grouping), partition)
 
 
-def fit_stats(stats: LevelStats, partition: Partition) -> FittedModel:
+def fit_stats(stats: LevelStats, partition: Partition,
+              parent: FittedModel | None = None) -> FittedModel:
     """Fit from precomputed level statistics, after checking that
-    ``partition`` holds each level once; the merge loop fits its full model here."""
+    ``partition`` holds each level once; the merge loop fits its full model here.
+
+    When ``parent``, a fit of the same levels, is given, a Cox fit starts
+    each cluster at the event-weighted mean of its levels' coefficients in
+    ``parent``; the other families ignore it.
+    """
     have = frozenset(stats.levels)
     members = Counter(m for c in partition.clusters for m in c.members)
     missing = members.keys() - have
@@ -159,7 +166,7 @@ def fit_stats(stats: LevelStats, partition: Partition) -> FittedModel:
         raise DegenerateData(f"level {shared[0]!r} is in more than one cluster")
     if members.keys() != have:
         raise DegenerateData("partition does not cover the grouping levels")
-    return stats.family.fit(stats, partition, cluster_sums(stats, partition))
+    return stats.family.fit(stats, partition, cluster_sums(stats, partition), parent)
 
 
 def cluster_sums(stats: LevelStats, partition: Partition) -> dict[str, np.ndarray]:
@@ -283,7 +290,7 @@ def _rss_loglik(stats: LevelStats, sums, log, added=0.0):
     return -0.5 * n * (LOG_2PI + log(sigma2) + 1.0), sigma2
 
 
-def _fit_gaussian_1d(stats: LevelStats, partition: Partition, sums) -> FittedModel:
+def _fit_gaussian_1d(stats: LevelStats, partition: Partition, sums, parent=None) -> FittedModel:
     loglik, sigma2 = _rss_loglik(stats, sums, math.log)
     return FittedModel(
         family=GAUSSIAN_1D,
@@ -323,7 +330,7 @@ def _scatter_loglik(stats: LevelStats, sums, added=0.0):
     return -0.5 * n * (d * LOG_2PI + logdet + d), cov, flags
 
 
-def _fit_gaussian_nd(stats: LevelStats, partition: Partition, sums) -> FittedModel:
+def _fit_gaussian_nd(stats: LevelStats, partition: Partition, sums, parent=None) -> FittedModel:
     loglik, cov, flags = _scatter_loglik(stats, sums)
     return FittedModel(
         family=GAUSSIAN_ND,
@@ -389,7 +396,7 @@ def _binomial_loglik(sw: np.ndarray, swy: np.ndarray, log=np.log) -> np.ndarray:
     return ll + np.where(p < 1.0, (sw - swy) * log(np.where(p < 1.0, 1.0 - p, 1.0)), 0.0)
 
 
-def _fit_binomial(stats: LevelStats, partition: Partition, sums) -> FittedModel:
+def _fit_binomial(stats: LevelStats, partition: Partition, sums, parent=None) -> FittedModel:
     sw, swy = sums["sw"], sums["swy"]
     p = swy / sw
     with np.errstate(divide="ignore"):  # p = 0 or 1 gives a logit of -inf or inf
@@ -418,13 +425,15 @@ def _score_binomial(stats: LevelStats, sums, i, j, model) -> np.ndarray:
 
 def _survival_stats(stats: LevelStats) -> None:
     """Tables over the T distinct event times: ``D[l, t]`` counts level l's
-    events at time t and ``R[l, t]`` its rows at risk then."""
+    events at time t and ``R[l, t]`` its rows at risk then; ``events[l]``
+    counts level l's events."""
     t, e = stats.data.values.T
     codes, k = stats.grouping.codes, len(stats.levels)
     times = np.unique(t[e == 1.0])
     T = len(times)
     at = codes[e == 1.0] * T + np.searchsorted(times, t[e == 1.0])
     stats.D = np.bincount(at, minlength=k * T).reshape(k, T).astype(float)
+    stats.events = np.add.reduce(stats.D, axis=1)
     # count each level's rows by the event times they reach; sum from the last
     reach = codes * (T + 1) + np.searchsorted(times, t, side="right")
     rows = np.bincount(reach, minlength=k * (T + 1)).reshape(k, T + 1)
@@ -519,14 +528,15 @@ def _tie(a: np.ndarray, b: np.ndarray, c: int):
     return at, fold
 
 
-def _cox_fit_rows(sets: _RiskSets, start: np.ndarray, a=None, b=None):
+def _cox_fit_rows(sets: _RiskSets, start: np.ndarray, tie=None):
     """Maximise the partial likelihood of ``sets`` from each row of ``start``.
 
     Each row of ``start`` holds the coefficients of a partition's clusters,
-    the reference ``start[:, 0] == 0`` first.  Without ``a`` and ``b`` that
-    partition is the one whose tables ``sets`` holds; row t otherwise fits
-    it with the clusters a[t] < b[t] merged, which is the same partial
-    likelihood with both coefficients tied.
+    the reference ``start[:, 0] == 0`` first.  Without ``tie`` that
+    partition is the one whose tables ``sets`` holds; with ``tie``, which
+    :func:`_tie` gives for clusters a < b, row t fits it with the clusters
+    a[t] and b[t] merged, which is the same partial likelihood with both
+    coefficients tied.
 
     Newton-Raphson on the free coefficients halves steps that lower the
     loglik or reach non-finite values, and stops once a step gains less than
@@ -539,12 +549,11 @@ def _cox_fit_rows(sets: _RiskSets, start: np.ndarray, a=None, b=None):
     (row, error) of the first row that failed, or None.
     """
     m, n = start.shape
-    if a is not None:
-        at, fold = _tie(a, b, len(sets.R))
-        fold = fold[:, :, 1:]  # the free coefficients
+    if tie is not None:
+        at, fold = tie[0], tie[1][:, :, 1:]  # the free coefficients
 
     def evaluate(rows, coef):
-        if a is None:
+        if tie is None:
             ll, grad, hess = sets.evaluate(coef)
             return ll, grad[:, 1:], hess[:, 1:, 1:]
         ll, grad, hess = sets.evaluate(np.take_along_axis(coef, at[rows], axis=1))
@@ -585,6 +594,11 @@ def _cox_fit_rows(sets: _RiskSets, start: np.ndarray, a=None, b=None):
             ll_new, grad_new, hess_new = evaluate(rows, trial)
             ok = ((ll_new >= ll[rows] - 1e-12) & np.isfinite(ll_new)
                   & np.isfinite(grad_new).all(axis=1) & np.isfinite(hess_new).all(axis=(1, 2)))
+            if len(rows) == m and ok.all():  # all rows stepped: keep the trial's arrays
+                converged = np.abs(ll_new - ll) < COX_TOL
+                coef, ll, grad, hess = trial, ll_new, grad_new, hess_new
+                pending = pending[:0]
+                break
             rows = rows[ok]
             converged[rows] = np.abs(ll_new[ok] - ll[rows]) < COX_TOL
             coef[rows], ll[rows], grad[rows], hess[rows] = trial[ok], ll_new[ok], grad_new[ok], hess_new[ok]
@@ -596,35 +610,110 @@ def _cox_fit_rows(sets: _RiskSets, start: np.ndarray, a=None, b=None):
     return coef, ll, min(failed.items()) if failed else None
 
 
-def _fit_cox(stats: LevelStats, partition: Partition, sums) -> FittedModel:
+def _fit_cox(stats: LevelStats, partition: Partition, sums, parent=None) -> FittedModel:
     if stats.D.shape[1] == 0:
         raise NoEvents("survival data has no uncensored events")
     sets = _RiskSets(sums["D"], sums["R"], 1)
-    coef, ll, failed = _cox_fit_rows(sets, np.zeros((1, len(sums["D"]))))
+    c = len(sums["D"])
+    if parent is None:
+        start = np.zeros((1, c))
+    else:
+        # each level carries its parent cluster's coefficient and its events
+        alpha = parent.estimates["alpha"][_positions(stats, parent.partition)]
+        start = _pooled_start(alpha, stats.events, _positions(stats, partition)[None], c)
+    coef, ll, failed = _cox_fit_rows(sets, start)
     if failed:
         raise failed[1]
     return FittedModel(family=SURVIVAL, partition=partition, loglik=float(ll[0]),
                        estimates={"alpha": coef[0], "hazard_ratio": _math_exp(coef[0])})
 
 
+def _positions(stats: LevelStats, partition: Partition) -> np.ndarray:
+    """The position in ``partition`` of each level's cluster, by level code."""
+    code_of, clusters = stats.grouping.code_of, partition.clusters
+    out = np.empty(len(stats.levels), int)
+    out[[code_of[m] for c in clusters for m in c.members]] = np.repeat(
+        np.arange(len(clusters)), [len(c.members) for c in clusters])
+    return out
+
+
+def _pooled_start(alpha: np.ndarray, events: np.ndarray, into: np.ndarray, c: int) -> np.ndarray:
+    """Starting coefficients of c clusters from a finer fit: unit u (a level
+    or a cluster) has coefficient alpha[u] and events[u] events, and row t
+    puts it into cluster into[t, u].  A cluster starts at the event-weighted
+    mean of its units' coefficients (at 0 if they hold no events), and each
+    row is shifted so that cluster 0 is the reference."""
+    m = len(into)
+    cells = (into + c * np.arange(m)[:, None]).ravel()
+    weights = np.tile(events, m)
+    total = np.bincount(cells, weights, m * c)[cells]
+    # a unit alone in its cluster has share 1 and keeps its coefficient's bits
+    share = np.divide(weights, total, out=np.zeros_like(weights), where=total > 0)
+    start = np.bincount(cells, share * np.tile(alpha, m), m * c).reshape(m, c)
+    return start - start[:, :1]
+
+
+def _inverse_information(sets: _RiskSets, alpha: np.ndarray) -> np.ndarray | None:
+    """Inverse of the information (minus the Hessian of the partial
+    likelihood) at ``alpha`` in the free coefficients, padded with a zero
+    row and column for the reference; None where the information is not
+    positive definite to working precision, by the rank tolerance of
+    ``numpy.linalg.matrix_rank``: least eigenvalue at most (c - 1) eps
+    times the largest."""
+    c = len(alpha)
+    _, _, hess = sets.evaluate(alpha[None])
+    try:
+        values, vectors = np.linalg.eigh(-hess[0, 1:, 1:])
+    except np.linalg.LinAlgError:
+        return None
+    if not values[0] > (c - 1) * np.finfo(float).eps * values[-1]:  # also false for NaN
+        return None
+    inverse = np.zeros((c, c))
+    inverse[1:, 1:] = (vectors / values) @ vectors.T
+    return inverse
+
+
+def _tied_optimum(alpha, inverse, a, b, pooled) -> np.ndarray:
+    """Row t: the maximum of the parent fit's quadratic model with clusters
+    a[t] and b[t] tied, b[t] dropped and cluster 0 the reference.
+
+    The parent fit ``alpha`` maximises the partial likelihood, so near it
+    the likelihood is alpha's value less half the information quadratic
+    form of the distance from alpha.  Under alpha_a = alpha_b its maximum
+    is alpha - u (alpha_a - alpha_b) / (u_a - u_b), with u the inverse
+    information (``inverse``) times e_a - e_b (Nocedal and Wright,
+    *Numerical Optimization*, sec. 16.1).  Rows where u_a - u_b is not
+    positive and finite keep their ``pooled`` start."""
+    rows = np.arange(len(a))
+    with np.errstate(all="ignore"):
+        u = (inverse[:, a] - inverse[:, b]).T
+        curvature = u[rows, a] - u[rows, b]
+        start = alpha - u * ((alpha[a] - alpha[b]) / curvature)[:, None]
+    keep = np.arange(len(alpha) - 1)
+    start = start[rows[:, None], keep + (keep >= b[:, None])]
+    usable = np.isfinite(curvature) & (curvature > 0) & np.isfinite(start).all(axis=1)
+    return np.where(usable[:, None], start - start[:, :1], pooled)
+
+
 def _score_cox(stats: LevelStats, sums, i, j, model: FittedModel) -> np.ndarray:
     # the partial likelihood has no closed-form merge update: fit every
-    # candidate on the current tables by Newton from the current fit, with
-    # the merged pair's coefficients pooled by their events (a converged fit
-    # leaves no cluster without events), in blocks of rows within the budget
+    # candidate on the current tables by Newton from the current fit, at the
+    # tied optimum of its quadratic model (or, where the information is
+    # singular, with the merged pair's coefficients pooled by their events),
+    # in blocks of rows within the budget
     labels, alpha = model.partition.labels, model.estimates["alpha"]
     c, T = sums["R"].shape
     sets = _RiskSets(sums["D"], sums["R"], len(i))
+    inverse = _inverse_information(sets, alpha)
     block = max(1, COX_CELLS // max(T, c * c))
     scores = []
     for s in range(0, len(i), block):
         a, b = i[s:s + block], j[s:s + block]
-        t, free = np.arange(len(a)), np.arange(c - 1)
-        start = alpha[free + (free >= b[:, None])]
-        pooled = (sets.events[a] * alpha[a] + sets.events[b] * alpha[b]) / (sets.events[a] + sets.events[b])
-        start[t, a] = pooled
-        start -= start[:, :1]
-        _, ll, failed = _cox_fit_rows(sets, start, a, b)
+        tie = _tie(a, b, c)
+        start = _pooled_start(alpha, sets.events, tie[0], c - 1)
+        if inverse is not None:
+            start = _tied_optimum(alpha, inverse, a, b, start)
+        _, ll, failed = _cox_fit_rows(sets, start, tie)
         if failed:
             row, exc = failed
             raise type(exc)(f"{exc}: candidate merge of {labels[a[row]]} and {labels[b[row]]} "

@@ -215,14 +215,22 @@ class SelectionCriterion:
             raise FactorFuseError("log-likelihood threshold must be finite")
 
 
-def cut_step(path: MergingPath, criterion: SelectionCriterion) -> int:
-    """Index of the selected step on the path."""
+def cut_step(path: MergingPath, criterion: SelectionCriterion, *,
+             history: list[HistoryRow] | None = None, gic: GicProfile | None = None) -> int:
+    """Index of the selected step on the path.
+
+    ``history`` and ``gic`` may pass the path's :func:`merging_history` and
+    a :func:`gic_profile` of it, so that neither is built again; a profile
+    under another penalty than the criterion's is not read.
+    """
     if criterion.kind == "gic":
-        return gic_profile(path, criterion.value).argmin_step
+        if gic is None or gic.penalty != criterion.value:
+            gic = gic_profile(path, criterion.value)
+        return gic.argmin_step
     # the last step that the criterion keeps, else the full model
     if criterion.kind == "pvalue":
-        return max((r.step for r in merging_history(path) if r.pval_vs_full > criterion.value),
-                   default=0)
+        rows = merging_history(path) if history is None else history
+        return max((r.step for r in rows if r.pval_vs_full > criterion.value), default=0)
     floor = path.full_model.loglik - criterion.value
     return max((i for i, s in enumerate(path.steps) if s.model.loglik >= floor), default=0)
 
@@ -232,8 +240,13 @@ def cut_tree(path: MergingPath, criterion: SelectionCriterion) -> Partition:
 
 
 def optimal_partition_table(
-    path: MergingPath, criterion: SelectionCriterion
+    path: MergingPath, criterion: SelectionCriterion, *, step: int | None = None
 ) -> list[tuple[str, str]]:
-    """(orig level, cluster label) per original level, in level order."""
-    label_of = {m: c.label for c in cut_tree(path, criterion).clusters for m in c.members}
+    """(orig level, cluster label) per original level, in level order, in the
+    partition that ``criterion`` selects; ``step`` may pass the step that
+    :func:`cut_step` selected, so that it is not selected again."""
+    if step is None:
+        step = cut_step(path, criterion)
+    partition = path.steps[step].model.partition
+    label_of = {m: c.label for c in partition.clusters for m in c.members}
     return [(lv, label_of[lv]) for lv in path.levels]

@@ -92,6 +92,52 @@ def test_merge_byte_identical_reruns(gaussian_csv, tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
+@pytest.mark.parametrize("flags, profiles", [
+    ([], 1),
+    (["--criterion", "gic", "--value", "3"], 2),  # the cut's penalty differs from the plot's
+    (["--criterion", "pvalue", "--value", "0.05"], 1),
+    (["--criterion", "loglik", "--value", "3"], 1),
+], ids=str)
+def test_merge_builds_history_gic_and_cut_once(flags, profiles, monkeypatch, tmp_path):
+    # merge builds the merging history and the plot's GIC profile once, and
+    # selects the step once; the selection reads what was built
+    from factorfuse import cli, inference
+
+    rng = np.random.default_rng(3)
+    p = tmp_path / "data.csv"
+    write_csv(p, ("y", "group"), [(float(v), f"g{s}") for s in range(8)
+                                  for v in rng.normal(s % 3, 1.0, 6)])
+    calls, paths = [], []
+    for name in ("merging_history", "gic_profile", "cut_step", "merge_factors"):
+        for module in (cli, inference):
+            original = getattr(module, name, None)
+            if original is None:
+                continue
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                result = _original(*args, **kwargs)
+                if _name == "merge_factors":
+                    paths.append(result)
+                return result
+
+            monkeypatch.setattr(module, name, counted)
+    out = tmp_path / "out"
+    rc = run(["merge", "--input", p, "--family", "gaussian", "--response", "y",
+              "--factor", "group", *flags, "--out", out])
+    assert rc == 0
+    assert sorted(calls) == sorted(["merge_factors", "merging_history", "cut_step"]
+                                   + ["gic_profile"] * profiles)
+    monkeypatch.undo()
+    result = json.loads((out / "result.json").read_text())
+    criterion = inference.SelectionCriterion(result["config"]["criterion"]["kind"],
+                                             result["config"]["criterion"]["value"])
+    step = inference.cut_step(paths[0], criterion)
+    assert result["selectedStep"] == step
+    table = inference.optimal_partition_table(paths[0], criterion)
+    assert [(r["abbrev"][1:-1], r["pred"]) for r in result["optimalPartition"]] == table
+
+
 def test_history_csv_recomputable_from_json(gaussian_csv, tmp_path):
     out = tmp_path / "out"
     run(["merge", "--input", gaussian_csv, "--family", "gaussian",

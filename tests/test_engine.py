@@ -492,11 +492,13 @@ def test_repeat_runs_identical(strategy, rng):
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_kept_sums_equal_cluster_sums(kind, strategy, monkeypatch):
     # path fits read the sums the loop keeps; a fresh cluster_sums of each
-    # partition must give the same bits, and so the same fit
+    # partition must give the same bits, and so the same fit from the same
+    # parent; a cold fit agrees to rounding
     merge = engine._Clusters.merge
     merges = []
 
     def checked_merge(clusters, a, b):
+        parent = clusters.model
         step = merge(clusters, a, b)
         partition = step.model.partition
         fresh = families.cluster_sums(clusters.stats, partition)
@@ -505,8 +507,11 @@ def test_kept_sums_equal_cluster_sums(kind, strategy, monkeypatch):
             got = clusters.sums[name]
             assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape,
                                                              want.tobytes()), name
-        refit = families.fit_stats(clusters.stats, partition)
+        refit = families.fit_stats(clusters.stats, partition, parent)
         assert (step.model.loglik, step.model.flags) == (refit.loglik, refit.flags)
+        cold = families.fit_stats(clusters.stats, partition)
+        assert abs(step.model.loglik - cold.loglik) <= 1e-12 * abs(cold.loglik)
+        assert step.model.flags == cold.flags
         merges.append(partition)
         return step
 
@@ -518,6 +523,65 @@ def test_kept_sums_equal_cluster_sums(kind, strategy, monkeypatch):
         data, g = fx.data, fx.grouping
     merge_factors(data, g, strategy)
     assert len(merges) == g.k - 1
+
+
+def _count_rows(monkeypatch):
+    """Coefficient rows that Cox evaluations read, appended to the returned list."""
+    rows, evaluate = [], families._RiskSets.evaluate
+
+    def counted(self, A):
+        rows.append(len(A))
+        return evaluate(self, A)
+
+    monkeypatch.setattr(families._RiskSets, "evaluate", counted)
+    return rows
+
+
+def test_warm_path_fits_take_at_most_half_the_evaluations_of_cold_fits(monkeypatch):
+    # each path fit starts from the fit it replaces; a cold fit starts at 0
+    fx = make_fixture("survival", 16, 20, 1.0, 0)
+    rows, merge, warm = _count_rows(monkeypatch), engine._Clusters.merge, []
+
+    def counted_merge(clusters, a, b):
+        del rows[:]
+        step = merge(clusters, a, b)
+        warm.append(sum(rows))
+        return step
+
+    monkeypatch.setattr(engine._Clusters, "merge", counted_merge)
+    path = merge_factors(fx.data, fx.grouping, "adaptive")
+    stats, cold = families.LevelStats(fx.data, fx.grouping), []
+    for step in path.steps[1:]:
+        del rows[:]
+        families.fit_stats(stats, step.model.partition)
+        cold.append(sum(rows))
+    assert len(warm) == len(cold) == 15
+    assert 2 * sum(warm) <= sum(cold)
+
+
+@pytest.mark.parametrize("strategy", ["fast-adaptive", "fast-fixed"])
+def test_fast_strategies_refit_the_full_model_from_the_level_order_fit(strategy, monkeypatch):
+    # the ordering reads the full model fitted in level order; step 0 refits
+    # it in the new order from those coefficients, a Newton step from done
+    fx = make_fixture("survival", 16, 20, 1.0, 0)
+    rows, fit_stats, fits = _count_rows(monkeypatch), engine.fit_stats, []
+
+    def counted_fit(stats, partition, parent=None):
+        del rows[:]
+        model = fit_stats(stats, partition, parent)
+        fits.append((model, parent, sum(rows)))
+        return model
+
+    monkeypatch.setattr(engine, "fit_stats", counted_fit)
+    path = merge_factors(fx.data, fx.grouping, strategy)
+    (full, none, cold), (step0, parent, warm) = fits
+    assert none is None and parent is full and step0 is path.full_model
+    assert path.ordering == ordering_statistic(fx.data, fx.grouping)
+    assert warm <= 2 < cold
+    position = {c.members[0]: s for s, c in enumerate(full.partition.clusters)}
+    alpha = full.estimates["alpha"][[position[lv] for lv in path.ordering]]
+    assert np.allclose(step0.estimates["alpha"], alpha - alpha[0], rtol=1e-9, atol=1e-9)
+    assert abs(step0.loglik - full.loglik) <= 1e-12 * abs(full.loglik)
 
 
 # ---------------------------------------------------------------------------

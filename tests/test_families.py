@@ -668,6 +668,69 @@ class TestPairScorer:
         assert sum(rows) < len(calls)
         assert np.allclose(warm, cold, rtol=1e-12, atol=1e-9)
 
+    @pytest.mark.parametrize("eigenvalues", [
+        [0.0] + [1.0] * 14,  # singular
+        [1e-17] + [1.0] * 14,  # below the rank tolerance of 15 eps
+        [-1.0] + [1.0] * 14,  # not a maximum
+    ])
+    def test_survival_candidates_start_pooled_without_a_usable_information(
+            self, eigenvalues, monkeypatch, rng):
+        # the parent's information comes from the one-row evaluation at its
+        # fit; where it cannot be inverted reliably, every candidate starts
+        # with the merged pair's coefficients pooled by their events
+        fx = make_fixture("survival", 16, 20, 1.0, 0)
+        stats = LevelStats(fx.data, fx.grouping)
+        part = singletons_of(fx.grouping)
+        sums, model = cluster_sums(stats, part), fit_stats(stats, part)
+        i, j = np.triu_indices(part.size, k=1)
+        basis = np.linalg.qr(rng.normal(size=(15, 15)))[0]
+        information = (basis * eigenvalues) @ basis.T
+        evaluate, newton, starts = _RiskSets.evaluate, families._cox_fit_rows, []
+
+        def at_parent(self, A):
+            ll, grad, hess = evaluate(self, A)
+            if len(A) == 1 and np.array_equal(A[0], model.estimates["alpha"]):
+                hess[0, 1:, 1:] = -information
+            return ll, grad, hess
+
+        def recorded(sets, start, tie=None):
+            starts.append(start)
+            return newton(sets, start, tie)
+
+        monkeypatch.setattr(_RiskSets, "evaluate", at_parent)
+        monkeypatch.setattr(families, "_cox_fit_rows", recorded)
+        scores = score_pairs(stats, sums, i, j, model)
+        at, _ = _tie(i, j, part.size)
+        pooled = families._pooled_start(model.estimates["alpha"], stats.events, at, part.size - 1)
+        assert np.array_equal(np.concatenate(starts), pooled)
+        assert np.allclose(scores, reference_cox_scores(stats, sums, i, j), rtol=1e-12, atol=1e-9)
+
+    def test_tied_optimum_maximises_the_quadratic_model(self, rng):
+        # against the maximum of -(x - alpha)' I (x - alpha) / 2 over the
+        # merged coefficients x = F beta, beta_0 = 0: F' I (F beta - alpha) = 0
+        c = 6
+        alpha = np.concatenate([[0.0], rng.normal(0.0, 1.0, c - 1)])
+        root = rng.normal(size=(c - 1, c - 1))
+        information = root @ root.T + 0.1 * np.eye(c - 1)
+        inverse = np.zeros((c, c))
+        inverse[1:, 1:] = np.linalg.inv(information)
+        a, b = np.triu_indices(c, k=1)
+        pooled = np.full((len(a), c - 1), np.nan)
+        got = families._tied_optimum(alpha, inverse, a, b, pooled)
+        _, fold = _tie(a, b, c)
+        for t in range(len(a)):
+            f = fold[t, 1:, 1:]
+            want = np.linalg.solve(f.T @ information @ f, f.T @ information @ alpha[1:])
+            assert got[t, 0] == 0.0
+            assert np.allclose(got[t, 1:], want, rtol=1e-10, atol=1e-12)
+        # a pair whose quadratic form is not positive keeps its pooled start
+        indefinite = inverse.copy()
+        indefinite[1:3, 1:3] = -np.eye(2)
+        row = np.flatnonzero((a == 1) & (b == 2))
+        pooled = np.arange(len(a) * (c - 1), dtype=float).reshape(len(a), c - 1)
+        got = families._tied_optimum(alpha, indefinite, a, b, pooled)
+        assert np.array_equal(got[row], pooled[row])
+
 
 # ---------------------------------------------------------------------------
 # grouping codes and level statistics against the one-level-at-a-time reference
