@@ -41,6 +41,7 @@ from .errors import (
 from .families import FAMILIES
 from .fixtures import FIXTURE_KINDS, make_fixture
 from .inference import (
+    CRITERIA,
     SelectionCriterion,
     check_penalty,
     cut_step,
@@ -556,7 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--factor", required=True)
     m.add_argument("--weights")
     m.add_argument("--method", default="fast-adaptive", choices=list(STRATEGIES))
-    m.add_argument("--criterion", default="gic", choices=["gic", "pvalue", "loglik"])
+    m.add_argument("--criterion", default="gic", choices=list(CRITERIA))
     m.add_argument("--value", type=float, default=2.0)
     m.add_argument("--response-panel", dest="response_panel")
     m.add_argument("--nodes-spacing", dest="nodes_spacing", default="equal",

@@ -233,6 +233,12 @@ class Partition:
     def level_set(self) -> frozenset[str]:
         return frozenset(m for c in self.clusters for m in c.members)
 
+    def positions(self, levels) -> np.ndarray:
+        """The position of the cluster that holds each of ``levels``, -1
+        where none holds it."""
+        at = {m: s for s, c in enumerate(self.clusters) for m in c.members}
+        return np.array([at.get(lv, -1) for lv in levels], dtype=int)
+
     def merge(self, a: int, b: int) -> "Partition":
         """Merge the clusters at positions a and b, in either order; the members
         are a's then b's, and the result sits at the smaller position."""

@@ -14,9 +14,9 @@ pair of clusters per step.  The strategies differ in two choices:
   only between neighbours and measures a single fresh distance per merge.
 
 Candidates are scored from per-cluster sufficient statistics and the fit of
-the current partition (:func:`~factorfuse.families.score_pairs`); only the
-chosen partition is fitted.  A merge re-sums only the merged cluster, and the
-path fit reads the sums the loop keeps.  The path counts candidates scored,
+the current partition by the family record's ``score``; only the chosen
+partition is fitted.  A merge re-sums only the merged cluster, and the path
+fit reads the sums the loop keeps.  The path counts candidates scored,
 distances measured and path models fitted, so the evaluation-cost contract of
 each strategy can be asserted.  Every strategy picks its pair with
 :func:`_select`: scores within ``NEAR_TIE`` of the best are tied and the
@@ -32,7 +32,7 @@ import numpy as np
 
 from .data import Grouping, Partition, ResponseData
 from .errors import FactorFuseError, InvalidStrategy
-from .families import FAMILIES, FittedModel, LevelStats, cluster_sums, fit_stats, score_pairs
+from .families import FAMILIES, FittedModel, LevelStats, cluster_sums, fit_stats
 from .mds import mds_project_1d
 
 STRATEGIES = ("adaptive", "fast-adaptive", "fixed", "fast-fixed")
@@ -93,9 +93,10 @@ def ordering_statistic(
     """
     if full_model is None:
         full_model = fit_stats(LevelStats(data, grouping), Partition.singletons(grouping.levels))
-    position = {c.members: s for s, c in enumerate(full_model.partition.clusters)}
-    positions = [position.get((lv,)) for lv in grouping.levels]
-    if None in positions or full_model.partition.size != grouping.k:
+    partition = full_model.partition
+    positions = partition.positions(grouping.levels)
+    if sorted(positions.tolist()) != list(range(partition.size)) or (
+            len(partition.level_set()) != grouping.k):
         raise FactorFuseError("full model is not one cluster per level of the grouping")
     value = FAMILIES[data.kind].order_value(full_model, positions, mds_project_1d)
     return tuple(grouping.levels[t] for t in np.argsort(value, kind="stable"))
@@ -180,7 +181,7 @@ class _Clusters:
     def score(self, i: np.ndarray, j: np.ndarray, category: str = "candidates") -> np.ndarray:
         """Log-likelihood after merging each pair (i[t], j[t])."""
         self.counts[category] += len(i)
-        return score_pairs(self.stats, self.sums, i, j, self.model)
+        return self.stats.family.score(self.stats, self.sums, i, j, self.model)
 
     def distance(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """LRT distance of merging each pair (i[t], j[t])."""

@@ -12,8 +12,8 @@ reads per-level sufficient statistics, computed once per dataset in
 :class:`LevelStats` and invariant under row permutations of the input
 (bitwise): Gaussian and binomial sums from one sort of the rows by level,
 value and weight; for survival (Cox, Breslow ties), each level's events and
-rows at risk at every event time.  Fits and :func:`score_pairs`, which scores
-many candidate merges at once, read the same per-cluster sums
+rows at risk at every event time.  Fits and the family's ``score``, which
+scores many candidate merges at once, read the same per-cluster sums
 (:func:`cluster_sums`); the engine fits only the partition it chooses.
 
 The shared nuisance parameters (sigma^2 for gaussian1d, the pooled
@@ -105,7 +105,8 @@ class Family:
     # None or a fit of the same levels that the fit may start from
     fit: Callable
     # (stats, cluster sums, i, j, fitted model of the partition the sums are
-    # of) -> loglik with each pair (i[t], j[t]) merged
+    # of) -> loglik with each pair (i[t], j[t]) merged, which equals the fit
+    # of the merged partition up to rounding
     score: Callable
     # (full model, positions, 1-D projection) -> ordering value of the clusters
     # at ``positions``; gaussianNd projects their means in the Mahalanobis metric
@@ -181,18 +182,6 @@ def cluster_sums(stats: LevelStats, partition: Partition) -> dict[str, np.ndarra
         name: np.array([np.add.reduce(getattr(stats, name)[r]) for r in rows])
         for name in stats.family.sums
     }
-
-
-def score_pairs(stats: LevelStats, sums: dict[str, np.ndarray],
-                i: np.ndarray, j: np.ndarray, model: FittedModel) -> np.ndarray:
-    """Log-likelihood of ``model.partition``, whose :func:`cluster_sums` are
-    ``sums`` and whose fit is ``model``, with clusters ``i[t]`` and ``j[t]``
-    merged, for every t.  Survival warm-starts each candidate's fit from
-    ``model``; the other families read only the sums.
-
-    Each value equals ``fit_stats(stats, merged).loglik`` up to rounding.
-    """
-    return stats.family.score(stats, sums, i, j, model)
 
 
 def _sorted_rows(stats: LevelStats) -> tuple[np.ndarray, np.ndarray, list[slice]]:
@@ -615,26 +604,24 @@ def _fit_cox(stats: LevelStats, partition: Partition, sums, parent=None) -> Fitt
         raise NoEvents("survival data has no uncensored events")
     sets = _RiskSets(sums["D"], sums["R"], 1)
     c = len(sums["D"])
+    never, eventless = ~sums["R"].any(axis=1), sets.events == 0
+    if never.any():
+        raise NonConvergence(f"cluster {partition.labels[np.argmax(never)]} has no row at risk "
+                             "at any event time: its Cox coefficient is not identifiable")
+    if eventless.any():
+        raise MonotoneLikelihood(f"cluster {partition.labels[np.argmax(eventless)]} has no "
+                                 "events: its Cox coefficient may be infinite")
     if parent is None:
         start = np.zeros((1, c))
     else:
         # each level carries its parent cluster's coefficient and its events
-        alpha = parent.estimates["alpha"][_positions(stats, parent.partition)]
-        start = _pooled_start(alpha, stats.events, _positions(stats, partition)[None], c)
+        alpha = parent.estimates["alpha"][parent.partition.positions(stats.levels)]
+        start = _pooled_start(alpha, stats.events, partition.positions(stats.levels)[None], c)
     coef, ll, failed = _cox_fit_rows(sets, start)
     if failed:
         raise failed[1]
     return FittedModel(family=SURVIVAL, partition=partition, loglik=float(ll[0]),
                        estimates={"alpha": coef[0], "hazard_ratio": _math_exp(coef[0])})
-
-
-def _positions(stats: LevelStats, partition: Partition) -> np.ndarray:
-    """The position in ``partition`` of each level's cluster, by level code."""
-    code_of, clusters = stats.grouping.code_of, partition.clusters
-    out = np.empty(len(stats.levels), int)
-    out[[code_of[m] for c in clusters for m in c.members]] = np.repeat(
-        np.arange(len(clusters)), [len(c.members) for c in clusters])
-    return out
 
 
 def _pooled_start(alpha: np.ndarray, events: np.ndarray, into: np.ndarray, c: int) -> np.ndarray:

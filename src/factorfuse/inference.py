@@ -72,27 +72,6 @@ def chi_square_sf(x: float, df: int) -> float:
     return min(1.0, max(0.0, q))
 
 
-def chi_square_quantile(p: float, df: int) -> float:
-    """x such that P(X <= x) = p, by bisection on the survival function."""
-    if not 0.0 < p < 1.0:
-        raise FactorFuseError("quantile probability must be in (0, 1)")
-    target = 1.0 - p
-    lo, hi = 0.0, 1.0
-    while chi_square_sf(hi, df) > target:
-        hi *= 2.0
-        if hi > 1e8:
-            break
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if chi_square_sf(mid, df) > target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-12 * max(1.0, hi):
-            break
-    return 0.5 * (lo + hi)
-
-
 # ------------------------------------------------------------------ #
 # LRT and history
 # ------------------------------------------------------------------ #
@@ -197,15 +176,18 @@ def gic_profile(path: MergingPath, penalty: float) -> GicProfile:
     return GicProfile(penalty=penalty, rows=tuple(rows), argmin_step=argmin)
 
 
+CRITERIA = ("gic", "pvalue", "loglik")
+
+
 @dataclass(frozen=True)
 class SelectionCriterion:
-    """How to pick one model on the path: ``gic``, ``pvalue`` or ``loglik``."""
+    """How to pick one model on the path: ``kind`` is one of :data:`CRITERIA`."""
 
     kind: str
     value: float
 
     def __post_init__(self):
-        if self.kind not in ("gic", "pvalue", "loglik"):
+        if self.kind not in CRITERIA:
             raise FactorFuseError(f"unknown selection criterion: {self.kind!r}")
         if self.kind == "gic":
             check_penalty(self.value)
@@ -248,5 +230,5 @@ def optimal_partition_table(
     if step is None:
         step = cut_step(path, criterion)
     partition = path.steps[step].model.partition
-    label_of = {m: c.label for c in partition.clusters for m in c.members}
-    return [(lv, label_of[lv]) for lv in path.levels]
+    return [(lv, partition.labels[s]) for lv, s in
+            zip(path.levels, partition.positions(path.levels).tolist())]

@@ -18,12 +18,7 @@ from .data import Grouping, ResponseData
 from .engine import MergingPath, ordering_statistic
 from .errors import IncompatiblePanel
 from .families import FAMILIES, FittedModel, kaplan_meier
-from .inference import (
-    GicProfile,
-    HistoryRow,
-    chi_square_quantile,
-    global_null_test,
-)
+from .inference import GicProfile, HistoryRow, global_null_test
 
 CANVAS_W = 1200.0
 CANVAS_H = 800.0
@@ -46,7 +41,10 @@ PALETTES = {
 
 ALL_PANELS = ("tree", "response", "gic", "globalTest")
 
-RESPONSE_PANELS = ("frequency", "means", "boxplot", "proportion", "survival")
+# the 0.95 quantile of chi-square(1), which spaces the tree panel's grid
+CHI_SQUARE_1_95 = 3.8414588206924236
+
+RESPONSE_PANELS = tuple(dict.fromkeys(p for f in FAMILIES.values() for p in f.panels))
 UNIMPLEMENTED_PANELS = ("tukey", "heatmap", "profile")
 
 
@@ -142,17 +140,6 @@ class TreeLayout:
     split_x: float | None = None
 
 
-def _optimal_colors(path: MergingPath, gic: GicProfile, palette) -> dict:
-    """level -> color, keyed to the GIC-optimal partition."""
-    part = path.steps[gic.argmin_step].model.partition
-    colors = {}
-    for i, cluster in enumerate(part.clusters):
-        color = _palette_color(palette, i)
-        for lv in cluster.members:
-            colors[lv] = color
-    return colors
-
-
 def layout_tree(
     path: MergingPath,
     history: list[HistoryRow],
@@ -171,8 +158,10 @@ def layout_tree(
     estimate = full.estimates[FAMILIES[full.family].estimate]
     effects = dict(zip((c.members[0] for c in full.partition.clusters),
                        estimate.reshape(len(estimate), -1)[:, 0].tolist()))
+    # level -> color of its cluster in the GIC-optimal partition
     palette = PALETTES.get(spec.palette, DEFAULT_PALETTE)
-    colors = _optimal_colors(path, gic, palette)
+    at = path.steps[gic.argmin_step].model.partition.positions(path.levels).tolist()
+    colors = {lv: _palette_color(palette, s) for lv, s in zip(path.levels, at)}
 
     # every path has k >= 2 levels, so the leaves span [0, 1]
     ys = np.linspace(0.0, 1.0, len(order))
@@ -273,7 +262,7 @@ def _render_tree_panel(layout: TreeLayout, spec: PlotSpec, x0: float, y0: float)
     if spec.panel_grid and lmax > lmin:
         # one interval = 0.95 chi-square(1) quantile on the LRT scale,
         # i.e. quantile / 2 in log-likelihood units
-        spacing = chi_square_quantile(0.95, 1) / 2.0
+        spacing = CHI_SQUARE_1_95 / 2.0
         g = lmax - spacing
         while g > lmin:
             gx = xs(g)
@@ -357,15 +346,22 @@ def render_response_panel(
     parts = [f'<g id="panel-b">']
     parts.extend(_panel_frame(x0, y0, f"Response ({kind})"))
 
-    if kind == "frequency":
-        sizes = [len(cluster_rows(i)) for i in range(c)]
-        xs = _Scale(0.0, float(max(sizes)), x0 + PAD + 100.0, x0 + PANEL_W - PAD)
-        for i in range(c):
+    if kind in ("frequency", "proportion"):
+        # a bar per cluster: its rows, or its weighted success proportion
+        if kind == "frequency":
+            bars = [sum(grouping.counts[m] for m in cl.members) for cl in partition.clusters]
+            top, text = max(bars), str
+        else:
+            w = data.weights if data.weights is not None else np.ones(data.n)
+            bars = [float((data.values[r] * w[r]).sum() / w[r].sum())
+                    for r in map(cluster_rows, range(c))]
+            top, text = 1.0, "{:.3f}".format
+        xs = _Scale(0.0, float(top), x0 + PAD + 100.0, x0 + PANEL_W - PAD)
+        for i, bar in enumerate(bars):
             yy = ys(rows[i])
-            parts.append(_rect(xs(0.0), yy - 8.0, xs(sizes[i]) - xs(0.0), 16.0,
-                               cluster_color(i)))
+            parts.append(_rect(xs(0.0), yy - 8.0, xs(bar) - xs(0.0), 16.0, cluster_color(i)))
             parts.append(_text(x0 + PAD, yy + 4.0, labels[i], size=10.0))
-            parts.append(_text(xs(sizes[i]) + 4.0, yy + 4.0, str(sizes[i]), size=10.0))
+            parts.append(_text(xs(bar) + 4.0, yy + 4.0, text(bar), size=10.0))
     elif kind in ("means", "boxplot"):
         y = data.values
         w = data.weights if data.weights is not None else np.ones(data.n)
@@ -392,17 +388,6 @@ def render_response_panel(
                                    f' stroke="{color}" stroke-width="1.5000"'))
                 parts.append(_line(xs(q2), yy - 8.0, xs(q2), yy + 8.0,
                                    stroke=color, width=2.0))
-    elif kind == "proportion":
-        w = data.weights if data.weights is not None else np.ones(data.n)
-        xs = _Scale(0.0, 1.0, x0 + PAD + 100.0, x0 + PANEL_W - PAD)
-        for i in range(c):
-            rws = cluster_rows(i)
-            p = float((data.values[rws] * w[rws]).sum() / w[rws].sum())
-            yy = ys(rows[i])
-            parts.append(_rect(xs(0.0), yy - 8.0, xs(p) - xs(0.0), 16.0,
-                               cluster_color(i)))
-            parts.append(_text(x0 + PAD, yy + 4.0, labels[i], size=10.0))
-            parts.append(_text(xs(p) + 4.0, yy + 4.0, f"{p:.3f}", size=10.0))
     else:  # survival
         tmax = float(data.values[:, 0].max())
         xs = _Scale(0.0, tmax, x0 + PAD + 40.0, x0 + PANEL_W - PAD)

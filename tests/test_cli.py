@@ -482,6 +482,26 @@ def test_exit_4_on_monotone_cox(tmp_path):
     assert rc == 4
 
 
+@pytest.mark.parametrize("rows, err", [
+    # every row of L01 ends before the first event
+    (None, "cluster (L01) has no row at risk at any event time: "
+           "its Cox coefficient is not identifiable"),
+    ([(1.0, 0, "a"), (2.0, 0, "a"), (1.5, 1, "b"), (3.0, 1, "b")],
+     "cluster (a) has no events: its Cox coefficient may be infinite"),
+])
+def test_exit_4_names_the_cluster_a_full_cox_fit_cannot_have(rows, err, tmp_path, capsys):
+    if rows is None:
+        assert run(["fixture", "--kind", "survival", "--k", 2, "--n-per-group", 2,
+                    "--separation", 0, "--seed", 0, "--out", tmp_path]) == 0
+    else:
+        write_csv(tmp_path / "data.csv", ("time", "event", "group"), rows)
+    capsys.readouterr()
+    rc = run(["merge", "--input", tmp_path / "data.csv", "--family", "survival", "--time",
+              "time", "--event", "event", "--factor", "group", "--out", tmp_path / "o"])
+    assert rc == 4
+    assert capsys.readouterr().err == f"numerical failure: {err}\n"
+
+
 @pytest.mark.parametrize("error", [NonConvergence, MonotoneLikelihood])
 def test_exit_4_names_the_failing_survival_candidate(error, monkeypatch, tmp_path, capsys):
     p = tmp_path / "surv.csv"

@@ -203,3 +203,22 @@ def test_partition_merge_labels_follow_the_members(data, k):
             "".join(f"({m})" for m in c.members) for c in part.clusters]
         assert part.labels == tuple(c.label for c in part.clusters)
         assert part == Partition(tuple(Cluster(c.members) for c in part.clusters))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), k=st.integers(2, 12))
+def test_partition_positions_scan_the_members(data, k):
+    # each level's position is that of the cluster whose members hold it, and
+    # -1 for a level that no cluster holds
+    levels = ["a", "b", "a)(b", "(c)", ""][:k] + [f"L{i}" for i in range(k - 5)]
+    asked = data.draw(st.permutations(levels + ["none"]))
+    part = Partition.singletons(levels)
+    while True:
+        scan = [next((s for s, c in enumerate(part.clusters) if lv in c.members), -1)
+                for lv in asked]
+        assert part.positions(asked).tolist() == scan
+        if part.size == 1:
+            break
+        a, b = data.draw(st.lists(st.integers(0, part.size - 1), min_size=2, max_size=2,
+                                  unique=True))
+        part = part.merge(a, b)

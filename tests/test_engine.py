@@ -633,10 +633,10 @@ def test_cox_scores_do_not_depend_on_the_cell_budget(cells, monkeypatch):
             part = part.merge(a, a + 1)
         sums, model = families.cluster_sums(stats, part), families.fit_stats(stats, part)
         i, j = np.triu_indices(part.size, k=1)
-        whole = families.score_pairs(stats, sums, i, j, model)
+        whole = stats.family.score(stats, sums, i, j, model)
         with monkeypatch.context() as m:
             m.setattr(families, "COX_CELLS", cells)
-            blocked = families.score_pairs(stats, sums, i, j, model)
+            blocked = stats.family.score(stats, sums, i, j, model)
         assert np.allclose(blocked, whole, rtol=1e-12, atol=0.0)
         labels = part.labels
         assert _select(blocked, labels, i, j) == _select(whole, labels, i, j)

@@ -17,7 +17,6 @@ from factorfuse.families import (
     _tie,
     cluster_sums,
     fit_stats,
-    score_pairs,
 )
 from factorfuse.errors import (
     DegenerateData,
@@ -337,7 +336,7 @@ class TestCox:
     ])
     def test_zero_event_level_is_monotone(self, rows):
         data, g = make_survival_data(rows)
-        with pytest.raises(MonotoneLikelihood):
+        with pytest.raises(MonotoneLikelihood, match=r"^cluster \(a\) has no events"):
             fit(data, g, singletons_of(g))
 
 
@@ -507,7 +506,7 @@ def assert_partition_scores_match_fits(data, g, part, i, j):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         stats = LevelStats(data, g)
-        got = score_pairs(stats, cluster_sums(stats, part), i, j, fit_stats(stats, part))
+        got = stats.family.score(stats, cluster_sums(stats, part), i, j, fit_stats(stats, part))
         fits = [fit_stats(stats, part.merge(a, b)) for a, b in zip(i, j)]
     assert len(got) == len(fits)
     for score, m in zip(got, fits):
@@ -662,7 +661,7 @@ class TestPairScorer:
 
         monkeypatch.setattr(_RiskSets, "evaluate", counted_rows)
         monkeypatch.setattr(conftest, "breslow", counted)
-        warm = score_pairs(stats, sums, i, j, model)
+        warm = stats.family.score(stats, sums, i, j, model)
         cold = reference_cox_scores(stats, sums, i, j)
         assert len(i) == 120
         assert sum(rows) < len(calls)
@@ -699,7 +698,7 @@ class TestPairScorer:
 
         monkeypatch.setattr(_RiskSets, "evaluate", at_parent)
         monkeypatch.setattr(families, "_cox_fit_rows", recorded)
-        scores = score_pairs(stats, sums, i, j, model)
+        scores = stats.family.score(stats, sums, i, j, model)
         at, _ = _tie(i, j, part.size)
         pooled = families._pooled_start(model.estimates["alpha"], stats.events, at, part.size - 1)
         assert np.array_equal(np.concatenate(starts), pooled)

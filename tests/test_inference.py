@@ -23,7 +23,8 @@ from factorfuse import (
 from factorfuse.data import Cluster, Partition
 from factorfuse.engine import PathStep
 from factorfuse.errors import NotNested, NumericalInconsistency
-from factorfuse.inference import chi_square_quantile, cut_step
+from factorfuse.inference import cut_step
+from factorfuse.viz import CHI_SQUARE_1_95
 
 from conftest import (
     make_binomial_data,
@@ -81,11 +82,8 @@ class TestChiSquareSf:
         assert chi_square_sf(x + 0.5, df) <= chi_square_sf(x, df) + 1e-15
         assert chi_square_sf(x, df + 1) >= chi_square_sf(x, df) - 1e-15
 
-    def test_quantile_round_trip(self):
-        for df in (1, 2, 7):
-            for p in (0.5, 0.9, 0.95, 0.99):
-                q = chi_square_quantile(p, df)
-                assert chi_square_sf(q, df) == pytest.approx(1 - p, abs=1e-9)
+    def test_grid_spacing_constant_is_the_95_percent_quantile(self):
+        assert abs(chi_square_sf(CHI_SQUARE_1_95, 1) - 0.05) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,7 @@ from factorfuse import engine, families
 from factorfuse.data import Grouping, ResponseData
 from factorfuse.errors import IncompatiblePanel
 from factorfuse.families import FittedModel, fit_stats
-from factorfuse.inference import chi_square_quantile
-from factorfuse.viz import _stars, layout_tree
+from factorfuse.viz import CHI_SQUARE_1_95, _stars, layout_tree
 
 from conftest import make_binomial_data, make_survival_data, singletons_of
 
@@ -152,6 +151,18 @@ def test_frequency_bar_ratio():
     assert widths[2] / widths[0] == pytest.approx(3.0, rel=1e-3)
 
 
+def test_frequency_bars_count_rows_of_weighted_permuted_data(rng):
+    # a bar is its cluster's number of rows, whatever the weights and row order
+    labels = rng.permutation(np.repeat(["a", "b", "c", "d"], [3, 5, 2, 7]))
+    data = ResponseData("gaussian1d", rng.normal(size=len(labels)),
+                        weights=rng.uniform(0.1, 5.0, len(labels)))
+    g = Grouping(tuple(labels))
+    frag = render_response_panel(data, g, fit(data, g, singletons_of(g).merge(1, 3)), "frequency")
+    assert re.findall(r">([^<]*)</text>", frag)[1:] == ["(a)", "3", "(b)(d)", "12", "(c)", "2"]
+    widths = [float(w) for w in re.findall(r'width="([\d.]+)" height="16', frag)]
+    assert np.allclose(np.array(widths) / widths[1], np.array([3, 12, 2]) / 12)
+
+
 def test_means_interval_half_width(gaussian_three_groups):
     data, g = gaussian_three_groups
     part = singletons_of(g)
@@ -248,7 +259,7 @@ def test_gridline_spacing(gaussian_bundle):
     data, g, path, history, gic = gaussian_bundle
     plain = render(gaussian_bundle, panels=("tree",))
     grid = render(gaussian_bundle, panels=("tree",), panel_grid=True)
-    spacing = chi_square_quantile(0.95, 1) / 2.0
+    spacing = CHI_SQUARE_1_95 / 2.0
     lmin = path.steps[-1].model.loglik
     lmax = path.steps[0].model.loglik
     expected = 0
