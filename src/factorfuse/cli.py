@@ -12,8 +12,10 @@ import json
 import math
 import sys
 import time
+from array import array
 from collections import defaultdict
-from itertools import chain
+from functools import partial
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -129,12 +131,46 @@ def _parse_float(raw: str) -> float:
         return np.nan
 
 
-def _read_columns(path: Path, names: list[str]) -> dict[str, list[str]]:
-    """Cells of each of ``names`` that the header has, read in one pass over
-    the file; no other cell is kept.  Blank lines are dropped, as
-    ``csv.DictReader`` drops them, and take no row number.  A repeated header
-    name reads its last column, and a row too short to reach a column reads an
-    empty cell there."""
+# Characters of whole lines read at a time.  Each block's cells become numbers
+# and level codes before the next block is read, so no cell outlives its block.
+_BLOCK_CHARS = 1 << 20
+# Rows parsed at a time once the rest of the file goes through ``csv.reader``
+_CSV_ROWS = 1 << 14
+
+
+def _plain_cells(lines: list[str], width: int, limit: int) -> list[str] | None:
+    """The cells of ``lines``, row after row, split at commas, when ``csv``
+    would read each line as ``width`` cells the same way: no line holds a
+    quote, a carriage return or a NUL, none is longer than ``limit``, and each
+    splits into exactly ``width`` cells.  None otherwise, and with fewer than
+    two columns, where a blank line would split into one empty cell.  A
+    line's last cell keeps its line end."""
+    text = ",".join(lines)
+    if (width < 2 or '"' in text or "\r" in text or "\0" in text
+            or max(map(len, lines)) > limit):
+        return None
+    cells = text.split(",")
+    # a line end always ends a cell; with ``width`` cells to every line, each
+    # line end falls in the last column
+    ends = len(lines) - (not lines[-1].endswith("\n"))
+    if len(cells) != width * len(lines) or "".join(cells[width - 1::width]).count("\n") != ends:
+        return None
+    return cells
+
+
+def _read_columns(path: Path, feeds: list) -> tuple[int, dict[str, int]]:
+    """Give each ``(name, feed)`` of ``feeds`` the cells of the column
+    ``name``, one list per block of rows, if the header has that column;
+    return the number of rows and the header's column index.
+
+    The header is read with ``csv.reader``, the body in blocks of whole lines.
+    Plain blocks (:func:`_plain_cells`) are split at commas; from the first
+    block that is not plain, the rest of the file goes through one
+    ``csv.reader``.  Blank lines are dropped, as ``csv.DictReader`` drops
+    them, and take no row number.  A repeated header name reads its last
+    column, and a row too short to reach a column reads an empty cell there.
+    """
+    offset = 0  # lines read before ``reader``'s first, for its error messages
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -142,21 +178,41 @@ def _read_columns(path: Path, names: list[str]) -> dict[str, list[str]]:
             if header is None:
                 raise DataError(f"{path}: empty file")
             index = {h: i for i, h in enumerate(header)}
-            columns = {name: [] for name in names if name in index}
-            picks = [(cells.append, index[name]) for name, cells in columns.items()]
-            width = max((j + 1 for _, j in picks), default=0)
-            for row in reader:
-                if len(row) < width:
-                    if not row:
-                        continue
-                    row += [""] * (width - len(row))
-                for append, j in picks:
-                    append(row[j])
-            return columns
+            picks = [(index[name], feed) for name, feed in feeds if name in index]
+            width, limit, n = len(header), csv.field_size_limit(), 0
+            lines = fh.readlines(_BLOCK_CHARS)
+            while lines and (cells := _plain_cells(lines, width, limit)) is not None:
+                for j, feed in picks:
+                    feed(cells[j::width])
+                n += len(lines)
+                lines = fh.readlines(_BLOCK_CHARS)
+            offset, reader = reader.line_num + n, csv.reader(chain(lines, fh))
+            need = max((j + 1 for j, _ in picks), default=0)
+            rows = (row if len(row) >= need else row + [""] * (need - len(row))
+                    for row in reader if row)
+            while batch := list(islice(rows, _CSV_ROWS)):
+                for j, feed in picks:
+                    feed([row[j] for row in batch])
+                n += len(batch)
+            return n, index
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     except csv.Error as exc:
-        raise DataError(f"cannot read {path}: line {reader.line_num}: {exc}") from exc
+        raise DataError(f"cannot read {path}: line {offset + reader.line_num}: {exc}") from exc
+
+
+def _extend_numbers(out: array, cells: list[str]):
+    """Append the number of each cell to ``out``.  Where ``float`` reads a
+    cell, it reads the stripped cell the same; the cells it fails on go
+    through :func:`_parse_float`."""
+    base = len(out)
+    rest = iter(cells)
+    while True:
+        try:
+            out.extend(map(float, rest))
+            return
+        except ValueError:
+            out.append(_parse_float(cells[len(out) - base]))
 
 
 def _build_dataset(args) -> tuple[ResponseData, Grouping, dict]:
@@ -165,18 +221,25 @@ def _build_dataset(args) -> tuple[ResponseData, Grouping, dict]:
     A row is rejected when its label, a response or its weight is missing;
     out-of-domain responses and weights <= 0 raise, naming the first such
     row.  Within a row the checks run in that order: label, response, domain,
-    weight present, weight positive.  Labels are stripped, tested and
-    abbreviated once per distinct raw label, and each row carries its level's
-    code.
+    weight present, weight positive.  Each row's raw label becomes a code as
+    its block is read; labels are stripped, tested and abbreviated once per
+    distinct raw label.
     """
     survival = args.family == "survival"
     response_cols = [args.time, args.event] if survival else args.response or []
-    needed = [*response_cols, args.factor]
-    if args.weights:
-        needed.append(args.weights)
+    weights = [args.weights] if args.weights else []
+    needed = [*response_cols, args.factor, *weights]
+    # one float column per name, whatever roles it has, and the raw labels'
+    # codes in order of first appearance
+    floats = {name: array("d") for name in [*response_cols, *weights]}
+    code_of = defaultdict()
+    code_of.default_factory = code_of.__len__  # a new raw label takes the next code
+    raw_codes = array("q")
+    feeds = [(name, partial(_extend_numbers, out)) for name, out in floats.items()]
+    feeds.append((args.factor, lambda cells: raw_codes.extend(map(code_of.__getitem__, cells))))
     # the whole file is read before the arguments are checked, so a file error
     # comes first
-    columns = _read_columns(Path(args.input), needed)
+    n, header = _read_columns(Path(args.input), feeds)
 
     if survival:
         if not args.time or not args.event:
@@ -189,24 +252,17 @@ def _build_dataset(args) -> tuple[ResponseData, Grouping, dict]:
     kind = {"survival": SURVIVAL, "binomial": BINOMIAL}.get(
         args.family, GAUSSIAN_1D if len(response_cols) == 1 else GAUSSIAN_ND)
     domain = DOMAINS[kind]
-    missing_cols = [c for c in needed if c not in columns]
+    missing_cols = [c for c in needed if c not in header]
     if missing_cols:
         raise DataError(f"missing columns: {missing_cols}")
 
-    raw_labels = columns[args.factor]
-    n = len(raw_labels)
-
-    def numbers(name: str) -> np.ndarray:
-        return np.fromiter(map(_parse_float, columns[name]), float, n)
-
-    code_of = {raw: c for c, raw in enumerate(dict.fromkeys(raw_labels))}
-    codes = np.fromiter(map(code_of.__getitem__, raw_labels), np.intp, n)
+    codes = np.frombuffer(raw_codes, np.int64)
     names = [raw.strip() for raw in code_of]
-    values = np.column_stack([numbers(c) for c in response_cols])
+    values = np.column_stack([np.frombuffer(floats[c]) for c in response_cols])
     usable = np.array([name.lower() not in _MISSING for name in names], bool)[codes]
     usable &= ~np.isnan(values).any(axis=1)
     bad_domain = usable & domain.outside(values)
-    w = numbers(args.weights) if args.weights else np.ones(n)
+    w = np.frombuffer(floats[args.weights]) if args.weights else np.ones(n)
     raising = np.flatnonzero(bad_domain | (usable & (w <= 0)))
     if len(raising):
         i = raising[0]
@@ -493,10 +549,13 @@ def cmd_fixture(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     indicators = DOMAINS[fx.data.kind].indicators  # 0/1 columns, written as integers
-    values = fx.data.values.reshape(fx.data.n, -1).tolist()
-    rows = ([*(int(v) if j in indicators else repr(v) for j, v in enumerate(row)), g]
-            for row, g in zip(values, fx.grouping.labels))
-    _write(out / "data.csv", _csv_text([*fx.columns, "group"], rows))
+    columns = fx.data.values.reshape(fx.data.n, -1).T.tolist()
+    # a number never needs quoting; each level name is quoted once
+    cells = [map(str, map(int, col)) if j in indicators else map(repr, col)
+             for j, col in enumerate(columns)]
+    labels = np.array([_csv_cell(lv) for lv in fx.grouping.levels], object)[fx.grouping.codes]
+    rows = map(",".join, zip(*cells, labels.tolist()))
+    _write(out / "data.csv", _csv_text([*fx.columns, "group"], []) + "\n".join([*rows, ""]))
 
     truth = {
         "kind": args.kind,

@@ -254,8 +254,12 @@ class Partition:
                          labels[:lo] + (merged.label,) + labels[lo + 1:hi] + labels[hi + 1:])
 
     def is_coarsening_of(self, finer: "Partition") -> bool:
-        """True if every cluster of ``finer`` is contained in one of ours."""
-        cluster_of = {m: i for i, c in enumerate(self.clusters) for m in c.members}
-        if cluster_of.keys() != finer.level_set():
+        """True if every cluster of ``finer`` is contained in one of ours: the
+        two hold the same levels, and each cluster of ``finer`` meets only one
+        of ours."""
+        levels = self.level_set()
+        if levels != finer.level_set():
             return False
-        return all(len({cluster_of[m] for m in fc.members}) <= 1 for fc in finer.clusters)
+        levels = list(levels)
+        pairs = set(zip(finer.positions(levels).tolist(), self.positions(levels).tolist()))
+        return len(pairs) == len({f for f, _ in pairs})

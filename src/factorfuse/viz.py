@@ -153,11 +153,11 @@ def layout_tree(
     nothing."""
     full = path.full_model
     order = path.ordering or ordering_statistic(data, grouping, full_model=full)
-    # display value per level, read from the full model's clusters by
-    # position; a vector estimate shows its first coordinate
+    # display value of each level in plot order, read from its full-model
+    # cluster; a vector estimate shows its first coordinate
+    leaf_at = full.partition.positions(order)
     estimate = full.estimates[FAMILIES[full.family].estimate]
-    effects = dict(zip((c.members[0] for c in full.partition.clusters),
-                       estimate.reshape(len(estimate), -1)[:, 0].tolist()))
+    effects = estimate.reshape(len(estimate), -1)[leaf_at, 0]
     # level -> color of its cluster in the GIC-optimal partition
     palette = PALETTES.get(spec.palette, DEFAULT_PALETTE)
     at = path.steps[gic.argmin_step].model.partition.positions(path.levels).tolist()
@@ -166,19 +166,17 @@ def layout_tree(
     # every path has k >= 2 levels, so the leaves span [0, 1]
     ys = np.linspace(0.0, 1.0, len(order))
     if spec.nodes_spacing == "effects":
-        vals = np.array([effects[lv] for lv in order])
-        span = float(vals.max() - vals.min())
+        span = float(effects.max() - effects.min())
         if span > 0:
-            ys = (vals - vals.min()) / span
-    leaf_y = dict(zip(order, ys.tolist()))
+            ys = (effects - effects.min()) / span
 
     leaves = tuple(
-        TreeLeaf(level=lv, label=f"({lv})", y=leaf_y[lv], color=colors[lv], summary=effects[lv])
-        for lv in order
+        TreeLeaf(level=lv, label=f"({lv})", y=leaf_y, color=colors[lv], summary=effect)
+        for lv, leaf_y, effect in zip(order, ys.tolist(), effects.tolist())
     )
 
     # where each cluster of the partition before a step is drawn, by position
-    y = [leaf_y[c.members[0]] for c in full.partition.clusters]
+    y = ys[np.argsort(leaf_at)].tolist()
     x = [full.loglik] * len(y)
     joins = []
     for i, step in enumerate(path.steps[1:], start=1):

@@ -541,6 +541,30 @@ def test_fixture_deterministic(tmp_path):
     assert (a / "truth.json").read_bytes() == (b / "truth.json").read_bytes()
 
 
+@pytest.mark.parametrize("kind", ["gaussian", "gaussianNd", "binomial", "survival"])
+def test_fixture_csv_matches_cell_by_cell_writer(kind, tmp_path, monkeypatch):
+    # level names that need quoting, each written as csv.writer writes it
+    from dataclasses import replace
+
+    from factorfuse import cli
+    from factorfuse.data import DOMAINS, Grouping
+
+    fx = make_fixture(kind, 4, 3, 1.0, seed=2)
+    fx = replace(fx, grouping=Grouping(codes=fx.grouping.codes,
+                                       levels=("a,b", 'say "hi"', "two\nlines", "L04")))
+    monkeypatch.setattr(cli, "make_fixture", lambda *args, **kwargs: fx)
+    assert run(["fixture", "--kind", kind, "--k", 4, "--n-per-group", 3,
+                "--out", tmp_path]) == 0
+    indicators = DOMAINS[fx.data.kind].indicators
+    rows = ([*(int(v) if j in indicators else repr(v) for j, v in enumerate(row)), g]
+            for row, g in zip(fx.data.values.reshape(fx.data.n, -1).tolist(),
+                              fx.grouping.labels))
+    want = cli._csv_text([*fx.columns, "group"], rows)
+    assert (tmp_path / "data.csv").read_bytes() == want.encode("utf-8")
+    with open(tmp_path / "data.csv", newline="", encoding="utf-8") as fh:
+        assert {row[-1] for row in list(csv.reader(fh))[1:]} == set(fx.grouping.levels)
+
+
 def test_fixture_zero_separation_single_cluster(tmp_path):
     out = tmp_path / "o"
     run(["fixture", "--kind", "gaussian", "--k", "5", "--n-per-group", "8",
@@ -698,6 +722,11 @@ INGEST_TABLE = [
      _ok("gaussian1d", [2.0, 3.0, 4.0], [2.0, 1.0, 0.5], "bab", _meta(5, [1, 5]))),
     ("long-rows-ignore-extra-cells", "y,g\n1,a,x,y\n2,b\n", {},
      _ok("gaussian1d", [1.0, 2.0], None, "ab", _meta(2, []))),
+    ("long-and-short-rows-in-one-block", "y,g\n1,a,5\n2\n3,b\n", {},
+     _ok("gaussian1d", [1.0, 3.0], None, "ab", _meta(3, [2]))),
+    ("one-column-blank-line-skipped", "g\n1\n\n2\n1\n", {"response": ["g"]},
+     _ok("gaussian1d", [1.0, 2.0, 1.0], None, "121", _meta(3, [], ("1", "2")),
+         levels=("1", "2"))),
     ("repeated-header-reads-last", "y,g,y\n1,a,10\n2,b,20\n3,a\n4,b,40\n", {},
      _ok("gaussian1d", [10.0, 20.0, 40.0], None, "abb", _meta(4, [3]))),
     ("missing-response-tokens",
@@ -760,6 +789,14 @@ INGEST_TABLE = [
      ("DataError", "need at least 2 factor levels")),
     ("survival-weights", "t,e,g,w\n1,1,a,1\n2,0,b,2\n", {"family": "survival", "weights": "w"},
      ("DataError", "weights are not supported for survival data")),
+    # a column named in two roles: both read the same cells
+    ("response-is-factor", "y,g\n0,1\n0,2\n0,x\n0, 1\n", {"response": ["g"]},
+     _ok("gaussian1d", [1.0, 2.0, 1.0], None, "121", _meta(4, [3], ("1", "2")),
+         levels=("1", "2"))),
+    ("weights-are-response", "y,g\n1,a\n2,b\nna,a\n0.5,b\n", {"weights": "y"},
+     _ok("gaussian1d", [1.0, 2.0, 0.5], [1.0, 2.0, 0.5], "abb", _meta(4, [3]))),
+    ("weights-are-response-raises", "y,g\n1,a\n-1,b\n", {"weights": "y"},
+     ("DataError", "row 2: weights must be positive")),
     # file and column errors
     ("empty-file", "", {}, ("DataError", "{path}: empty file")),
     ("undecodable-byte", UNDECODABLE, {},
@@ -778,17 +815,9 @@ INGEST_TABLE = [
 ]
 
 
-@pytest.mark.parametrize("text,flags,expected", [row[1:] for row in INGEST_TABLE],
-                         ids=[row[0] for row in INGEST_TABLE])
-def test_ingest_table(text, flags, expected, tmp_path):
+def _ingest_args(path, flags):
     import argparse
 
-    import numpy as np
-
-    from factorfuse import cli
-
-    path = tmp_path / "in.csv"
-    path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     survival = flags.get("family") == "survival"
     args = argparse.Namespace(
         input=str(path), family="gaussian", factor="g", weights=None,
@@ -797,6 +826,16 @@ def test_ingest_table(text, flags, expected, tmp_path):
     )
     for key, value in flags.items():
         setattr(args, key, value)
+    return args
+
+
+def _check_ingest(text, flags, expected, path):
+    import numpy as np
+
+    from factorfuse import cli
+
+    path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
+    args = _ingest_args(path, flags)
     if len(expected) == 2:
         error, message = expected
         with pytest.raises(getattr(cli, error)) as exc:
@@ -815,6 +854,28 @@ def test_ingest_table(text, flags, expected, tmp_path):
         assert data.weights.tobytes() == np.array(weights, dtype=float).tobytes()
     assert grouping.labels == labels and grouping.levels == levels
     assert got_meta == meta
+
+
+@pytest.mark.parametrize("text,flags,expected", [row[1:] for row in INGEST_TABLE],
+                         ids=[row[0] for row in INGEST_TABLE])
+def test_ingest_table(text, flags, expected, tmp_path):
+    _check_ingest(text, flags, expected, tmp_path / "in.csv")
+
+
+# block sizes, in characters and in rows, that put a block boundary at every
+# line or every few lines
+SMALL_BLOCKS = [(1, 1), (8, 2), (30, 3)]
+
+
+@pytest.mark.parametrize("text,flags,expected", [row[1:] for row in INGEST_TABLE],
+                         ids=[row[0] for row in INGEST_TABLE])
+def test_ingest_table_in_small_blocks(text, flags, expected, tmp_path, monkeypatch):
+    from factorfuse import cli
+
+    for chars, rows in SMALL_BLOCKS:
+        monkeypatch.setattr(cli, "_BLOCK_CHARS", chars)
+        monkeypatch.setattr(cli, "_CSV_ROWS", rows)
+        _check_ingest(text, flags, expected, tmp_path / "in.csv")
 
 
 # ---------------------------------------------------------------------------
@@ -901,6 +962,67 @@ def test_streaming_ingest_matches_whole_file_reference(case, ingest_path):
     args = argparse.Namespace(input=str(ingest_path), **flags)
     assert _ingest_outcome(cli._build_dataset, args) == _ingest_outcome(
         reference_build_dataset, args)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_ingest_cases(), blocks=st.sampled_from(SMALL_BLOCKS))
+def test_streaming_ingest_in_small_blocks_matches_whole_file_reference(case, blocks,
+                                                                       ingest_path):
+    import argparse
+
+    from factorfuse import cli
+
+    flags, text = case
+    ingest_path.write_bytes(text.encode("utf-8"))
+    args = argparse.Namespace(input=str(ingest_path), **flags)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_BLOCK_CHARS", blocks[0])
+        mp.setattr(cli, "_CSV_ROWS", blocks[1])
+        got = _ingest_outcome(cli._build_dataset, args)
+    assert got == _ingest_outcome(reference_build_dataset, args)
+
+
+# what needs ``csv`` after one or more plain blocks, and faults on the header
+# line: (id, file bytes, flags, the message of the error it raises or None)
+_PLAIN = "".join(f"{i}.5,{'ab'[i % 3 % 2]}\n" for i in range(200))  # lines 2-201
+_FIELD_LIMIT = "field larger than field limit (131072)"
+BLOCK_BOUNDARY_CASES = [
+    ("quoted-label-with-line-break", "y,g\n" + _PLAIN + '7,"c\nd"\n8,b\n' + _PLAIN, {}, None),
+    ("quoted-label-with-comma-then-crlf",
+     "y,g\n" + _PLAIN + '7,"c,d"\n' + _PLAIN.replace("\n", "\r\n"), {}, None),
+    ("quoted-oversized-cell", "y,g\n" + _PLAIN + '2,"' + "x" * 200_000 + '"\n3,b\n', {},
+     f"cannot read {{path}}: line 202: {_FIELD_LIMIT}"),
+    ("bare-oversized-cell", "y,g\n" + _PLAIN + "2," + "x" * 200_000 + "\n3,b\n", {},
+     f"cannot read {{path}}: line 202: {_FIELD_LIMIT}"),
+    # Python 3.10's csv raises on a NUL; later versions read it as part of a cell
+    ("nul", "y,g\n" + _PLAIN + "2,b\0c\n" + _PLAIN, {}, None),
+    ("undecodable-byte-past-first-chunk", ("y,g\n" + _PLAIN * 6).encode() + b"2,\xe9b\n", {},
+     "cannot read {path}: 'utf-8' codec can't decode byte 0xe9 in position 754: "
+     "invalid continuation byte"),
+    ("oversized-header-cell", '"' + "y" * 200_000 + '",g\n' + _PLAIN, {},
+     f"cannot read {{path}}: line 1: {_FIELD_LIMIT}"),
+    ("nul-in-header", "y,g\0\n" + _PLAIN, {}, None),
+    ("two-line-header", 'y,g,"z\nz"\n' + _PLAIN.replace("\n", ",q\n")
+     + "2,b," + "x" * 200_000 + "\n", {}, f"cannot read {{path}}: line 203: {_FIELD_LIMIT}"),
+]
+
+
+@pytest.mark.parametrize("text,flags,message", [row[1:] for row in BLOCK_BOUNDARY_CASES],
+                         ids=[row[0] for row in BLOCK_BOUNDARY_CASES])
+@pytest.mark.parametrize("blocks", [*SMALL_BLOCKS, None], ids=str)
+def test_ingest_after_plain_blocks(text, flags, message, blocks, tmp_path, monkeypatch):
+    from factorfuse import cli
+
+    path = tmp_path / "in.csv"
+    path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
+    args = _ingest_args(path, flags)
+    if blocks:
+        monkeypatch.setattr(cli, "_BLOCK_CHARS", blocks[0])
+        monkeypatch.setattr(cli, "_CSV_ROWS", blocks[1])
+    got = _ingest_outcome(cli._build_dataset, args)
+    assert got == _ingest_outcome(reference_build_dataset, args)
+    if message is not None:
+        assert got == (cli.DataError, message.format(path=path))
 
 
 # ---------------------------------------------------------------------------
