@@ -15,7 +15,7 @@ import time
 from array import array
 from collections import defaultdict
 from functools import partial
-from itertools import chain, islice
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -134,7 +134,8 @@ def _parse_float(raw: str) -> float:
 # Characters of whole lines read at a time.  Each block's cells become numbers
 # and level codes before the next block is read, so no cell outlives its block.
 _BLOCK_CHARS = 1 << 20
-# Rows parsed at a time once the rest of the file goes through ``csv.reader``
+# Rows whose cells are held at a time once the rest of the file goes through
+# ``csv.reader``
 _CSV_ROWS = 1 << 14
 
 
@@ -187,18 +188,36 @@ def _read_columns(path: Path, feeds: list) -> tuple[int, dict[str, int]]:
                 n += len(lines)
                 lines = fh.readlines(_BLOCK_CHARS)
             offset, reader = reader.line_num + n, csv.reader(chain(lines, fh))
+            # each row's cells go to column lists at once, so no row list
+            # outlives its line (a batch of live rows sets off the collector)
+            cols = [[] for _ in picks]
+            appends = [(col.append, j) for col, (j, _) in zip(cols, picks)]
             need = max((j + 1 for j, _ in picks), default=0)
-            rows = (row if len(row) >= need else row + [""] * (need - len(row))
-                    for row in reader if row)
-            while batch := list(islice(rows, _CSV_ROWS)):
-                for j, feed in picks:
-                    feed([row[j] for row in batch])
-                n += len(batch)
+            full = n + _CSV_ROWS
+            for row in reader:
+                if len(row) < need:
+                    if not row:
+                        continue
+                    row += [""] * (need - len(row))
+                for append, j in appends:
+                    append(row[j])
+                n += 1
+                if n == full:
+                    _feed_columns(picks, cols)
+                    full += _CSV_ROWS
+            _feed_columns(picks, cols)
             return n, index
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     except csv.Error as exc:
         raise DataError(f"cannot read {path}: line {offset + reader.line_num}: {exc}") from exc
+
+
+def _feed_columns(picks: list, cols: list[list[str]]):
+    """Give each pick's feed its column's cells, and empty the column."""
+    for (_, feed), col in zip(picks, cols):
+        feed(col)
+        col.clear()
 
 
 def _extend_numbers(out: array, cells: list[str]):

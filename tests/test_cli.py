@@ -829,11 +829,32 @@ def _ingest_args(path, flags):
     return args
 
 
-def _check_ingest(text, flags, expected, path):
+# block sizes, in characters and in rows, that put a block boundary at every
+# line or every few lines
+SMALL_BLOCKS = [(1, 1), (8, 2), (30, 3)]
+
+
+def _small_blocks(monkeypatch, blocks):
+    """Read the body ``blocks[0]`` characters and ``blocks[1]`` csv rows at a
+    time; whole-file sizes when ``blocks`` is None."""
+    from factorfuse import cli
+
+    if blocks:
+        monkeypatch.setattr(cli, "_BLOCK_CHARS", blocks[0])
+        monkeypatch.setattr(cli, "_CSV_ROWS", blocks[1])
+
+
+@pytest.mark.parametrize("text,flags,expected,blocks", [
+    (*row[1:], blocks) for row in INGEST_TABLE for blocks in [None, *SMALL_BLOCKS]
+], ids=[row[0] + (f"-blocks{blocks[0]}" if blocks else "")
+        for row in INGEST_TABLE for blocks in [None, *SMALL_BLOCKS]])
+def test_ingest_table(text, flags, expected, blocks, tmp_path, monkeypatch):
     import numpy as np
 
     from factorfuse import cli
 
+    _small_blocks(monkeypatch, blocks)
+    path = tmp_path / "in.csv"
     path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     args = _ingest_args(path, flags)
     if len(expected) == 2:
@@ -854,28 +875,6 @@ def _check_ingest(text, flags, expected, path):
         assert data.weights.tobytes() == np.array(weights, dtype=float).tobytes()
     assert grouping.labels == labels and grouping.levels == levels
     assert got_meta == meta
-
-
-@pytest.mark.parametrize("text,flags,expected", [row[1:] for row in INGEST_TABLE],
-                         ids=[row[0] for row in INGEST_TABLE])
-def test_ingest_table(text, flags, expected, tmp_path):
-    _check_ingest(text, flags, expected, tmp_path / "in.csv")
-
-
-# block sizes, in characters and in rows, that put a block boundary at every
-# line or every few lines
-SMALL_BLOCKS = [(1, 1), (8, 2), (30, 3)]
-
-
-@pytest.mark.parametrize("text,flags,expected", [row[1:] for row in INGEST_TABLE],
-                         ids=[row[0] for row in INGEST_TABLE])
-def test_ingest_table_in_small_blocks(text, flags, expected, tmp_path, monkeypatch):
-    from factorfuse import cli
-
-    for chars, rows in SMALL_BLOCKS:
-        monkeypatch.setattr(cli, "_BLOCK_CHARS", chars)
-        monkeypatch.setattr(cli, "_CSV_ROWS", rows)
-        _check_ingest(text, flags, expected, tmp_path / "in.csv")
 
 
 # ---------------------------------------------------------------------------
@@ -950,24 +949,9 @@ def ingest_path(tmp_path_factory):
     return tmp_path_factory.mktemp("ingest") / "in.csv"
 
 
-@settings(max_examples=300, deadline=None)
-@given(case=_ingest_cases())
-def test_streaming_ingest_matches_whole_file_reference(case, ingest_path):
-    import argparse
-
-    from factorfuse import cli
-
-    flags, text = case
-    ingest_path.write_bytes(text.encode("utf-8"))
-    args = argparse.Namespace(input=str(ingest_path), **flags)
-    assert _ingest_outcome(cli._build_dataset, args) == _ingest_outcome(
-        reference_build_dataset, args)
-
-
-@settings(max_examples=300, deadline=None)
-@given(case=_ingest_cases(), blocks=st.sampled_from(SMALL_BLOCKS))
-def test_streaming_ingest_in_small_blocks_matches_whole_file_reference(case, blocks,
-                                                                       ingest_path):
+@settings(max_examples=600, deadline=None)
+@given(case=_ingest_cases(), blocks=st.sampled_from([None, *SMALL_BLOCKS]))
+def test_streaming_ingest_matches_whole_file_reference(case, blocks, ingest_path):
     import argparse
 
     from factorfuse import cli
@@ -976,8 +960,7 @@ def test_streaming_ingest_in_small_blocks_matches_whole_file_reference(case, blo
     ingest_path.write_bytes(text.encode("utf-8"))
     args = argparse.Namespace(input=str(ingest_path), **flags)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "_BLOCK_CHARS", blocks[0])
-        mp.setattr(cli, "_CSV_ROWS", blocks[1])
+        _small_blocks(mp, blocks)
         got = _ingest_outcome(cli._build_dataset, args)
     assert got == _ingest_outcome(reference_build_dataset, args)
 
@@ -1016,9 +999,7 @@ def test_ingest_after_plain_blocks(text, flags, message, blocks, tmp_path, monke
     path = tmp_path / "in.csv"
     path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     args = _ingest_args(path, flags)
-    if blocks:
-        monkeypatch.setattr(cli, "_BLOCK_CHARS", blocks[0])
-        monkeypatch.setattr(cli, "_CSV_ROWS", blocks[1])
+    _small_blocks(monkeypatch, blocks)
     got = _ingest_outcome(cli._build_dataset, args)
     assert got == _ingest_outcome(reference_build_dataset, args)
     if message is not None:
