@@ -137,6 +137,7 @@ _BLOCK_CHARS = 1 << 20
 # Rows whose cells are held at a time once the rest of the file goes through
 # ``csv.reader``
 _CSV_ROWS = 1 << 14
+_FIXTURE_ROWS = 1 << 14  # rows of a fixture's data.csv formatted and written at a time
 
 
 def _plain_cells(lines: list[str], width: int, limit: int) -> list[str] | None:
@@ -568,13 +569,15 @@ def cmd_fixture(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     indicators = DOMAINS[fx.data.kind].indicators  # 0/1 columns, written as integers
-    columns = fx.data.values.reshape(fx.data.n, -1).T.tolist()
-    # a number never needs quoting; each level name is quoted once
-    cells = [map(str, map(int, col)) if j in indicators else map(repr, col)
-             for j, col in enumerate(columns)]
-    labels = np.array([_csv_cell(lv) for lv in fx.grouping.levels], object)[fx.grouping.codes]
-    rows = map(",".join, zip(*cells, labels.tolist()))
-    _write(out / "data.csv", _csv_text([*fx.columns, "group"], []) + "\n".join([*rows, ""]))
+    values = fx.data.values.reshape(fx.data.n, -1)
+    # a number never needs quoting; each level name is quoted once and ends its row
+    labels = np.array([_csv_cell(v) + "\n" for v in fx.grouping.levels], object)[fx.grouping.codes]
+    with open(out / "data.csv", "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(_csv_text([*fx.columns, "group"], []))
+        for s in range(0, fx.data.n, _FIXTURE_ROWS):
+            cells = [map(str, map(int, col)) if j in indicators else map(repr, col)
+                     for j, col in enumerate(values[s:s + _FIXTURE_ROWS].T.tolist())]
+            fh.write("".join(map(",".join, zip(*cells, labels[s:s + _FIXTURE_ROWS].tolist()))))
 
     truth = {
         "kind": args.kind,

@@ -12,9 +12,10 @@ reads per-level sufficient statistics, computed once per dataset in
 :class:`LevelStats` and invariant under row permutations of the input
 (bitwise): Gaussian and binomial sums from one sort of the rows by level,
 value and weight; for survival (Cox, Breslow ties), each level's events and
-rows at risk at every event time.  Fits and the family's ``score``, which
-scores many candidate merges at once, read the same per-cluster sums
-(:func:`cluster_sums`); the engine fits only the partition it chooses.
+rows at risk at each event time, and the events per event time, which all
+partitions share.  Fits and the family's ``score`` (for many candidate
+merges at once) read the same per-cluster sums (:func:`cluster_sums`); the
+engine fits only the partition it chooses.
 
 The shared nuisance parameters (sigma^2 for gaussian1d, the pooled
 covariance for gaussianNd) are profiled: each partition gets the pooled MLE
@@ -413,25 +414,25 @@ def _score_binomial(stats: LevelStats, sums, i, j, model) -> np.ndarray:
 
 
 def _survival_stats(stats: LevelStats) -> None:
-    """Tables over the T distinct event times: ``D[l, t]`` counts level l's
-    events at time t and ``R[l, t]`` its rows at risk then; ``events[l]``
-    counts level l's events."""
+    """What the Breslow partial likelihood reads, over the T distinct event
+    times: ``R[l, t]`` counts level l's rows at risk at time t, ``events[l]``
+    level l's events, and ``per_time[t]`` all events at t, whatever the partition."""
     t, e = stats.data.values.T
-    codes, k = stats.grouping.codes, len(stats.levels)
-    times = np.unique(t[e == 1.0])
+    codes, k, event = stats.grouping.codes, len(stats.levels), e == 1.0
+    times = np.unique(t[event])
     T = len(times)
-    at = codes[e == 1.0] * T + np.searchsorted(times, t[e == 1.0])
-    stats.D = np.bincount(at, minlength=k * T).reshape(k, T).astype(float)
-    stats.events = np.add.reduce(stats.D, axis=1)
-    # count each level's rows by the event times they reach; sum from the last
-    reach = codes * (T + 1) + np.searchsorted(times, t, side="right")
-    rows = np.bincount(reach, minlength=k * (T + 1)).reshape(k, T + 1)
-    stats.R = np.cumsum(rows[:, :0:-1], axis=1)[:, ::-1].astype(float)
+    stats.events = np.bincount(codes, event, k)
+    stats.per_time = np.bincount(np.searchsorted(times, t[event]), minlength=T).astype(float)
+    # all of a level's rows start at risk; each drops out after its own time
+    leave = codes * (T + 1) + np.searchsorted(times, t, side="right")
+    R = np.bincount(leave, np.full(len(t), -1.0), k * (T + 1)).reshape(k, T + 1)
+    R[:, 0] += np.bincount(codes, minlength=k)
+    stats.R = np.cumsum(R[:, :T], axis=1)
 
 
 class _RiskSets:
-    """The Breslow partial likelihood of one partition's tables, with its
-    gradient and Hessian, for rows of cluster coefficients at once.
+    """The Breslow partial likelihood of one partition's ``events``, ``per_time``
+    and ``R``, with its gradient and Hessian, for rows of cluster coefficients at once.
 
     A row's log-likelihood is summed without BLAS, whose results for one row
     can change with the number of rows beside it: step halving compares a
@@ -439,9 +440,9 @@ class _RiskSets:
     the most rows evaluated at once.
     """
 
-    def __init__(self, D: np.ndarray, R: np.ndarray, rows: int):
+    def __init__(self, events: np.ndarray, per_time: np.ndarray, R: np.ndarray, rows: int):
         c, T = R.shape
-        self.events, self.per_time, self.R = np.add.reduce(D, axis=1), np.add.reduce(D, axis=0), R
+        self.events, self.per_time, self.R = events, per_time, R
         if rows == 1:  # one row reads R directly
             return
         # the distinct Hessian entries (i, j), i <= j, and where each entry
@@ -534,8 +535,8 @@ def _cox_fit_rows(sets: _RiskSets, start: np.ndarray, tie=None):
     ``sqrt(COX_TOL) |alpha|``.  The rows step in lockstep, each leaving once
     it converges or fails.
 
-    Returns the fitted coefficients, the maximised log-likelihoods, and
-    (row, error) of the first row that failed, or None.
+    Returns the coefficients, log-likelihoods and free-coefficient Hessians
+    of the fits, and (row, error) of the first row that failed, or None.
     """
     m, n = start.shape
     if tie is not None:
@@ -596,14 +597,14 @@ def _cox_fit_rows(sets: _RiskSets, start: np.ndarray, tie=None):
             fail(active[pending], NonConvergence("step halving failed in Cox fit"))
             active = active[active < min(failed, default=m)]
     fail(active, NonConvergence("Cox Newton-Raphson did not converge"))
-    return coef, ll, min(failed.items()) if failed else None
+    return coef, ll, hess, min(failed.items()) if failed else None
 
 
 def _fit_cox(stats: LevelStats, partition: Partition, sums, parent=None) -> FittedModel:
-    if stats.D.shape[1] == 0:
+    if not len(stats.per_time):
         raise NoEvents("survival data has no uncensored events")
-    sets = _RiskSets(sums["D"], sums["R"], 1)
-    c = len(sums["D"])
+    sets = _RiskSets(sums["events"], stats.per_time, sums["R"], 1)
+    c = len(sums["R"])
     never, eventless = ~sums["R"].any(axis=1), sets.events == 0
     if never.any():
         raise NonConvergence(f"cluster {partition.labels[np.argmax(never)]} has no row at risk "
@@ -617,11 +618,12 @@ def _fit_cox(stats: LevelStats, partition: Partition, sums, parent=None) -> Fitt
         # each level carries its parent cluster's coefficient and its events
         alpha = parent.estimates["alpha"][parent.partition.positions(stats.levels)]
         start = _pooled_start(alpha, stats.events, partition.positions(stats.levels)[None], c)
-    coef, ll, failed = _cox_fit_rows(sets, start)
+    coef, ll, hess, failed = _cox_fit_rows(sets, start)
     if failed:
         raise failed[1]
     return FittedModel(family=SURVIVAL, partition=partition, loglik=float(ll[0]),
-                       estimates={"alpha": coef[0], "hazard_ratio": _math_exp(coef[0])})
+                       estimates={"alpha": coef[0], "hazard_ratio": _math_exp(coef[0])},
+                       nuisance={"information": -hess[0]})
 
 
 def _pooled_start(alpha: np.ndarray, events: np.ndarray, into: np.ndarray, c: int) -> np.ndarray:
@@ -640,24 +642,18 @@ def _pooled_start(alpha: np.ndarray, events: np.ndarray, into: np.ndarray, c: in
     return start - start[:, :1]
 
 
-def _inverse_information(sets: _RiskSets, alpha: np.ndarray) -> np.ndarray | None:
-    """Inverse of the information (minus the Hessian of the partial
-    likelihood) at ``alpha`` in the free coefficients, padded with a zero
-    row and column for the reference; None where the information is not
-    positive definite to working precision, by the rank tolerance of
-    ``numpy.linalg.matrix_rank``: least eigenvalue at most (c - 1) eps
-    times the largest."""
-    c = len(alpha)
-    _, _, hess = sets.evaluate(alpha[None])
+def _inverse_information(information: np.ndarray) -> np.ndarray | None:
+    """Inverse of the ``information`` of the c - 1 free coefficients, padded
+    with a zero row and column for the reference; None where it is not
+    positive definite by the rank tolerance of ``numpy.linalg.matrix_rank``:
+    least eigenvalue at most (c - 1) eps times the largest."""
     try:
-        values, vectors = np.linalg.eigh(-hess[0, 1:, 1:])
+        values, vectors = np.linalg.eigh(information)
     except np.linalg.LinAlgError:
         return None
-    if not values[0] > (c - 1) * np.finfo(float).eps * values[-1]:  # also false for NaN
+    if not values[0] > len(values) * np.finfo(float).eps * values[-1]:  # also false for NaN
         return None
-    inverse = np.zeros((c, c))
-    inverse[1:, 1:] = (vectors / values) @ vectors.T
-    return inverse
+    return np.pad((vectors / values) @ vectors.T, (1, 0))
 
 
 def _tied_optimum(alpha, inverse, a, b, pooled) -> np.ndarray:
@@ -684,14 +680,14 @@ def _tied_optimum(alpha, inverse, a, b, pooled) -> np.ndarray:
 
 def _score_cox(stats: LevelStats, sums, i, j, model: FittedModel) -> np.ndarray:
     # the partial likelihood has no closed-form merge update: fit every
-    # candidate on the current tables by Newton from the current fit, at the
-    # tied optimum of its quadratic model (or, where the information is
-    # singular, with the merged pair's coefficients pooled by their events),
-    # in blocks of rows within the budget
+    # candidate on the current risk sets by Newton from the current fit, at
+    # the tied optimum of its quadratic model in the fit's information (or,
+    # where that is singular, with the merged pair's coefficients pooled by
+    # their events), in blocks of rows within the budget
     labels, alpha = model.partition.labels, model.estimates["alpha"]
     c, T = sums["R"].shape
-    sets = _RiskSets(sums["D"], sums["R"], len(i))
-    inverse = _inverse_information(sets, alpha)
+    sets = _RiskSets(sums["events"], stats.per_time, sums["R"], len(i))
+    inverse = _inverse_information(model.nuisance["information"])
     block = max(1, COX_CELLS // max(T, c * c))
     scores = []
     for s in range(0, len(i), block):
@@ -700,7 +696,7 @@ def _score_cox(stats: LevelStats, sums, i, j, model: FittedModel) -> np.ndarray:
         start = _pooled_start(alpha, sets.events, tie[0], c - 1)
         if inverse is not None:
             start = _tied_optimum(alpha, inverse, a, b, start)
-        _, ll, failed = _cox_fit_rows(sets, start, tie)
+        _, ll, _, failed = _cox_fit_rows(sets, start, tie)
         if failed:
             row, exc = failed
             raise type(exc)(f"{exc}: candidate merge of {labels[a[row]]} and {labels[b[row]]} "
@@ -731,7 +727,7 @@ FAMILIES = {
         panels=("proportion", "frequency"),
     ),
     SURVIVAL: Family(
-        level_stats=_survival_stats, sums=("D", "R"), fit=_fit_cox,
+        level_stats=_survival_stats, sums=("events", "R"), fit=_fit_cox,
         score=_score_cox, order_value=_estimate("alpha"), estimate="hazard_ratio",
         panels=("survival", "frequency"),
     ),

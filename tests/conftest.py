@@ -412,11 +412,11 @@ def merge_sums(sums, a, b):
     return merged
 
 
-def breslow_terms(D, R):
+def breslow_terms(events, per_time, R):
     """Events per cluster, events per time, and log R (-inf where no row is
-    at risk): all the partial likelihood reads from a partition's tables."""
+    at risk): all the partial likelihood reads from a partition."""
     log_r = np.log(R, out=np.full(R.shape, -np.inf), where=R > 0)
-    return np.add.reduce(D, axis=1), np.add.reduce(D, axis=0), log_r
+    return events, per_time, log_r
 
 
 def breslow(alpha, terms):
@@ -443,11 +443,12 @@ def _newton_step(grad, hess):
         raise NonConvergence("singular Hessian in Cox fit") from exc
 
 
-def cox_newton(D, R, alpha):
-    """One Cox fit of the tables ``D`` and ``R``, Newton-Raphson from
-    ``alpha`` (``alpha[0] == 0``) on one coefficient vector, with the step
-    halving, tolerance and divergence rule of the fits in ``families``."""
-    terms = breslow_terms(D, R)
+def cox_newton(events, per_time, R, alpha):
+    """One Cox fit of the events per cluster and per time and the rows at
+    risk ``R``, Newton-Raphson from ``alpha`` (``alpha[0] == 0``) on one
+    coefficient vector, with the step halving, tolerance and divergence rule
+    of the fits in ``families``."""
+    terms = breslow_terms(events, per_time, R)
     ll, grad, hess = breslow(alpha, terms)
     for _ in range(COX_MAX_ITER):
         step = _newton_step(grad, hess)
@@ -471,10 +472,11 @@ def cox_newton(D, R, alpha):
 
 def reference_cox_scores(stats, sums, i, j, model=None):
     """Cox candidate scores fitted cold: Newton from alpha = 0 on each
-    candidate's merged tables, one candidate and one coefficient vector at a
+    candidate's merged sums, one candidate and one coefficient vector at a
     time, with log-sum-exp risk sets; ``model`` is unused."""
     merged = (merge_sums(sums, a, b) for a, b in zip(i.tolist(), j.tolist()))
-    return np.array([cox_newton(m["D"], m["R"], np.zeros(len(m["D"])))[1] for m in merged])
+    return np.array([cox_newton(m["events"], stats.per_time, m["R"], np.zeros(len(m["R"])))[1]
+                     for m in merged])
 
 
 def reference_kaplan_meier(times, events):

@@ -514,8 +514,8 @@ def test_exit_4_names_the_failing_survival_candidate(error, monkeypatch, tmp_pat
         # the full model is the first fit and the three candidates the second;
         # fail the second candidate, (a)+(c)
         calls.append(1)
-        coef, ll, failed = newton(*args, **kwargs)
-        return coef, ll, (1, error("forced failure")) if len(calls) == 2 else failed
+        coef, ll, hess, failed = newton(*args, **kwargs)
+        return coef, ll, hess, (1, error("forced failure")) if len(calls) == 2 else failed
 
     monkeypatch.setattr(families, "_cox_fit_rows", failing)
     rc = run(["merge", "--input", p, "--family", "survival", "--time", "time",
@@ -543,7 +543,8 @@ def test_fixture_deterministic(tmp_path):
 
 @pytest.mark.parametrize("kind", ["gaussian", "gaussianNd", "binomial", "survival"])
 def test_fixture_csv_matches_cell_by_cell_writer(kind, tmp_path, monkeypatch):
-    # level names that need quoting, each written as csv.writer writes it
+    # level names that need quoting, each written as csv.writer writes it, in
+    # one block of rows, in blocks of 5 rows (the last one short) and row by row
     from dataclasses import replace
 
     from factorfuse import cli
@@ -553,14 +554,16 @@ def test_fixture_csv_matches_cell_by_cell_writer(kind, tmp_path, monkeypatch):
     fx = replace(fx, grouping=Grouping(codes=fx.grouping.codes,
                                        levels=("a,b", 'say "hi"', "two\nlines", "L04")))
     monkeypatch.setattr(cli, "make_fixture", lambda *args, **kwargs: fx)
-    assert run(["fixture", "--kind", kind, "--k", 4, "--n-per-group", 3,
-                "--out", tmp_path]) == 0
     indicators = DOMAINS[fx.data.kind].indicators
     rows = ([*(int(v) if j in indicators else repr(v) for j, v in enumerate(row)), g]
             for row, g in zip(fx.data.values.reshape(fx.data.n, -1).tolist(),
                               fx.grouping.labels))
     want = cli._csv_text([*fx.columns, "group"], rows)
-    assert (tmp_path / "data.csv").read_bytes() == want.encode("utf-8")
+    for block in (cli._FIXTURE_ROWS, 5, 1):
+        monkeypatch.setattr(cli, "_FIXTURE_ROWS", block)
+        assert run(["fixture", "--kind", kind, "--k", 4, "--n-per-group", 3,
+                    "--out", tmp_path]) == 0
+        assert (tmp_path / "data.csv").read_bytes() == want.encode("utf-8")
     with open(tmp_path / "data.csv", newline="", encoding="utf-8") as fh:
         assert {row[-1] for row in list(csv.reader(fh))[1:]} == set(fx.grouping.levels)
 

@@ -655,6 +655,19 @@ def test_cox_scoring_memory_is_bounded():
     assert peak < 8 * 2**20
 
 
+def test_survival_level_stats_memory_is_bounded():
+    # 79,949 event times: the rows at risk R is the one table of 32 levels by
+    # event times kept, and building it takes about one table more
+    fx = make_fixture("survival", 32, 3125, 1.0, 0)
+    tracemalloc.start()
+    try:
+        stats = families.LevelStats(fx.data, fx.grouping)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * stats.R.nbytes
+
+
 @pytest.mark.parametrize("k", [10, 16])
 def test_warm_started_cox_scores_keep_survival_paths(k, monkeypatch):
     for seed in range(10):

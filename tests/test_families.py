@@ -1,5 +1,6 @@
 """Family fits: closed-form cases, invariants, and error paths."""
 
+import dataclasses
 import math
 import warnings
 
@@ -647,12 +648,14 @@ class TestPairScorer:
         sums, model = cluster_sums(stats, part), fit_stats(stats, part)
         i, j = np.triu_indices(part.size, k=1)
         # coefficient vectors evaluated: rows of the lockstep fit, and one
-        # per call of the cold reference
-        rows, calls = [], []
+        # per call of the cold reference; the information at the parent's
+        # alpha comes with the fit, so no row is evaluated there again
+        rows, calls, at_parent = [], [], []
         evaluate, breslow = _RiskSets.evaluate, conftest.breslow
 
         def counted_rows(self, A):
             rows.append(len(A))
+            at_parent.append(len(A) == 1 and np.array_equal(A[0], model.estimates["alpha"]))
             return evaluate(self, A)
 
         def counted(alpha, terms):
@@ -665,6 +668,7 @@ class TestPairScorer:
         cold = reference_cox_scores(stats, sums, i, j)
         assert len(i) == 120
         assert sum(rows) < len(calls)
+        assert not any(at_parent)
         assert np.allclose(warm, cold, rtol=1e-12, atol=1e-9)
 
     @pytest.mark.parametrize("eigenvalues", [
@@ -674,29 +678,22 @@ class TestPairScorer:
     ])
     def test_survival_candidates_start_pooled_without_a_usable_information(
             self, eigenvalues, monkeypatch, rng):
-        # the parent's information comes from the one-row evaluation at its
-        # fit; where it cannot be inverted reliably, every candidate starts
-        # with the merged pair's coefficients pooled by their events
+        # the parent's information comes with its fit; where it cannot be
+        # inverted reliably, every candidate starts with the merged pair's
+        # coefficients pooled by their events
         fx = make_fixture("survival", 16, 20, 1.0, 0)
         stats = LevelStats(fx.data, fx.grouping)
         part = singletons_of(fx.grouping)
         sums, model = cluster_sums(stats, part), fit_stats(stats, part)
         i, j = np.triu_indices(part.size, k=1)
         basis = np.linalg.qr(rng.normal(size=(15, 15)))[0]
-        information = (basis * eigenvalues) @ basis.T
-        evaluate, newton, starts = _RiskSets.evaluate, families._cox_fit_rows, []
-
-        def at_parent(self, A):
-            ll, grad, hess = evaluate(self, A)
-            if len(A) == 1 and np.array_equal(A[0], model.estimates["alpha"]):
-                hess[0, 1:, 1:] = -information
-            return ll, grad, hess
+        model = dataclasses.replace(model, nuisance={"information": (basis * eigenvalues) @ basis.T})
+        newton, starts = families._cox_fit_rows, []
 
         def recorded(sets, start, tie=None):
             starts.append(start)
             return newton(sets, start, tie)
 
-        monkeypatch.setattr(_RiskSets, "evaluate", at_parent)
         monkeypatch.setattr(families, "_cox_fit_rows", recorded)
         scores = stats.family.score(stats, sums, i, j, model)
         at, _ = _tie(i, j, part.size)
@@ -847,7 +844,9 @@ def test_risk_tables_match_reference_bitwise(rng):
         for d, gg in ((data, g), _permuted(rng, data, g)):
             stats = LevelStats(d, gg)
             D, R = reference_risk_tables(d, gg)
-            assert np.array_equal(stats.D, D) and np.array_equal(stats.R, R)
+            assert np.array_equal(stats.R, R)
+            assert np.array_equal(stats.events, D.sum(axis=1))
+            assert np.array_equal(stats.per_time, D.sum(axis=0))
 
 
 def test_cox_tables_match_row_reference(rng):
@@ -866,7 +865,8 @@ def test_cox_tables_match_row_reference(rng):
                 alphas[:, 0] = 0.0
                 # one row at a time on this partition's own tables
                 for alpha in alphas:
-                    ll, grad, hess = _RiskSets(sums["D"], sums["R"], 1).evaluate(alpha[None])
+                    sets = _RiskSets(sums["events"], stats.per_time, sums["R"], 1)
+                    ll, grad, hess = sets.evaluate(alpha[None])
                     ll_ref, grad_ref, hess_ref = reference_cox_loglik_grad_hess(alpha, t, e, gi, part.size)
                     assert abs(ll[0] - ll_ref) <= 1e-12 * abs(ll_ref)
                     assert np.allclose(grad[0], grad_ref, rtol=1e-12, atol=scale)
@@ -884,7 +884,8 @@ def test_cox_tables_match_row_reference(rng):
                 at, fold = _tie(np.full(len(alphas), lo), np.full(len(alphas), hi), part.size + 1)
                 tied = np.take_along_axis(alphas, at, axis=1)
                 assert np.array_equal(tied, np.insert(alphas, hi, alphas[:, lo], axis=1))
-                ll, grad, hess = _RiskSets(parent["D"], parent["R"], len(tied)).evaluate(tied)
+                sets = _RiskSets(parent["events"], stats.per_time, parent["R"], len(tied))
+                ll, grad, hess = sets.evaluate(tied)
                 grad, hess = (grad[:, None] @ fold)[:, 0], fold.transpose(0, 2, 1) @ hess @ fold
                 for r, alpha in enumerate(alphas):
                     ll_ref, grad_ref, hess_ref = reference_cox_loglik_grad_hess(alpha, t, e, gi, part.size)
@@ -904,7 +905,7 @@ def test_cox_row_logliks_do_not_depend_on_the_other_rows(k, rng):
     stats = LevelStats(fx.data, fx.grouping)
     A = rng.normal(0.0, 2.0, (60, k))
     A[:, 0] = 0.0
-    sets = _RiskSets(stats.D, stats.R, len(A))
+    sets = _RiskSets(stats.events, stats.per_time, stats.R, len(A))
     together = sets.evaluate(A)[0]
     alone = np.concatenate([sets.evaluate(row[None])[0] for row in A])
     reverse = sets.evaluate(A[::-1].copy())[0][::-1]
