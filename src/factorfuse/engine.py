@@ -197,7 +197,8 @@ class _Clusters:
         for name, s in self.sums.items():
             s[a] = np.add.reduce(getattr(stats, name)[codes[a]])
         partition = self.model.partition.merge(a, b)
-        self.model = stats.family.fit(stats, partition, self.sums, self.model)
+        replaced, self.model = self.model, stats.family.fit(stats, partition, self.sums, self.model)
+        (replaced.nuisance or {}).pop("information", None)  # only the current fit is scored
         self.counts["path"] += 1
         return PathStep((a, b), self.model)
 

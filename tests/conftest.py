@@ -412,17 +412,12 @@ def merge_sums(sums, a, b):
     return merged
 
 
-def breslow_terms(events, per_time, R):
-    """Events per cluster, events per time, and log R (-inf where no row is
-    at risk): all the partial likelihood reads from a partition."""
-    log_r = np.log(R, out=np.full(R.shape, -np.inf), where=R > 0)
-    return events, per_time, log_r
-
-
 def breslow(alpha, terms):
     """Breslow partial log-likelihood with gradient and Hessian of one
-    coefficient vector; each risk set's sum of R exp(alpha) is a
-    log-sum-exp over the clusters at risk, so nothing overflows."""
+    coefficient vector, from ``terms``: the events per cluster, the events
+    per time and log R, all it reads from a partition.  Each risk set's sum
+    of R exp(alpha) is a log-sum-exp over the clusters at risk, so nothing
+    overflows."""
     per_cluster, per_time, log_r = terms
     x = log_r + alpha[:, None]
     top = x.max(axis=0)  # finite: some row is at risk at every event time
@@ -448,7 +443,8 @@ def cox_newton(events, per_time, R, alpha):
     risk ``R``, Newton-Raphson from ``alpha`` (``alpha[0] == 0``) on one
     coefficient vector, with the step halving, tolerance and divergence rule
     of the fits in ``families``."""
-    terms = breslow_terms(events, per_time, R)
+    # log R is -inf where no row is at risk
+    terms = events, per_time, np.log(R, out=np.full(R.shape, -np.inf), where=R > 0)
     ll, grad, hess = breslow(alpha, terms)
     for _ in range(COX_MAX_ITER):
         step = _newton_step(grad, hess)

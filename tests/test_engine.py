@@ -648,11 +648,14 @@ def test_cox_scoring_memory_is_bounded():
     fx = make_fixture("survival", 64, 20, 1.0, 4)
     tracemalloc.start()
     try:
-        merge_factors(fx.data, fx.grouping, "fast-fixed")
+        path = merge_factors(fx.data, fx.grouping, "fast-fixed")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+    # only the fit being scored keeps its information: a path of k steps
+    # holds one, not about k^3/3 floats
+    assert ["information" in s.model.nuisance for s in path.steps] == [False] * 63 + [True]
 
 
 def test_survival_level_stats_memory_is_bounded():

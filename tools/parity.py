@@ -1,22 +1,24 @@
 """Parity: the working tree's merges against those of a git revision.
 
-    python3 tools/parity.py --against REV [--seed N] [--engine]
+    python3 tools/parity.py --against REV [--seed N]
 
 Exports the ``src/`` of REV with ``git archive`` into a temporary directory
-and writes the benchmark's inputs once, with ``perfbench/workloads``
-(imported, never written to).  Each input is merged under every method,
-plain and with ``--panel-grid --show-split --nodes-spacing effects``, through
-``factorfuse.cli.main`` of each tree, all of a tree's merges in one
-subprocess.  The runs must agree in exit code, stderr and the sha256 of each
-artifact: every differing run is printed, then one summary line, and the exit
-status is 1 on any difference.
+and runs two checks, each tree in its own subprocess, side by side.
 
-With ``--engine``, each tree instead runs ``merge_factors`` on the
-``make_fixture`` inputs of ``ENGINE_CASES``.  The paths must agree in merged
-pairs, the bits of every log-likelihood, flags and evaluation breakdown, or in
-the error raised; a path whose log-likelihoods differ is reported with their
-largest absolute and relative gap.
-"""
+Artifacts: the benchmark's inputs are written once, with
+``perfbench/workloads`` (imported, never written to).  Each input is merged
+under every method, plain and with ``--panel-grid --show-split
+--nodes-spacing effects``, through ``factorfuse.cli.main``.  The runs must
+agree in exit code, stderr and the sha256 of each artifact.
+
+Engine: ``merge_factors`` runs on the ``make_fixture`` inputs of
+``ENGINE_CASES``.  The paths must agree in merged pairs, the bits of every
+log-likelihood, flags and evaluation breakdown, or in the error raised; a
+path whose log-likelihoods differ is reported with their largest absolute
+and relative gap.
+
+Every differing run or path is printed, then one summary line per check;
+the exit status is 1 on any difference."""
 
 from __future__ import annotations
 
@@ -190,26 +192,25 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--against", required=True, help="git revision to compare with")
     p.add_argument("--seed", type=int, default=1, help="workload seed of the inputs")
-    p.add_argument("--engine", action="store_true",
-                   help="compare merge_factors paths on ENGINE_CASES instead of artifacts")
     args = p.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="parity-") as tmp:
         tmp = Path(tmp)
         against = export(args.against, tmp / "against")
-        if args.engine:
-            total, differing = len(ENGINE_CASES), compare_engine(ROOT / "src", against, ENGINE_CASES)
-            what = (f"engine parity against {args.against}", "paths identical in merged pairs, "
-                    "loglik bits, flags and evaluation breakdown")
-        else:
-            runs = jobs(WORKLOADS.values(), args.seed, tmp / "inputs")
-            total, differing = len(runs), compare(ROOT / "src", against, runs, tmp / "out")
-            what = (f"parity against {args.against}, seed {args.seed}",
-                    f"runs identical in exit code, stderr and {len(ARTIFACTS)} artifacts")
-    for line in differing:
-        print(line)
-    print(f"{what[0]}: {total - len(differing)} of {total} {what[1]}")
-    return 1 if differing else 0
-
+        runs = jobs(WORKLOADS.values(), args.seed, tmp / "inputs")
+        checks = [
+            (f"parity against {args.against}, seed {args.seed}", len(runs),
+             f"runs identical in exit code, stderr and {len(ARTIFACTS)} artifacts",
+             compare(ROOT / "src", against, runs, tmp / "out")),
+            (f"engine parity against {args.against}", len(ENGINE_CASES),
+             "paths identical in merged pairs, loglik bits, flags and evaluation breakdown",
+             compare_engine(ROOT / "src", against, ENGINE_CASES)),
+        ]
+    for *_, differing in checks:
+        for line in differing:
+            print(line)
+    for what, total, identical, differing in checks:
+        print(f"{what}: {total - len(differing)} of {total} {identical}")
+    return 1 if any(differing for *_, differing in checks) else 0
 
 if __name__ == "__main__":
     sys.exit(main())
