@@ -56,9 +56,9 @@ LOG_2PI = math.log(2.0 * math.pi)
 # Newton-Raphson settings for the Cox fit
 COX_TOL = 1e-8
 COX_MAX_ITER = 50
-# Cells in the largest array a Cox evaluation builds: candidates are fitted in
-# blocks of rows, and the risk-set products built in chunks of event times
-COX_CELLS = 1 << 16
+# Cells in the largest array a Cox evaluation builds, the table of risk-set
+# products or the per-row products of a block of rows (see _RiskSets)
+COX_CELLS = 1 << 19
 
 # The fits take logarithms with math.log and the scorers with numpy's
 # vectorised log, which can differ from it in the last bit; the fits keep
@@ -436,38 +436,35 @@ class _RiskSets:
 
     A row's log-likelihood is summed without BLAS, whose results for one row
     can change with the number of rows beside it: step halving compares a
-    row's values from evaluations of different sets of rows.  ``rows`` is
-    the most rows evaluated at once.
+    row's values from evaluations of different sets of rows.
+
+    A Hessian takes one of two routes, chosen from the c clusters, T event
+    times and the ``rows`` evaluated at once.  Where several rows are and the
+    T x c(c+1)/2 table of products R_ti R_tj fits ``COX_CELLS``, it is built
+    once and one GEMM against it gives every row's Hessian; otherwise each
+    row's is (R q_t) R^T, batched.  Evaluations of at most ``block`` rows
+    keep the largest array, table or (b, c, T) products, within the budget.
     """
 
     def __init__(self, events: np.ndarray, per_time: np.ndarray, R: np.ndarray, rows: int):
         c, T = R.shape
-        self.events, self.per_time, self.R = events, per_time, R
-        if rows == 1:  # one row reads R directly
+        self.events, self.per_time, self.R, self.table = events, per_time, R, None
+        if rows == 1 or T * c * (c + 1) // 2 > COX_CELLS:
+            self.block = max(1, COX_CELLS // (c * max(T, c)))
             return
-        # the distinct Hessian entries (i, j), i <= j, and where each entry
-        # of a c x c Hessian is among them
+        # a table row of R_ti R_tj per time and entry (i, j), i <= j, and
+        # where each entry of a c x c Hessian is among them
         self.upper, self.entry = np.triu_indices(c), np.empty((c, c), int)
         self.entry[self.upper] = self.entry[self.upper[::-1]] = np.arange(len(self.upper[0]))
-        # R_ti R_tj of every event time t and entry (i, j), a table row per
-        # time: one GEMM against it gives every row's Hessian.  It is built
-        # once where it fits the cell budget, and per chunk of times at each
-        # evaluation otherwise.
-        width = max(1, COX_CELLS // len(self.upper[0]))
-        self.chunks = [slice(s, s + width) for s in range(0, T, width)]
-        self.table = self._products(self.chunks[0]) if len(self.chunks) == 1 else None
-
-    def _products(self, times: slice) -> np.ndarray:
-        r = self.R[:, times]
-        return (r[self.upper[0]] * r[self.upper[1]]).T
+        self.table = (R[self.upper[0]] * R[self.upper[1]]).T
+        self.block = max(1, COX_CELLS // max(T, c * c))
 
     def evaluate(self, A: np.ndarray):
         """Log-likelihood (m,), gradient (m, c) and Hessian (m, c, c) at each
         row of coefficients ``A`` (m, c).  Each cluster weighs exp(A - max A)
         <= 1, so nothing overflows; a risk set whose weights all underflow
         gives a non-finite value, which the caller rejects."""
-        m, c = A.shape
-        R, diagonal = self.R, np.arange(c)
+        R, diagonal = self.R, np.arange(A.shape[1])
         with np.errstate(all="ignore"):
             x = A - A.max(axis=1, keepdims=True)
             w = np.exp(x)
@@ -477,15 +474,11 @@ class _RiskSets:
             q = self.per_time / total
             expected = w * (q @ R.T)
             q /= total
-            if m == 1:  # the table does not pay for one row
-                hess = ((R * q) @ R.T)[None] * (w[:, :, None] * w[:, None, :])
+            if self.table is None:
+                hess = ((R * q[:, None, :]) @ R.T) * (w[:, :, None] * w[:, None, :])
             else:
                 i, j = self.upper
-                if self.table is not None:
-                    pairs = q @ self.table
-                else:
-                    pairs = sum(q[:, s] @ self._products(s) for s in self.chunks)
-                hess = (pairs * (w[:, i] * w[:, j]))[:, self.entry]
+                hess = ((q @ self.table) * (w[:, i] * w[:, j]))[:, self.entry]
             hess[:, diagonal, diagonal] -= expected
         return loglik, self.events - expected, hess
 
@@ -685,13 +678,12 @@ def _score_cox(stats: LevelStats, sums, i, j, model: FittedModel) -> np.ndarray:
     # where that is singular, with the merged pair's coefficients pooled by
     # their events), in blocks of rows within the budget
     labels, alpha = model.partition.labels, model.estimates["alpha"]
-    c, T = sums["R"].shape
+    c = len(sums["R"])
     sets = _RiskSets(sums["events"], stats.per_time, sums["R"], len(i))
     inverse = _inverse_information(model.nuisance["information"])
-    block = max(1, COX_CELLS // max(T, c * c))
     scores = []
-    for s in range(0, len(i), block):
-        a, b = i[s:s + block], j[s:s + block]
+    for s in range(0, len(i), sets.block):
+        a, b = i[s:s + sets.block], j[s:s + sets.block]
         tie = _tie(a, b, c)
         start = _pooled_start(alpha, sets.events, tie[0], c - 1)
         if inverse is not None:

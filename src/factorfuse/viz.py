@@ -77,10 +77,6 @@ def _fmt(v: float) -> str:
     return f"{v:.4f}"
 
 
-def _palette_color(palette: tuple[str, ...], i: int) -> str:
-    return palette[i % len(palette)]
-
-
 def _stars(p: float) -> str:
     if p < 0.001:
         return "***"
@@ -159,9 +155,11 @@ def layout_tree(
     estimate = full.estimates[FAMILIES[full.family].estimate]
     effects = estimate.reshape(len(estimate), -1)[leaf_at, 0]
     # level -> color of its cluster in the GIC-optimal partition
-    palette = PALETTES.get(spec.palette, DEFAULT_PALETTE)
+    if spec.palette not in PALETTES:
+        raise IncompatiblePanel(f"unknown palette {spec.palette!r}; known: {', '.join(PALETTES)}")
+    palette = PALETTES[spec.palette]
     at = path.steps[gic.argmin_step].model.partition.positions(path.levels).tolist()
-    colors = {lv: _palette_color(palette, s) for lv, s in zip(path.levels, at)}
+    colors = {lv: palette[s % len(palette)] for lv, s in zip(path.levels, at)}
 
     # every path has k >= 2 levels, so the leaves span [0, 1]
     ys = np.linspace(0.0, 1.0, len(order))
@@ -335,7 +333,7 @@ def render_response_panel(
 
     def cluster_color(i):
         lv = partition.clusters[i].members[0]
-        return colors.get(lv, _palette_color(DEFAULT_PALETTE, i))
+        return colors.get(lv, DEFAULT_PALETTE[i % len(DEFAULT_PALETTE)])
 
     def cluster_rows(i):
         member_rows = [idx[m] for m in partition.clusters[i].members]

@@ -620,31 +620,49 @@ def test_fast_adaptive_completes_on_40_survival_levels(seed):
     assert len(merge_factors(fx.data, fx.grouping, "fast-adaptive").steps) == 40
 
 
-@pytest.mark.parametrize("cells", [1, 4096])
+@pytest.mark.parametrize("cells", [1, 4096, 20000])
 def test_cox_scores_do_not_depend_on_the_cell_budget(cells, monkeypatch):
-    # one row per block (cells=1), and blocks of 15 rows whose risk-set
-    # products are built in chunks of 30 event times (cells=4096), against
-    # every candidate in one block with one product table
-    fx = make_fixture("survival", 16, 20, 1.0, 0)
+    # every candidate in one evaluation on the product table, against one
+    # row per evaluation (cells=1), the per-row route in blocks of 2 rows
+    # (4096) and the table in blocks of 78 rows (20000), which splits the 120
+    # candidates of 16 clusters.  At 10 rows per level there are 125 event
+    # times, fewer than c^2: only then can the table fit the budget while a
+    # block holds fewer rows than there are candidates.
+    fx = make_fixture("survival", 16, 10, 1.0, 0)
     stats = families.LevelStats(fx.data, fx.grouping)
     part = Partition.singletons(fx.grouping.levels)
+    evaluate, seen = families._RiskSets.evaluate, []
+
+    def recorded(self, A):
+        seen.append((self.table is not None, len(A)))
+        return evaluate(self, A)
+
+    def taken(score, *args):
+        # (routes taken, most rows in one evaluation) of a scoring call
+        seen.clear()
+        return score(*args), ({table for table, _ in seen}, max(m for _, m in seen))
+
+    monkeypatch.setattr(families._RiskSets, "evaluate", recorded)
     for merges in ((), (0, 3, 7)):
         for a in merges:
             part = part.merge(a, a + 1)
         sums, model = families.cluster_sums(stats, part), families.fit_stats(stats, part)
         i, j = np.triu_indices(part.size, k=1)
-        whole = stats.family.score(stats, sums, i, j, model)
+        whole, route = taken(stats.family.score, stats, sums, i, j, model)
+        assert route == ({True}, len(i))
         with monkeypatch.context() as m:
             m.setattr(families, "COX_CELLS", cells)
-            blocked = stats.family.score(stats, sums, i, j, model)
+            blocked, route = taken(stats.family.score, stats, sums, i, j, model)
+        assert route == {1: ({False}, 1), 4096: ({False}, 2), 20000: ({True}, 78)}[cells]
         assert np.allclose(blocked, whole, rtol=1e-12, atol=0.0)
         labels = part.labels
         assert _select(blocked, labels, i, j) == _select(whole, labels, i, j)
 
 
 def test_cox_scoring_memory_is_bounded():
-    # 63 candidates of 64 clusters at 682 event times: unblocked, the table
-    # of risk-set products alone takes 11 MiB, and the peak reaches 25 MiB
+    # 63 candidates of 64 clusters at 682 event times: the table of risk-set
+    # products would take 11 MiB, so each row's Hessian is formed on its own,
+    # in blocks whose (rows, 64, 682) products stay within COX_CELLS (4 MiB)
     fx = make_fixture("survival", 64, 20, 1.0, 4)
     tracemalloc.start()
     try:

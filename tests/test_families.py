@@ -906,6 +906,9 @@ def test_cox_row_logliks_do_not_depend_on_the_other_rows(k, rng):
     A = rng.normal(0.0, 2.0, (60, k))
     A[:, 0] = 0.0
     sets = _RiskSets(stats.events, stats.per_time, stats.R, len(A))
+    # both Hessian routes: the product table at k=16 (276 event times), the
+    # per-row products at k=40 (657)
+    assert (sets.table is not None) == (k == 16)
     together = sets.evaluate(A)[0]
     alone = np.concatenate([sets.evaluate(row[None])[0] for row in A])
     reverse = sets.evaluate(A[::-1].copy())[0][::-1]

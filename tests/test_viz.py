@@ -290,6 +290,9 @@ def test_panel_colors_consistent(gaussian_bundle):
 def test_named_palette(gaussian_bundle):
     svg = render(gaussian_bundle, palette="Dark2")
     ET.fromstring(svg)
+    # a misspelled name is refused, not drawn in the default colours
+    with pytest.raises(IncompatiblePanel, match="'dark2'.*default, Dark2"):
+        render(gaussian_bundle, palette="dark2")
 
 
 def test_empty_panels_rejected(gaussian_bundle):
