@@ -498,14 +498,18 @@ def _solve_steps(grad: np.ndarray, hess: np.ndarray):
         return steps, singular
 
 
+def _tied(a: np.ndarray, b: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """Row t: ``positions`` once clusters a[t] < b[t] merge: b goes to a, those after b up one."""
+    return np.where(positions == b[:, None], a[:, None], positions - (positions > b[:, None]))
+
+
 def _tie(a: np.ndarray, b: np.ndarray, c: int):
     """Row t ties clusters a[t] < b[t] of c: the position of each cluster's
-    coefficient among the c - 1 of the merged partition (b takes a's, and
-    the clusters after b move up by one), and the derivative of the c
-    coefficients by the c - 1, which folds a gradient g and Hessian H into
-    the merged coefficients as g @ F and F^T H F."""
+    coefficient among the c - 1 of the merged partition (:func:`_tied`), and
+    the derivative of the c coefficients by the c - 1, which folds a gradient
+    g and Hessian H into the merged coefficients as g @ F and F^T H F."""
     clusters = np.arange(c)
-    at = np.where(clusters == b[:, None], a[:, None], clusters - (clusters > b[:, None]))
+    at = _tied(a, b, clusters)
     fold = np.zeros((len(a), c, c - 1))
     fold[np.arange(len(a))[:, None], clusters, at] = 1.0
     return at, fold
@@ -539,7 +543,7 @@ def _cox_fit_rows(sets: _RiskSets, start: np.ndarray, tie=None):
         if tie is None:
             ll, grad, hess = sets.evaluate(coef)
             return ll, grad[:, 1:], hess[:, 1:, 1:]
-        ll, grad, hess = sets.evaluate(np.take_along_axis(coef, at[rows], axis=1))
+        ll, grad, hess = sets.evaluate(coef[np.arange(len(rows))[:, None], at[rows]])
         f = fold[rows]
         with np.errstate(all="ignore"):  # non-finite values are rejected below
             return ll, (grad[:, None] @ f)[:, 0], f.transpose(0, 2, 1) @ hess @ f
@@ -605,33 +609,37 @@ def _fit_cox(stats: LevelStats, partition: Partition, sums, parent=None) -> Fitt
     if eventless.any():
         raise MonotoneLikelihood(f"cluster {partition.labels[np.argmax(eventless)]} has no "
                                  "events: its Cox coefficient may be infinite")
+    carry = {}
     if parent is None:
         start = np.zeros((1, c))
     else:
         # each level carries its parent cluster's coefficient and its events
-        alpha = parent.estimates["alpha"][parent.partition.positions(stats.levels)]
-        start = _pooled_start(alpha, stats.events, partition.positions(stats.levels)[None], c)
+        prev, now = parent.partition.positions(stats.levels), partition.positions(stats.levels)
+        alpha = parent.estimates["alpha"][prev]
+        start = _pooled_start(alpha, stats.events, now[None], c)
+        if "fits" in parent.nuisance:  # the parent's candidate fits, for the next scoring
+            carry["carried"] = (*parent.nuisance["fits"], prev, now, alpha)
     coef, ll, hess, failed = _cox_fit_rows(sets, start)
     if failed:
         raise failed[1]
     return FittedModel(family=SURVIVAL, partition=partition, loglik=float(ll[0]),
                        estimates={"alpha": coef[0], "hazard_ratio": _math_exp(coef[0])},
-                       nuisance={"information": -hess[0]})
+                       nuisance={"information": -hess[0], **carry})
 
 
 def _pooled_start(alpha: np.ndarray, events: np.ndarray, into: np.ndarray, c: int) -> np.ndarray:
     """Starting coefficients of c clusters from a finer fit: unit u (a level
-    or a cluster) has coefficient alpha[u] and events[u] events, and row t
-    puts it into cluster into[t, u].  A cluster starts at the event-weighted
-    mean of its units' coefficients (at 0 if they hold no events), and each
-    row is shifted so that cluster 0 is the reference."""
+    or a cluster) has coefficient alpha[u] (or alpha[t, u]) and events[u]
+    events, and row t puts it into cluster into[t, u].  A cluster starts at
+    the event-weighted mean of its units' coefficients (at 0 if they hold no
+    events), and each row is shifted so that cluster 0 is the reference."""
     m = len(into)
     cells = (into + c * np.arange(m)[:, None]).ravel()
     weights = np.tile(events, m)
     total = np.bincount(cells, weights, m * c)[cells]
     # a unit alone in its cluster has share 1 and keeps its coefficient's bits
     share = np.divide(weights, total, out=np.zeros_like(weights), where=total > 0)
-    start = np.bincount(cells, share * np.tile(alpha, m), m * c).reshape(m, c)
+    start = np.bincount(cells, (share.reshape(into.shape) * alpha).ravel(), m * c).reshape(m, c)
     return start - start[:, :1]
 
 
@@ -646,7 +654,9 @@ def _inverse_information(information: np.ndarray) -> np.ndarray | None:
         return None
     if not values[0] > len(values) * np.finfo(float).eps * values[-1]:  # also false for NaN
         return None
-    return np.pad((vectors / values) @ vectors.T, (1, 0))
+    inverse = np.zeros((len(values) + 1,) * 2)  # np.pad would take longer than the rest
+    inverse[1:, 1:] = (vectors / values) @ vectors.T
+    return inverse
 
 
 def _tied_optimum(alpha, inverse, a, b, pooled) -> np.ndarray:
@@ -671,29 +681,57 @@ def _tied_optimum(alpha, inverse, a, b, pooled) -> np.ndarray:
     return np.where(usable[:, None], start - start[:, :1], pooled)
 
 
+def _carried_rows(model: FittedModel, i, j) -> np.ndarray:
+    """Per candidate (i[t], j[t]), the row of the carried fits (:func:`_fit_cox`)
+    of the same two clusters, both unchanged since; -1 where there is none."""
+    fi, fj, coef, prev, now, _ = model.nuisance["carried"]
+    into = np.zeros(coef.shape[1] + 1, int)  # the cluster each previous one went into
+    into[prev] = now
+    was = np.full(model.partition.size, -1)  # and the one it was, if unchanged
+    if (into[prev] == now).all():  # a coarsening of the previous partition
+        was[into] = np.arange(len(into))
+        was[np.bincount(into, minlength=len(was)) != 1] = -1
+    p, q = was[i], was[j]
+    # the fits' pairs are sorted as the engine's are; unsorted ones are found less often
+    keys, want = fi * len(into) + fj, p * len(into) + q
+    found = np.searchsorted(keys, want).clip(max=len(keys) - 1)
+    return np.where((p >= 0) & (q >= 0) & (keys[found] == want), found, -1)
+
+
 def _score_cox(stats: LevelStats, sums, i, j, model: FittedModel) -> np.ndarray:
     # the partial likelihood has no closed-form merge update: fit every
-    # candidate on the current risk sets by Newton from the current fit, at
-    # the tied optimum of its quadratic model in the fit's information (or,
-    # where that is singular, with the merged pair's coefficients pooled by
-    # their events), in blocks of rows within the budget
+    # candidate by Newton, in blocks of rows within the budget, from its fit
+    # in the previous call if both its clusters are unchanged (read level by
+    # level, moved by the path fit's change); else at the tied optimum of the
+    # current fit's quadratic model, or with the merged pair pooled by events
+    # where the information is singular.  Fits within the budget are kept.
     labels, alpha = model.partition.labels, model.estimates["alpha"]
     c = len(sums["R"])
     sets = _RiskSets(sums["events"], stats.per_time, sums["R"], len(i))
     inverse = _inverse_information(model.nuisance["information"])
-    scores = []
+    carried = _carried_rows(model, i, j) if "carried" in model.nuisance else np.full(len(i), -1)
+    keep, scores, fits = len(i) * (c - 1) <= COX_CELLS, [], []
     for s in range(0, len(i), sets.block):
-        a, b = i[s:s + sets.block], j[s:s + sets.block]
-        tie = _tie(a, b, c)
-        start = _pooled_start(alpha, sets.events, tie[0], c - 1)
+        a, b, rows = i[s:s + sets.block], j[s:s + sets.block], carried[s:s + sets.block]
+        tie, start, cold = _tie(a, b, c), np.empty((len(a), c - 1)), rows < 0
+        start[cold] = _pooled_start(alpha, sets.events, tie[0][cold], c - 1)
         if inverse is not None:
-            start = _tied_optimum(alpha, inverse, a, b, start)
-        _, ll, _, failed = _cox_fit_rows(sets, start, tie)
+            start[cold] = _tied_optimum(alpha, inverse, a[cold], b[cold], start[cold])
+        if not cold.all():
+            fi, fj, fitted, prev, now, before = model.nuisance["carried"]
+            rows = rows[~cold]
+            level = fitted[rows[:, None], _tied(fi[rows], fj[rows], prev)] + (alpha[now] - before)
+            start[~cold] = _pooled_start(level, stats.events, tie[0][~cold][:, now], c - 1)
+        coef, ll, _, failed = _cox_fit_rows(sets, start, tie)
         if failed:
             row, exc = failed
             raise type(exc)(f"{exc}: candidate merge of {labels[a[row]]} and {labels[b[row]]} "
                             f"at {len(labels)} clusters") from exc
         scores.append(ll)
+        if keep:
+            fits.append(coef)
+    if keep:
+        model.nuisance["fits"] = (i, j, np.concatenate(fits))
     return np.concatenate(scores)
 
 

@@ -659,7 +659,7 @@ def test_cox_scores_do_not_depend_on_the_cell_budget(cells, monkeypatch):
         assert _select(blocked, labels, i, j) == _select(whole, labels, i, j)
 
 
-def test_cox_scoring_memory_is_bounded():
+def test_cox_scoring_memory_is_bounded(monkeypatch):
     # 63 candidates of 64 clusters at 682 event times: the table of risk-set
     # products would take 11 MiB, so each row's Hessian is formed on its own,
     # in blocks whose (rows, 64, 682) products stay within COX_CELLS (4 MiB)
@@ -671,9 +671,23 @@ def test_cox_scoring_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
-    # only the fit being scored keeps its information: a path of k steps
-    # holds one, not about k^3/3 floats
-    assert ["information" in s.model.nuisance for s in path.steps] == [False] * 63 + [True]
+    # only the fit being scored keeps its scoring state: a path of k steps
+    # holds one information, not about k^3/3 floats, and one set of fits
+    state = ("information", "fits", "carried")
+    assert [any(key in s.model.nuisance for key in state) for s in path.steps] == [False] * 63 + [True]
+    # a scoring call keeps its m candidates' fits only if their m (c - 1)
+    # coefficients fit COX_CELLS
+    fx = make_fixture("survival", 8, 20, 1.0, 4)
+    stats = families.LevelStats(fx.data, fx.grouping)
+    part = Partition.singletons(fx.grouping.levels)
+    i, j = np.triu_indices(part.size, k=1)
+    for cells, kept in ((len(i) * (part.size - 1) - 1, False), (len(i) * (part.size - 1), True)):
+        model = families.fit_stats(stats, part)
+        with monkeypatch.context() as m:
+            m.setattr(families, "COX_CELLS", cells)
+            stats.family.score(stats, families.cluster_sums(stats, part), i, j, model)
+        assert ("fits" in model.nuisance) == kept
+    assert model.nuisance["fits"][2].shape == (len(i), part.size - 1)
 
 
 def test_survival_level_stats_memory_is_bounded():
@@ -703,6 +717,46 @@ def test_warm_started_cox_scores_keep_survival_paths(k, monkeypatch):
             assert path_merge_sequence(warm) == path_merge_sequence(cold)
             assert [s.model.loglik for s in warm.steps] == [s.model.loglik for s in cold.steps]
             assert warm.evaluation_breakdown == cold.evaluation_breakdown
+
+
+def test_carried_cox_fits_keep_survival_paths_and_cut_newton_rows(monkeypatch):
+    # a candidate whose two clusters are both unchanged since the step before
+    # starts from its fit there; without that carry (each path fit's carried
+    # state stripped) the path is the same, on more Newton rows
+    fx = make_fixture("survival", 16, 20, 1.0, 0)
+    survival, evaluate = families.FAMILIES["survival"], families._RiskSets.evaluate
+
+    def uncarried(*args):
+        model = survival.fit(*args)
+        model.nuisance.pop("carried", None)
+        return model
+
+    def run(fit):
+        rows, scores = [], []
+
+        def counted(self, A):
+            rows.append(len(A))
+            return evaluate(self, A)
+
+        def recorded(*args):
+            scores.append(survival.score(*args))
+            return scores[-1]
+
+        with monkeypatch.context() as m:
+            m.setattr(families._RiskSets, "evaluate", counted)
+            m.setitem(families.FAMILIES, "survival",
+                      dataclasses.replace(survival, fit=fit, score=recorded))
+            path = merge_factors(fx.data, fx.grouping, "adaptive")
+        return path, scores, sum(rows)
+
+    carried, scores, rows = run(survival.fit)
+    plain, plain_scores, plain_rows = run(uncarried)
+    assert [s.merged_pair for s in carried.steps] == [s.merged_pair for s in plain.steps]
+    assert [s.model.loglik.hex() for s in carried.steps] == [s.model.loglik.hex() for s in plain.steps]
+    assert len(scores) == len(plain_scores) == 15
+    for got, want in zip(scores, plain_scores):
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+    assert rows <= 0.8 * plain_rows
 
 
 def test_gaussian_nd_path(rng):

@@ -727,6 +727,24 @@ class TestPairScorer:
         got = families._tied_optimum(alpha, indefinite, a, b, pooled)
         assert np.array_equal(got[row], pooled[row])
 
+    def test_pooled_start_with_a_coefficient_row_per_row(self, rng):
+        # carried Cox fits are pooled with one row of unit coefficients per
+        # candidate: each row keeps the bits of pooling it on its own.  Unit 0
+        # is alone in cluster 0 and unit 6 alone in cluster 3; unit 2 has no
+        # events, and a cluster of unit 2 alone starts at 0
+        events = np.array([3.0, 1.0, 0.0, 2.0, 5.0, 1.0, 4.0])
+        into = np.column_stack([np.zeros(6, int), rng.integers(1, 3, (6, 5)), np.full(6, 3)])
+        into[0, 1:6] = [2, 1, 2, 2, 2]
+        alpha = rng.normal(0.0, 1.0, (6, 7))
+        got = families._pooled_start(alpha, events, into, 4)
+        for t in range(len(into)):
+            assert np.array_equal(got[t], families._pooled_start(alpha[t], events, into[t:t + 1], 4)[0])
+        assert np.array_equal(got[:, 3], alpha[:, 6] - alpha[:, 0])
+        assert got[0, 1] == -alpha[0, 0]
+        # one coefficient row for every row pools as before
+        shared = families._pooled_start(alpha[1], events, into, 4)
+        assert np.array_equal(shared, families._pooled_start(np.tile(alpha[1], (6, 1)), events, into, 4))
+
 
 # ---------------------------------------------------------------------------
 # grouping codes and level statistics against the one-level-at-a-time reference
