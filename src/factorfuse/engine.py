@@ -198,8 +198,8 @@ class _Clusters:
             s[a] = np.add.reduce(getattr(stats, name)[codes[a]])
         partition = self.model.partition.merge(a, b)
         replaced, self.model = self.model, stats.family.fit(stats, partition, self.sums, self.model)
-        for state in ("information", "fits", "carried"):  # only the current fit is scored
-            (replaced.nuisance or {}).pop(state, None)
+        for state in stats.family.scoring_only:  # only the current fit is scored
+            replaced.nuisance.pop(state, None)
         self.counts["path"] += 1
         return PathStep((a, b), self.model)
 

@@ -116,6 +116,8 @@ class Family:
     estimate: str
     # response panels the plot accepts for this family, default first
     panels: tuple[str, ...]
+    # nuisance entries only ``score`` reads, dropped from a fit once replaced
+    scoring_only: tuple[str, ...] = ()
 
 
 class LevelStats:
@@ -186,21 +188,28 @@ def cluster_sums(stats: LevelStats, partition: Partition) -> dict[str, np.ndarra
 
 
 def _sorted_rows(stats: LevelStats) -> tuple[np.ndarray, np.ndarray, list[slice]]:
-    """Responses and weights sorted by level, then response, then weight, and
-    each level's slice: sums over a slice do not depend on the row order."""
+    """Responses and weights in the order of np.lexsort((w, y_d, ..., y_1,
+    codes)) up to rows tied in every key, and each level's slice: a sort by
+    y_1, then a stable one by level (8- or 16-bit codes take numpy's radix
+    sort), then a lexsort of only the runs tied in both by the further keys.
+    Rows tied in every key differ at most in the sign of a zero, which no sum
+    sees (a sum of zeros is -0 only when all are -0)."""
     y, grouping = stats.data.values, stats.grouping
     w = np.ones(len(y)) if stats.data.weights is None else stats.data.weights
-    if stats.data.weights is None and y.ndim == 1:
-        # With unit weights, rows tied in y differ at most in the sign of a
-        # zero, which no sum sees: a sum of zeros is -0 only when all are -0.
-        # So a sort by value, then a stable one by level, gives the lexsort's
-        # sums; codes cast to 8 or 16 bits take numpy's radix sort.
-        order = np.argsort(y)
-        codes = grouping.codes.astype(np.min_scalar_type(grouping.k))[order]
-        order = order[np.argsort(codes, kind="stable")]
-    else:
-        keys = (y,) if y.ndim == 1 else y.T[::-1]  # lexsort sorts by the last key first
-        order = np.lexsort((w, *keys, grouping.codes))
+    columns = y.reshape(len(y), -1).T
+    order = np.argsort(columns[0])
+    codes = grouping.codes.astype(np.min_scalar_type(grouping.k))[order]
+    order = order[np.argsort(codes, kind="stable")]
+    keys = tuple(columns[:0:-1]) if stats.data.weights is None else (w, *columns[:0:-1])
+    if keys:
+        first, codes = columns[0][order], grouping.codes[order]
+        tied = np.zeros(len(y) + 1, bool)  # tied[t]: row t has the level and y_1 of row t - 1
+        tied[1:-1] = (codes[1:] == codes[:-1]) & (first[1:] == first[:-1])
+        rows = np.flatnonzero(tied[:-1] | tied[1:])
+        if len(rows):
+            run = np.cumsum(~tied[rows])  # run ids from 1, in the smallest type that holds them
+            sub, run = order[rows], run.astype(np.min_scalar_type(run[-1]))
+            order[rows] = sub[np.lexsort((*(key[sub] for key in keys), run))]
     ends = np.cumsum(list(grouping.counts.values())).tolist()
     return y[order], w[order], [slice(a, b) for a, b in zip([0] + ends, ends)]
 
@@ -302,9 +311,8 @@ def _score_gaussian_1d(stats: LevelStats, sums, i, j, model) -> np.ndarray:
 def _gaussian_nd_stats(stats: LevelStats) -> None:
     y, w, levels = _sorted_rows(stats)
     with np.errstate(over="ignore", invalid="ignore"):  # see _check_moments
-        wy = w[:, None] * y
         stats.sw = np.array([w[s].sum() for s in levels])
-        stats.swy = np.array([wy[s].sum(axis=0) for s in levels])
+        stats.swy = np.array([(w[s, None] * y[s]).sum(axis=0) for s in levels])
         stats.swyyt = np.array([np.einsum("i,ij,ik->jk", w[s], y[s], y[s]) for s in levels])
     _check_moments(stats, stats.swyyt.diagonal(axis1=1, axis2=2))
 
@@ -759,7 +767,7 @@ FAMILIES = {
     SURVIVAL: Family(
         level_stats=_survival_stats, sums=("events", "R"), fit=_fit_cox,
         score=_score_cox, order_value=_estimate("alpha"), estimate="hazard_ratio",
-        panels=("survival", "frequency"),
+        panels=("survival", "frequency"), scoring_only=("information", "fits", "carried"),
     ),
 }
 

@@ -448,21 +448,51 @@ def unweighted_repeat_cases(rng):
     yield ResponseData("gaussian1d", signed), g
 
 
-def test_sorted_rows_match_the_three_key_lexsort(rng):
-    # without weights, rows are sorted by value and then stably by level: each
-    # level holds the values np.lexsort((w, y, codes)) gives, with the same sums
-    for data, g in unweighted_repeat_cases(rng):
+def tie_cases(rng):
+    """Weighted binomial data whose rows all tie in level and y; gaussianNd
+    rows tied in level and y_1 whose further columns differ only in the sign
+    of a zero, with weights, without, and tied in every column but the weight;
+    fully repeated rows; and 600 runs of rows tied in level and y_1, more than
+    8-bit run ids hold."""
+    g = Grouping(codes=np.arange(60) % 4, levels=[f"G{i}" for i in range(4)])
+    yield ResponseData("binomial", (g.codes % 2).astype(float), rng.uniform(0.5, 2.0, 60)), g
+    y = np.column_stack((rng.integers(0, 2, 60), rng.choice([-0.0, 0.0], (60, 2))))
+    y[:, 2][rng.random(60) < 0.3] = 1.0
+    y[g.codes == 3, 1:] = -0.0
+    yield ResponseData("gaussianNd", y, rng.choice([0.5, 2.0], 60)), g
+    yield ResponseData("gaussianNd", y), g
+    y[:, 1:] = 0.0
+    yield ResponseData("gaussianNd", y, rng.uniform(0.5, 2.0, 60)), g
+    rows = rng.integers(0, 6, 60)
+    values = np.array([[1.5, -0.0], [1.5, 0.0], [-2.0, 3.0], [0.0, 1.0], [-0.0, 1.0], [4.0, 4.0]])
+    yield ResponseData("gaussianNd", values[rows], np.array([1.0, 1.0, 2.0, 0.5, 0.5, 1.0])[rows]), g
+    yield ResponseData("gaussian1d", values[rows, 0], np.array([1.0, 2.0, 1.0, 3.0, 3.0, 1.0])[rows]), g
+    g = Grouping(codes=np.arange(1200) % 3, levels=["A", "B", "C"])
+    y = np.column_stack((np.arange(1200) // 6, rng.integers(0, 3, 1200))).astype(float)
+    yield ResponseData("gaussianNd", y, rng.choice([0.5, 1.0, 2.0], 1200)), g
+
+
+def test_sorted_rows_match_the_full_lexsort(rng, monkeypatch):
+    # rows are sorted by y_1, then stably by level, then only the runs tied in
+    # both by the further keys: each level holds the rows
+    # np.lexsort((w, y_d, ..., y_1, codes)) gives, and its sums keep their bits
+    for data, g in (*permutation_cases(rng), *tie_cases(rng)):
         for perm in (np.arange(data.n), rng.permutation(data.n)):
-            d = ResponseData(data.kind, data.values[perm])
+            weights = None if data.weights is None else data.weights[perm]
+            d = ResponseData(data.kind, data.values[perm], weights)
+            w = np.ones(d.n) if weights is None else weights
             gg = Grouping(codes=g.codes[perm], levels=g.levels)
-            y, w, levels = families._sorted_rows(families.LevelStats(d, gg))
-            ones = np.ones(d.n)
-            order = np.lexsort((ones, d.values, gg.codes))
-            assert np.array_equal(y, d.values[order]) and np.array_equal(w, ones[order])
+            stats = families.LevelStats(d, gg)
+            y, ws, levels = families._sorted_rows(stats)
+            order = np.lexsort((w, *d.values.reshape(d.n, -1).T[::-1], gg.codes))
+            assert np.array_equal(y, d.values[order]) and np.array_equal(ws, w[order])
             assert [s.stop - s.start for s in levels] == list(gg.counts.values())
-            for s in levels:
-                assert y[s].sum().tobytes() == d.values[order][s].sum().tobytes()
-                assert (y[s] * y[s]).sum().tobytes() == (d.values[order][s] ** 2).sum().tobytes()
+            with monkeypatch.context() as m:
+                m.setattr(families, "_sorted_rows", lambda _: (d.values[order], w[order], levels))
+                want = families.LevelStats(d, gg)
+            names = [n for n in ("sw", "swy", "swy2", "swyyt") if hasattr(want, n)]
+            assert names and all(getattr(stats, n).tobytes() == getattr(want, n).tobytes()
+                                 for n in names), d.kind
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)

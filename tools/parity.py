@@ -12,7 +12,7 @@ under every method, plain and with ``--panel-grid --show-split
 agree in exit code, stderr and the sha256 of each artifact.
 
 Engine: ``merge_factors`` runs on the ``make_fixture`` inputs of
-``ENGINE_CASES``, 133 paths.  The paths must agree in merged pairs, the bits
+``ENGINE_CASES``, 134 paths.  The paths must agree in merged pairs, the bits
 of every log-likelihood, flags and evaluation breakdown, or in the error
 raised; a path whose log-likelihoods differ is reported with their largest
 absolute and relative gap.
@@ -52,7 +52,7 @@ ENGINE_CASES = (
      for seed in range(4) for strategy in STRATEGIES]
     + [(kind, 1024, 10, 0, "fast-fixed") for kind in ("gaussian", "binomial")]
     + [("survival", 64, 20, 4, "fast-fixed"), ("survival", 32, 20, 4, "adaptive"),
-       ("survival", 32, 3125, 0, "fast-fixed")]
+       ("survival", 32, 3125, 0, "fast-fixed"), ("gaussianNd", 32, 3125, 0, "fast-fixed")]
 )
 
 # Runs in a tree's subprocess: reads [argv, out] pairs from stdin and writes,
