@@ -24,6 +24,7 @@ so that nested partitions differ by exactly one degree of freedom per merge.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -103,7 +104,8 @@ class Family:
     # per-level statistics that cluster_sums adds up per cluster
     sums: tuple[str, ...]
     # (stats, partition, cluster sums, parent) -> FittedModel; ``parent`` is
-    # None or a fit of the same levels that the fit may start from
+    # None or a fit of the same levels that the fit may start from, or whose
+    # scoring may already have fitted ``partition``
     fit: Callable
     # (stats, cluster sums, i, j, fitted model of the partition the sums are
     # of) -> loglik with each pair (i[t], j[t]) merged, which equals the fit
@@ -116,7 +118,8 @@ class Family:
     estimate: str
     # response panels the plot accepts for this family, default first
     panels: tuple[str, ...]
-    # nuisance entries only ``score`` reads, dropped from a fit once replaced
+    # nuisance entries only ``score`` and the next ``fit`` read, dropped from
+    # a fit once replaced
     scoring_only: tuple[str, ...] = ()
 
 
@@ -155,7 +158,9 @@ def fit_stats(stats: LevelStats, partition: Partition,
 
     When ``parent``, a fit of the same levels, is given, a Cox fit starts
     each cluster at the event-weighted mean of its levels' coefficients in
-    ``parent``; the other families ignore it.
+    ``parent``, unless ``partition`` merges two of its clusters and scoring
+    ``parent`` kept that candidate's fit: then that fit is returned without a
+    Newton step.  The other families ignore ``parent``.
     """
     have = frozenset(stats.levels)
     members = Counter(m for c in partition.clusters for m in c.members)
@@ -460,10 +465,8 @@ class _RiskSets:
         if rows == 1 or T * c * (c + 1) // 2 > COX_CELLS:
             self.block = max(1, COX_CELLS // (c * max(T, c)))
             return
-        # a table row of R_ti R_tj per time and entry (i, j), i <= j, and
-        # where each entry of a c x c Hessian is among them
-        self.upper, self.entry = np.triu_indices(c), np.empty((c, c), int)
-        self.entry[self.upper] = self.entry[self.upper[::-1]] = np.arange(len(self.upper[0]))
+        # a table row of R_ti R_tj per time and entry (i, j), i <= j
+        self.upper, self.entry = _table_entries(c)
         self.table = (R[self.upper[0]] * R[self.upper[1]]).T
         self.block = max(1, COX_CELLS // max(T, c * c))
 
@@ -489,6 +492,18 @@ class _RiskSets:
                 hess = ((q @ self.table) * (w[:, i] * w[:, j]))[:, self.entry]
             hess[:, diagonal, diagonal] -= expected
         return loglik, self.events - expected, hess
+
+
+@functools.lru_cache(maxsize=64)
+def _table_entries(c: int):
+    """The entries (i, j), i <= j, of a c x c Hessian that the table of
+    risk-set products holds, and where each entry is among them; built once
+    per c for every scoring call at c clusters."""
+    upper, entry = np.triu_indices(c), np.empty((c, c), int)
+    entry[upper] = entry[upper[::-1]] = np.arange(len(upper[0]))
+    for shared in (*upper, entry):  # every later call reads these arrays
+        shared.flags.writeable = False
+    return upper, entry
 
 
 def _solve_steps(grad: np.ndarray, hess: np.ndarray):
@@ -606,33 +621,64 @@ def _cox_fit_rows(sets: _RiskSets, start: np.ndarray, tie=None):
 
 
 def _fit_cox(stats: LevelStats, partition: Partition, sums, parent=None) -> FittedModel:
+    """The Cox fit of ``partition``.  If it merges clusters a < b of
+    ``parent``, leaving the others unchanged, and scoring ``parent`` kept
+    that candidate's fit with its Hessian (:func:`_score_cox`), the fit is
+    adopted: the candidate's coefficients, its score as the loglik, bit for
+    bit, and minus its Hessian as the information.  Otherwise Newton runs
+    from ``parent``'s coefficients pooled by events, or from 0 without one."""
     if not len(stats.per_time):
         raise NoEvents("survival data has no uncensored events")
-    sets = _RiskSets(sums["events"], stats.per_time, sums["R"], 1)
     c = len(sums["R"])
-    never, eventless = ~sums["R"].any(axis=1), sets.events == 0
+    never, eventless = ~sums["R"].any(axis=1), sums["events"] == 0
     if never.any():
         raise NonConvergence(f"cluster {partition.labels[np.argmax(never)]} has no row at risk "
                              "at any event time: its Cox coefficient is not identifiable")
     if eventless.any():
         raise MonotoneLikelihood(f"cluster {partition.labels[np.argmax(eventless)]} has no "
                                  "events: its Cox coefficient may be infinite")
-    carry = {}
+    carry, adopted = {}, None
     if parent is None:
         start = np.zeros((1, c))
     else:
         # each level carries its parent cluster's coefficient and its events
         prev, now = parent.partition.positions(stats.levels), partition.positions(stats.levels)
         alpha = parent.estimates["alpha"][prev]
-        start = _pooled_start(alpha, stats.events, now[None], c)
         if "fits" in parent.nuisance:  # the parent's candidate fits, for the next scoring
-            carry["carried"] = (*parent.nuisance["fits"], prev, now, alpha)
-    coef, ll, hess, failed = _cox_fit_rows(sets, start)
-    if failed:
-        raise failed[1]
-    return FittedModel(family=SURVIVAL, partition=partition, loglik=float(ll[0]),
-                       estimates={"alpha": coef[0], "hazard_ratio": _math_exp(coef[0])},
-                       nuisance={"information": -hess[0], **carry})
+            fits = parent.nuisance["fits"]
+            carry["carried"] = (*fits[:3], prev, now, alpha)
+            adopted = _adopted_row(fits, prev, now)
+        if adopted is None:
+            start = _pooled_start(alpha, stats.events, now[None], c)
+    if adopted is None:
+        coef, ll, hess, failed = _cox_fit_rows(
+            _RiskSets(sums["events"], stats.per_time, sums["R"], 1), start)
+        if failed:
+            raise failed[1]
+        fitted, loglik, information = coef[0], ll[0], -hess[0]
+    else:
+        # scoring fitted this very merge to convergence: its fit is this one
+        _, _, coef, ll, hess = fits
+        fitted, loglik, information = coef[adopted].copy(), ll[adopted], -hess[adopted]
+    return FittedModel(family=SURVIVAL, partition=partition, loglik=float(loglik),
+                       estimates={"alpha": fitted, "hazard_ratio": _math_exp(fitted)},
+                       nuisance={"information": information, **carry})
+
+
+def _adopted_row(fits, prev: np.ndarray, now: np.ndarray) -> int | None:
+    """The row of a parent's candidate fits (i, j, coefficients, logliks,
+    Hessians or None; see :func:`_score_cox`) that fitted the partition whose
+    level positions are ``now``, from the parent's ``prev``: clusters
+    i[t] < j[t] merged and every other cluster unchanged.  None if no row
+    did or the Hessians were not kept."""
+    fi, fj, _, _, hess = fits
+    moved = np.flatnonzero(prev != now)
+    if hess is None or not len(moved):
+        return None
+    first = moved[np.argmin(prev[moved])]  # a level of cluster b, which went into a
+    a, b = now[first:first + 1], prev[first:first + 1]
+    row = np.flatnonzero((fi == a) & (fj == b))
+    return int(row[0]) if len(row) and np.array_equal(now, _tied(a, b, prev)[0]) else None
 
 
 def _pooled_start(alpha: np.ndarray, events: np.ndarray, into: np.ndarray, c: int) -> np.ndarray:
@@ -667,9 +713,10 @@ def _inverse_information(information: np.ndarray) -> np.ndarray | None:
     return inverse
 
 
-def _tied_optimum(alpha, inverse, a, b, pooled) -> np.ndarray:
+def _tied_optimum(alpha, inverse, a, b):
     """Row t: the maximum of the parent fit's quadratic model with clusters
-    a[t] and b[t] tied, b[t] dropped and cluster 0 the reference.
+    a[t] and b[t] tied, b[t] dropped and cluster 0 the reference; and which
+    rows are usable.
 
     The parent fit ``alpha`` maximises the partial likelihood, so near it
     the likelihood is alpha's value less half the information quadratic
@@ -677,7 +724,7 @@ def _tied_optimum(alpha, inverse, a, b, pooled) -> np.ndarray:
     is alpha - u (alpha_a - alpha_b) / (u_a - u_b), with u the inverse
     information (``inverse``) times e_a - e_b (Nocedal and Wright,
     *Numerical Optimization*, sec. 16.1).  Rows where u_a - u_b is not
-    positive and finite keep their ``pooled`` start."""
+    positive and finite are not usable."""
     rows = np.arange(len(a))
     with np.errstate(all="ignore"):
         u = (inverse[:, a] - inverse[:, b]).T
@@ -686,7 +733,7 @@ def _tied_optimum(alpha, inverse, a, b, pooled) -> np.ndarray:
     keep = np.arange(len(alpha) - 1)
     start = start[rows[:, None], keep + (keep >= b[:, None])]
     usable = np.isfinite(curvature) & (curvature > 0) & np.isfinite(start).all(axis=1)
-    return np.where(usable[:, None], start - start[:, :1], pooled)
+    return start - start[:, :1], usable
 
 
 def _carried_rows(model: FittedModel, i, j) -> np.ndarray:
@@ -712,25 +759,32 @@ def _score_cox(stats: LevelStats, sums, i, j, model: FittedModel) -> np.ndarray:
     # in the previous call if both its clusters are unchanged (read level by
     # level, moved by the path fit's change); else at the tied optimum of the
     # current fit's quadratic model, or with the merged pair pooled by events
-    # where the information is singular.  Fits within the budget are kept.
+    # where the information is singular.  Fits within the budget are kept
+    # with their logliks, and with their Hessians within the budget too: the
+    # path fit of the chosen merge adopts them (see _fit_cox).
     labels, alpha = model.partition.labels, model.estimates["alpha"]
     c = len(sums["R"])
     sets = _RiskSets(sums["events"], stats.per_time, sums["R"], len(i))
     inverse = _inverse_information(model.nuisance["information"])
     carried = _carried_rows(model, i, j) if "carried" in model.nuisance else np.full(len(i), -1)
-    keep, scores, fits = len(i) * (c - 1) <= COX_CELLS, [], []
+    keep = len(i) * (c - 1) <= COX_CELLS
+    hessians = keep and len(i) * (c - 2) ** 2 <= COX_CELLS
+    scores, fits, hess = [], [], []
     for s in range(0, len(i), sets.block):
         a, b, rows = i[s:s + sets.block], j[s:s + sets.block], carried[s:s + sets.block]
         tie, start, cold = _tie(a, b, c), np.empty((len(a), c - 1)), rows < 0
-        start[cold] = _pooled_start(alpha, sets.events, tie[0][cold], c - 1)
+        pooled = cold.copy()
         if inverse is not None:
-            start[cold] = _tied_optimum(alpha, inverse, a[cold], b[cold], start[cold])
+            start[cold], usable = _tied_optimum(alpha, inverse, a[cold], b[cold])
+            pooled[cold] = ~usable
+        if pooled.any():
+            start[pooled] = _pooled_start(alpha, sets.events, tie[0][pooled], c - 1)
         if not cold.all():
             fi, fj, fitted, prev, now, before = model.nuisance["carried"]
             rows = rows[~cold]
             level = fitted[rows[:, None], _tied(fi[rows], fj[rows], prev)] + (alpha[now] - before)
             start[~cold] = _pooled_start(level, stats.events, tie[0][~cold][:, now], c - 1)
-        coef, ll, _, failed = _cox_fit_rows(sets, start, tie)
+        coef, ll, h, failed = _cox_fit_rows(sets, start, tie)
         if failed:
             row, exc = failed
             raise type(exc)(f"{exc}: candidate merge of {labels[a[row]]} and {labels[b[row]]} "
@@ -738,9 +792,13 @@ def _score_cox(stats: LevelStats, sums, i, j, model: FittedModel) -> np.ndarray:
         scores.append(ll)
         if keep:
             fits.append(coef)
+        if hessians:
+            hess.append(h)
+    scores = np.concatenate(scores)
     if keep:
-        model.nuisance["fits"] = (i, j, np.concatenate(fits))
-    return np.concatenate(scores)
+        model.nuisance["fits"] = (i, j, np.concatenate(fits), scores,
+                                  np.concatenate(hess) if hessians else None)
+    return scores
 
 
 # ------------------------------------------------------------------ #

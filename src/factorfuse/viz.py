@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from xml.sax.saxutils import escape, quoteattr
 
 import numpy as np
 
@@ -71,6 +70,26 @@ def check_panel_compat(kind: str, response_panel: str) -> None:
         raise IncompatiblePanel(
             f"response panel {response_panel!r} is not valid for {kind} data"
         )
+
+
+# xml.sax.saxutils has these two, but importing it loads urllib.request and
+# with it http.client, email, ssl and socket
+def _escape(text: str) -> str:
+    """XML character data: ``&``, ``<`` and ``>`` escaped, as
+    ``xml.sax.saxutils.escape`` gives it."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
+def _quoteattr(text: str) -> str:
+    """A quoted XML attribute value, as ``xml.sax.saxutils.quoteattr`` gives
+    it: line ends and tabs as character references, and single quotes around
+    a value holding only double ones."""
+    text = _escape(text).replace("\n", "&#10;").replace("\r", "&#13;").replace("\t", "&#9;")
+    if '"' not in text:
+        return f'"{text}"'
+    if "'" not in text:
+        return f"'{text}'"
+    return '"%s"' % text.replace('"', "&quot;")
 
 
 def _fmt(v: float) -> str:
@@ -230,7 +249,7 @@ def _text(x, y, s, size=12.0, anchor="start", fill="#222222", extra="") -> str:
     return (
         f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-size="{_fmt(size)}" '
         f'font-family="sans-serif" text-anchor="{anchor}" fill="{fill}"{extra}>'
-        f"{escape(s)}</text>"
+        f"{_escape(s)}</text>"
     )
 
 
@@ -288,7 +307,7 @@ def _render_tree_panel(layout: TreeLayout, spec: PlotSpec, x0: float, y0: float)
         ly = ys(leaf.y)
         lx = xs(layout.loglik_range[1])
         parts.append(
-            f"<g id={quoteattr('node-' + leaf.label)}>"
+            f"<g id={_quoteattr('node-' + leaf.label)}>"
             + _circle(lx, ly, 3.5, leaf.color)
             + _text(lx + 8.0, ly + 4.0, f"{leaf.label} {leaf.summary:.3f}",
                     size=11.0, fill=leaf.color)

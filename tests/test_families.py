@@ -711,21 +711,19 @@ class TestPairScorer:
         inverse = np.zeros((c, c))
         inverse[1:, 1:] = np.linalg.inv(information)
         a, b = np.triu_indices(c, k=1)
-        pooled = np.full((len(a), c - 1), np.nan)
-        got = families._tied_optimum(alpha, inverse, a, b, pooled)
+        got, usable = families._tied_optimum(alpha, inverse, a, b)
+        assert usable.all()
         _, fold = _tie(a, b, c)
         for t in range(len(a)):
             f = fold[t, 1:, 1:]
             want = np.linalg.solve(f.T @ information @ f, f.T @ information @ alpha[1:])
             assert got[t, 0] == 0.0
             assert np.allclose(got[t, 1:], want, rtol=1e-10, atol=1e-12)
-        # a pair whose quadratic form is not positive keeps its pooled start
+        # a pair whose quadratic form is not positive is not usable
         indefinite = inverse.copy()
         indefinite[1:3, 1:3] = -np.eye(2)
-        row = np.flatnonzero((a == 1) & (b == 2))
-        pooled = np.arange(len(a) * (c - 1), dtype=float).reshape(len(a), c - 1)
-        got = families._tied_optimum(alpha, indefinite, a, b, pooled)
-        assert np.array_equal(got[row], pooled[row])
+        _, usable = families._tied_optimum(alpha, indefinite, a, b)
+        assert not usable[(a == 1) & (b == 2)].any()
 
     def test_pooled_start_with_a_coefficient_row_per_row(self, rng):
         # carried Cox fits are pooled with one row of unit coefficients per

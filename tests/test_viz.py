@@ -1,7 +1,12 @@
 """SVG rendering: structure, determinism, panel compatibility, annotations."""
 
+import os
 import re
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
+from xml.sax.saxutils import escape, quoteattr
 
 import numpy as np
 import pytest
@@ -16,11 +21,12 @@ from factorfuse import (
     render_merging_path_svg,
     render_response_panel,
 )
+import factorfuse
 from factorfuse import engine, families
 from factorfuse.data import Grouping, ResponseData
 from factorfuse.errors import IncompatiblePanel
 from factorfuse.families import FittedModel, fit_stats
-from factorfuse.viz import CHI_SQUARE_1_95, _stars, layout_tree
+from factorfuse.viz import CHI_SQUARE_1_95, _escape, _quoteattr, _stars, layout_tree
 
 from conftest import make_binomial_data, make_survival_data, singletons_of
 
@@ -298,3 +304,22 @@ def test_named_palette(gaussian_bundle):
 def test_empty_panels_rejected(gaussian_bundle):
     with pytest.raises(IncompatiblePanel):
         render(gaussian_bundle, panels=())
+
+
+@pytest.mark.parametrize("text", [
+    "", "L01", "a & b", "<g>", "x > y", "& < > &amp;", 'say "hi"', "it's",
+    "both ' and \"", "line\nbreak", "cr\rlf\r\n", "tab\tstop", "&\"'<>\n\r\t mixed",
+])
+def test_escape_helpers_match_saxutils(text):
+    assert _escape(text) == escape(text)
+    assert _quoteattr(text) == quoteattr(text)
+
+
+def test_importing_the_cli_loads_no_network_modules():
+    # xml.sax.saxutils would load urllib.request, http.client and ssl
+    code = ("import sys, factorfuse.cli; "
+            "print(sorted({'urllib.request', 'http.client', 'ssl'} & sys.modules.keys()))")
+    env = {**os.environ, "PYTHONPATH": str(Path(factorfuse.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
