@@ -16,9 +16,13 @@ pair of clusters per step.  The strategies differ in two choices:
 Candidates are scored from per-cluster sufficient statistics and the fit of
 the current partition by the family record's ``score``; only the chosen
 partition is fitted.  A merge re-sums only the merged cluster, and the path
-fit reads the sums the loop keeps.  The path counts candidates scored,
-distances measured and path models fitted, so the evaluation-cost contract of
-each strategy can be asserted.  Every strategy picks its pair with
+fit reads the sums the loop keeps.  Where the family's clusters lie on a line
+(``Family.line``, gaussian1d), ``adaptive`` scores only the pairs that can
+reach the near-tie window of the best: the neighbours on the line, and the
+pairs within a radius the family certifies.  The path counts the candidates
+each strategy is defined to score, distances measured and path models
+fitted, so the evaluation-cost contract of each strategy can be asserted.
+Every strategy picks its pair with
 :func:`_select`: scores within ``NEAR_TIE`` of the best are tied and the
 lexicographically smallest pair of cluster labels wins.
 """
@@ -128,7 +132,7 @@ def merge_factors(
     ranking = _RANKINGS[strategy](clusters)
     steps = [PathStep(None, clusters.model)]
     while clusters.size > 1:
-        i, j = _adjacent(clusters.size) if fast else np.triu_indices(clusters.size, k=1)
+        i, j = ranking.pairs()
         best = _select(ranking.scores(i, j), clusters.model.partition.labels, i, j)
         a, b = int(i[best]), int(j[best])
         steps.append(clusters.merge(a, b))
@@ -151,6 +155,8 @@ def _select(scores: np.ndarray, labels, i: np.ndarray, j: np.ndarray) -> int:
     distinct positions of tied pairs are compared, left positions first.
     """
     tied = np.flatnonzero(scores >= scores.max() - NEAR_TIE)
+    if len(tied) == 1:
+        return int(tied[0])
     for side in (i, j):
         smallest = min(np.flatnonzero(np.bincount(side[tied])).tolist(), key=labels.__getitem__)
         tied = tied[side[tied] == smallest]
@@ -160,6 +166,10 @@ def _select(scores: np.ndarray, labels, i: np.ndarray, j: np.ndarray) -> int:
 def _adjacent(size: int) -> tuple[np.ndarray, np.ndarray]:
     i = np.arange(size - 1)
     return i, i + 1
+
+
+def _all_pairs(size: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.triu_indices(size, k=1)
 
 
 class _Clusters:
@@ -178,14 +188,15 @@ class _Clusters:
     def size(self) -> int:
         return self.model.partition.size
 
-    def score(self, i: np.ndarray, j: np.ndarray, category: str = "candidates") -> np.ndarray:
-        """Log-likelihood after merging each pair (i[t], j[t])."""
-        self.counts[category] += len(i)
+    def score(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Log-likelihood after merging each pair (i[t], j[t]); the caller
+        counts the evaluations."""
         return self.stats.family.score(self.stats, self.sums, i, j, self.model)
 
     def distance(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """LRT distance of merging each pair (i[t], j[t])."""
-        return np.maximum(0.0, 2.0 * (self.model.loglik - self.score(i, j, "distances")))
+        self.counts["distances"] += len(i)
+        return np.maximum(0.0, 2.0 * (self.model.loglik - self.score(i, j)))
 
     def merge(self, a: int, b: int) -> PathStep:
         """Merge the clusters at positions a < b and fit the result; the merged
@@ -193,7 +204,9 @@ class _Clusters:
         the merged cluster is summed afresh, as :func:`cluster_sums` sums it."""
         stats, codes = self.stats, self.codes
         codes[a] = np.sort(np.concatenate((codes[a], codes.pop(b))))
-        self.sums = {name: np.delete(s, b, axis=0) for name, s in self.sums.items()}
+        kept = np.arange(len(codes))
+        kept[b:] += 1  # every row but b
+        self.sums = {name: s[kept] for name, s in self.sums.items()}
         for name, s in self.sums.items():
             s[a] = np.add.reduce(getattr(stats, name)[codes[a]])
         partition = self.model.partition.merge(a, b)
@@ -205,22 +218,77 @@ class _Clusters:
 
 
 # ------------------------------------------------------------------ #
-# Rankings: the score of each candidate pair (higher merges first) and
-# the bookkeeping after each merge
+# Rankings: the candidate pairs of a step, the score of each (higher merges
+# first), and the bookkeeping after each merge
 # ------------------------------------------------------------------ #
 
 
 class _Likelihood:
-    """Each candidate scored by the log-likelihood after its merge."""
+    """Each candidate scored by the log-likelihood after its merge; the
+    candidates are the ``pairs_of`` the number of current clusters."""
 
-    def __init__(self, clusters: _Clusters):
-        self.clusters = clusters
+    def __init__(self, clusters: _Clusters, pairs_of=_all_pairs):
+        self.clusters, self.pairs_of = clusters, pairs_of
+
+    def pairs(self):
+        return self.pairs_of(self.clusters.size)
 
     def scores(self, i, j):
+        self.clusters.counts["candidates"] += len(i)
         return self.clusters.score(i, j)
 
     def merged(self, a, b):
         pass
+
+
+class _LineLikelihood(_Likelihood):
+    """``adaptive`` for a family whose clusters lie on a line (``Family.line``):
+    the neighbours on the line are scored, and then only the other pairs
+    closer than the radius at which the family certifies that every pair
+    scores below the near-tie window of the best neighbour.  So the best
+    score and every pair tied with it are among those scored, and
+    :func:`_select` picks what it picks from all pairs.  Where no radius is
+    certified, every pair is scored.  The count is of every pair, which
+    ``adaptive`` is defined to score.  :meth:`pairs` scores the neighbours,
+    and :meth:`scores` of its pairs scores the rest."""
+
+    def pairs(self):
+        clusters, c = self.clusters, self.clusters.size
+        value, radius = clusters.stats.family.line(clusters.stats, clusters.sums, clusters.model)
+        order = np.argsort(value, kind="stable")
+        i, j = np.minimum(order[:-1], order[1:]), np.maximum(order[:-1], order[1:])
+        self.known = clusters.score(i, j)
+        r = radius(self.known.max() - NEAR_TIE)
+        if r is None:
+            self.known = self.known[:0]
+            return _all_pairs(c)
+        line = value[order]
+        if (line[2:] - line[:-2] >= r).all():  # as on most steps: no pair within r but neighbours
+            return i, j
+        # end[p]: the first position on the line whose computed gap from p is
+        # at least r (or c); rounding in line + r is corrected past equal values
+        end = np.searchsorted(line, line + r)
+        short = np.flatnonzero(end < c)
+        while len(short := short[line[end[short]] - line[short] < r]):
+            end[short] = np.searchsorted(line, line[end[short]], side="right")
+            short = short[end[short] < c]
+        # the pairs (p, q), p + 1 < q < end[p], beside the neighbours
+        extra = np.maximum(end - np.arange(c) - 2, 0)
+        p = np.repeat(np.arange(c), extra)
+        q = p + 2 + np.arange(len(p)) - np.repeat(np.cumsum(extra) - extra, extra)
+        return (np.concatenate((i, np.minimum(order[p], order[q]))),
+                np.concatenate((j, np.maximum(order[p], order[q]))))
+
+    def scores(self, i, j):
+        c, known = self.clusters.size, self.known
+        self.clusters.counts["candidates"] += c * (c - 1) // 2
+        if len(i) == len(known):
+            return known
+        return np.concatenate((known, self.clusters.score(i[len(known):], j[len(known):])))
+
+
+def _adaptive(clusters: _Clusters) -> _Likelihood:
+    return (_Likelihood if clusters.stats.family.line is None else _LineLikelihood)(clusters)
 
 
 class _CompleteLinkage:
@@ -229,10 +297,13 @@ class _CompleteLinkage:
     that holds the cluster at position s."""
 
     def __init__(self, clusters: _Clusters):
-        i, j = np.triu_indices(clusters.size, k=1)
+        i, j = _all_pairs(clusters.size)
         self.dist = np.zeros((clusters.size, clusters.size))
         self.dist[i, j] = self.dist[j, i] = clusters.distance(i, j)
         self.row = np.arange(clusters.size)
+
+    def pairs(self):
+        return _all_pairs(len(self.row))
 
     def scores(self, i, j):
         return -self.dist[self.row[i], self.row[j]]
@@ -253,6 +324,9 @@ class _AdjacentLinkage:
         self.clusters = clusters
         self.dist = clusters.distance(*_adjacent(clusters.size)).tolist()
 
+    def pairs(self):
+        return _adjacent(len(self.dist) + 1)
+
     def scores(self, i, j):
         return -np.array(self.dist)
 
@@ -271,8 +345,8 @@ class _AdjacentLinkage:
 
 
 _RANKINGS = {
-    "adaptive": _Likelihood,
-    "fast-adaptive": _Likelihood,
+    "adaptive": _adaptive,
+    "fast-adaptive": lambda clusters: _Likelihood(clusters, _adjacent),
     "fixed": _CompleteLinkage,
     "fast-fixed": _AdjacentLinkage,
 }

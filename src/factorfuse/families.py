@@ -121,6 +121,12 @@ class Family:
     # nuisance entries only ``score`` and the next ``fit`` read, dropped from
     # a fit once replaced
     scoring_only: tuple[str, ...] = ()
+    # None, or for a family whose ``score`` falls as a merge cost grows that
+    # grows with the gap between two clusters' values on a line:
+    # (stats, cluster sums, their fitted model) -> (value per cluster, radius), radius(threshold)
+    # a gap r such that every pair whose values differ by at least r, as
+    # computed, scores below ``threshold``; or None where none is certified
+    line: Callable | None = None
 
 
 class LevelStats:
@@ -279,29 +285,30 @@ def _gaussian_1d_stats(stats: LevelStats) -> None:
     _check_moments(stats, stats.swy2)
     y = stats.data.values
     rng = float(y.max() - y.min()) if len(y) else 0.0
-    mean_square = float(stats.swy2.sum() / stats.sw.sum()) if len(y) else 0.0
+    stats.total = float(stats.sw.sum())  # the n of every log-likelihood
+    mean_square = float(stats.swy2.sum() / stats.total) if len(y) else 0.0
     noise = (2 * (len(stats.levels) + 49) + 3) * np.finfo(float).eps * mean_square
     # tiny keeps the floor positive where rng**2 and the noise underflow
     stats.var_floor = max(1e-12 * rng * rng if rng > 0 else 1e-12, np.finfo(float).tiny, noise)
 
 
-def _rss_loglik(stats: LevelStats, sums, log, added=0.0):
-    """Log-likelihood and sigma^2, clamped at the variance floor, of the
-    pooled residual sum of squares of ``sums`` plus ``added``."""
-    n = float(stats.sw.sum())
-    rss = _pooled(sums["swy2"] - sums["swy"] * sums["swy"] / sums["sw"]) + added
+def _rss_loglik(stats: LevelStats, rss, log):
+    """Log-likelihood and sigma^2, clamped at the variance floor, of a
+    pooled residual sum of squares ``rss`` (or an array of them)."""
+    n = stats.total
     sigma2 = np.maximum(np.maximum(rss, 0.0) / n, stats.var_floor)
     return -0.5 * n * (LOG_2PI + log(sigma2) + 1.0), sigma2
 
 
 def _fit_gaussian_1d(stats: LevelStats, partition: Partition, sums, parent=None) -> FittedModel:
-    loglik, sigma2 = _rss_loglik(stats, sums, math.log)
+    rss = float(_pooled(sums["swy2"] - sums["swy"] * sums["swy"] / sums["sw"]))
+    loglik, sigma2 = _rss_loglik(stats, rss, math.log)
     return FittedModel(
         family=GAUSSIAN_1D,
         partition=partition,
         loglik=loglik,
         estimates={"mean": sums["swy"] / sums["sw"]},
-        nuisance={"sigma2": float(sigma2)},
+        nuisance={"sigma2": float(sigma2), "rss": rss},
         flags=("degenerate_variance",) if sigma2 == stats.var_floor else (),
     )
 
@@ -310,7 +317,43 @@ def _score_gaussian_1d(stats: LevelStats, sums, i, j, model) -> np.ndarray:
     # merging adds the Ward term w_i w_j / (w_i + w_j) * (mu_i - mu_j)^2 to the RSS
     sw = sums["sw"]
     mu = sums["swy"] / sw
-    return _rss_loglik(stats, sums, np.log, _ward(sw, i, j) * (mu[i] - mu[j]) ** 2)[0]
+    return _rss_loglik(stats, model.nuisance["rss"] + _ward(sw, i, j) * (mu[i] - mu[j]) ** 2,
+                       np.log)[0]
+
+
+def _gaussian_1d_line(stats: LevelStats, sums, model):
+    """Cluster means, as the scorer computes them, and their radius function.
+
+    A pair's computed score is a non-increasing function of its computed Ward
+    term fl(W fl(g g)), g = fl(mu_i - mu_j): every operation after it is
+    correctly rounded and monotone, and so is np.log.  With w the least
+    cluster weight, w_i w_j / (w_i + w_j) >= w / 2, and three roundings keep the
+    computed W at least ``lower`` below (its factor 1 - 4 eps < (1 - u)^2 /
+    (1 + u)), while W and the division in it stay in the normal range.  So a
+    pair with |g| >= r has a Ward term of at least fl(lower fl(r r)), and
+    scores at most the scorer's value there.  r inverts the score at the
+    threshold (a little beyond), and is returned only if that value is below
+    the threshold; else None, as where every such value is clamped at the
+    variance floor."""
+    sw = sums["sw"]
+
+    def radius(threshold: float) -> float | None:
+        n, least = stats.total, float(sw.min())
+        if not least > 2.0**-1000 * max(n, 1.0):
+            return None
+        lower = 0.5 * least * (1.0 - 2.0**-50)  # 1 - 4 eps
+        rss = model.nuisance["rss"]
+        try:
+            added = n * math.exp(-2.0 * threshold / n - LOG_2PI - 1.0) - rss
+        except OverflowError:
+            return None
+        r = math.sqrt(max(added, 0.0) / lower) * (1.0 + 2.0**-10)
+        bound = lower * (r * r)
+        below = math.isfinite(bound) and (
+            _rss_loglik(stats, rss + np.array([bound]), np.log)[0][0] < threshold)
+        return r if below else None
+
+    return sums["swy"] / sw, radius
 
 
 def _gaussian_nd_stats(stats: LevelStats) -> None:
@@ -550,10 +593,15 @@ def _cox_fit_rows(sets: _RiskSets, start: np.ndarray, tie=None):
 
     Newton-Raphson on the free coefficients halves steps that lower the
     loglik or reach non-finite values, and stops once a step gains less than
-    ``COX_TOL``.  As in R's ``survival::coxph``, a coefficient is infinite if
-    its remaining Newton step exceeds both ``COX_TOL`` and
-    ``sqrt(COX_TOL) |alpha|``.  The rows step in lockstep, each leaving once
-    it converges or fails.
+    ``COX_TOL``.  A row also stops where it stands when its full step is
+    rejected, yet loses less than ``COX_TOL`` and its Newton decrement
+    1/2 g^T (-H)^-1 g, the gain the step predicts (Boyd and Vandenberghe,
+    *Convex Optimization*, sec. 9.5.1), is under ``COX_TOL`` too: it is at
+    the optimum, and rounding noise in the loglik, a sum over the event
+    times, outweighs the gain left.  As in R's ``survival::coxph``, a
+    coefficient is infinite if its remaining Newton step exceeds both
+    ``COX_TOL`` and ``sqrt(COX_TOL) |alpha|``.  The rows step in lockstep,
+    each leaving once it converges or fails.
 
     Returns the coefficients, log-likelihoods and free-coefficient Hessians
     of the fits, and (row, error) of the first row that failed, or None.
@@ -609,10 +657,18 @@ def _cox_fit_rows(sets: _RiskSets, start: np.ndarray, tie=None):
                 coef, ll, grad, hess = trial, ll_new, grad_new, hess_new
                 pending = pending[:0]
                 break
+            rejected = ~ok
+            if not halvings and rejected.any():
+                # a full step that loses less than COX_TOL where the Newton
+                # decrement is under COX_TOL too: the row stands at its optimum
+                decrement = 0.5 * np.einsum("ij,ij->i", grad[rows], step[pending])
+                stop = rejected & (decrement < COX_TOL) & (ll[rows] - ll_new < COX_TOL)
+                converged[rows[stop]] = True
+                rejected &= ~stop
             rows = rows[ok]
             converged[rows] = np.abs(ll_new[ok] - ll[rows]) < COX_TOL
             coef[rows], ll[rows], grad[rows], hess[rows] = trial[ok], ll_new[ok], grad_new[ok], hess_new[ok]
-            pending = pending[~ok]
+            pending = pending[rejected]
         if len(pending):
             fail(active[pending], NonConvergence("step halving failed in Cox fit"))
             active = active[active < min(failed, default=m)]
@@ -810,7 +866,7 @@ FAMILIES = {
     GAUSSIAN_1D: Family(
         level_stats=_gaussian_1d_stats, sums=("sw", "swy", "swy2"), fit=_fit_gaussian_1d,
         score=_score_gaussian_1d, order_value=_estimate("mean"), estimate="mean",
-        panels=("means", "boxplot", "frequency"),
+        panels=("means", "boxplot", "frequency"), line=_gaussian_1d_line,
     ),
     GAUSSIAN_ND: Family(
         level_stats=_gaussian_nd_stats, sums=("sw", "swy", "swyyt"), fit=_fit_gaussian_nd,

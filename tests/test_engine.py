@@ -2,6 +2,7 @@
 
 import dataclasses
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -214,6 +215,129 @@ def test_identical_clusters_merge_first(rng):
     data, g = make_gaussian_data(by)
     path = merge_factors(data, g, "adaptive")
     assert path_merge_sequence(path)[0] == ("(A)", "(B)")
+
+
+# ---------------------------------------------------------------------------
+# gaussian1d adaptive on the line of means
+
+
+def _ward_cost(w_x, m_x, w_y, m_y):
+    return w_x * w_y / (w_x + w_y) * (m_x - m_y) ** 2
+
+
+_WEIGHTS = st.floats(1e-3, 1e3)
+_MEANS = st.floats(-1e3, 1e3)
+
+
+@given(weights=st.tuples(_WEIGHTS, _WEIGHTS, _WEIGHTS), means=st.tuples(_MEANS, _MEANS, _MEANS))
+def test_ward_costs_keep_the_cheapest_merge_adjacent_in_mean_order(weights, means):
+    # min(c_ij, c_jl) <= c_il for means mu_i <= mu_j <= mu_l, in exact arithmetic
+    (w_i, m_i), (w_j, m_j), (w_l, m_l) = sorted(zip(map(Fraction, weights), map(Fraction, means)),
+                                                 key=lambda wm: wm[1])
+    assert min(_ward_cost(w_i, m_i, w_j, m_j), _ward_cost(w_j, m_j, w_l, m_l)) <= _ward_cost(
+        w_i, m_i, w_l, m_l)
+
+
+def _line_steps(monkeypatch, data, g):
+    """Run gaussian1d adaptive, and at each step check the pairs the line route
+    scores against all pairs: each scored pair's score to the bit, the pairs
+    within NEAR_TIE of the best and the pair selected.  Returns per step
+    whether a radius was certified, the clusters and the pairs scored."""
+    steps, line = [], families.FAMILIES["gaussian1d"].line
+    line_scores = engine._LineLikelihood.scores
+
+    def recorded_line(stats, sums, model):
+        value, radius = line(stats, sums, model)
+
+        def recorded_radius(threshold):
+            r = radius(threshold)
+            steps.append([r is not None])
+            return r
+
+        return value, recorded_radius
+
+    def checked(ranking, i, j):
+        clusters = ranking.clusters
+        scores = line_scores(ranking, i, j)
+        all_i, all_j = np.triu_indices(clusters.size, k=1)
+        every = clusters.score(all_i, all_j)
+        at = {pair: t for t, pair in enumerate(zip(all_i.tolist(), all_j.tolist()))}
+        scored = [at[pair] for pair in zip(i.tolist(), j.tolist())]
+        assert len(set(scored)) == len(scored)
+        assert [s.hex() for s in scores.tolist()] == [every[t].hex() for t in scored]
+        assert set(np.array(scored)[scores >= scores.max() - NEAR_TIE].tolist()) == set(
+            np.flatnonzero(every >= every.max() - NEAR_TIE).tolist())
+        labels = clusters.model.partition.labels
+        best, want = _select(scores, labels, i, j), _select(every, labels, all_i, all_j)
+        assert (i[best], j[best]) == (all_i[want], all_j[want])
+        steps[-1] += [clusters.size, len(i)]
+        return scores
+
+    monkeypatch.setitem(families.FAMILIES, "gaussian1d",
+                        dataclasses.replace(families.FAMILIES["gaussian1d"], line=recorded_line))
+    monkeypatch.setattr(engine._LineLikelihood, "scores", checked)
+    path = merge_factors(data, g, "adaptive")
+    assert len(steps) == g.k - 1
+    assert path.evaluation_breakdown == expected_breakdown("adaptive", g.k)
+    return steps
+
+
+def test_line_route_scores_pairs_of_equal_means_beyond_the_neighbours(monkeypatch):
+    # three copies each of four levels' rows: exactly equal means, so the
+    # window holds pairs of copies that are not neighbours on the line
+    rng = np.random.default_rng(11)
+    rows = [np.round(rng.normal(mean, 0.5, 6), 1).tolist() for mean in (0.0, 1.0, 2.0, 3.0)]
+    data, g = make_gaussian_data({f"L{t}": rows[t % 4] for t in range(12)})
+    steps = _line_steps(monkeypatch, data, g)
+    assert all(certified for certified, _, _ in steps)
+    assert any(scored > size - 1 for _, size, scored in steps)
+
+
+def test_line_route_scores_every_pair_at_the_variance_floor(monkeypatch):
+    # all responses equal: every candidate is clamped at the variance floor
+    # and ties, so every pair is scored
+    data, g = make_gaussian_data({f"L{t}": [102.224] * 5 for t in range(8)})
+    steps = _line_steps(monkeypatch, data, g)
+    assert all(scored == size * (size - 1) // 2 for _, size, scored in steps)
+    assert all(step.model.flags == ("degenerate_variance",) for step in merge_factors(
+        data, g, "adaptive").steps)
+
+
+def test_line_route_keeps_clamped_near_ties_of_distinct_means(monkeypatch):
+    # constant levels 1e-7 apart beside one at 1: merging two close levels
+    # leaves the variance at its floor, so those candidates tie exactly
+    by = {f"L{t}": [t * 1e-7] * 5 for t in range(6)}
+    by["far"] = [1.0] * 5
+    steps = _line_steps(monkeypatch, *make_gaussian_data(by))
+    assert steps[0] == [True, 7, 16]  # the 15 tied pairs of close levels and one neighbour of far
+
+
+@pytest.mark.parametrize("weight, certified", [(1e-7, True), (1e-305, False)])
+def test_line_route_with_one_tiny_weight_level(weight, certified, monkeypatch):
+    # a level of tiny weight far out costs little to merge with anything, so
+    # the radius of the first step spans the line; with a weight beyond the
+    # range the bound holds in, no radius is certified and all pairs are scored
+    rng = np.random.default_rng(3)
+    y = rng.normal(np.arange(80) % 8, 1.0)
+    y[np.arange(80) % 8 == 7] += 23.0
+    w = np.ones(80)
+    w[np.arange(80) % 8 == 7] = weight
+    data = ResponseData("gaussian1d", y, w)
+    g = Grouping(tuple(f"L{t % 8}" for t in range(80)))
+    steps = _line_steps(monkeypatch, data, g)
+    assert steps[0] == [certified, 8, 28]
+
+
+@pytest.mark.parametrize("k", [6, 16, 64])
+def test_adaptive_equals_fast_adaptive_for_gaussian1d(k):
+    # the cheapest merge is always adjacent in mean order, and a merge keeps
+    # the order, so without near ties both strategies merge the same clusters
+    for seed in range(10):
+        fx = make_fixture("gaussian", k, 10, 1.0, seed)
+        adaptive, fast = ([{frozenset(c.members) for c in step.model.partition.clusters}
+                           for step in merge_factors(fx.data, fx.grouping, strategy).steps]
+                          for strategy in ("adaptive", "fast-adaptive"))
+        assert adaptive == fast, seed
 
 
 # ---------------------------------------------------------------------------
@@ -591,6 +715,16 @@ def test_warm_path_fits_take_at_most_half_the_evaluations_of_cold_fits(monkeypat
         cold.append(sum(rows))
     assert len(warm) == len(cold) == 15
     assert 2 * sum(warm) <= sum(cold)
+
+
+def test_cox_newton_stops_at_the_optimum_instead_of_halving_rounding_noise(monkeypatch):
+    # a converged row's full step, rejected only by rounding noise in the
+    # loglik, ends the row where it stands: before that stop this path took
+    # 1,263 evaluations, most of them halvings of steps too small to matter
+    fx = make_fixture("survival", 64, 20, 1.0, 4)
+    rows = _count_rows(monkeypatch)
+    merge_factors(fx.data, fx.grouping, "fast-adaptive")
+    assert len(rows) <= 1263 // 2
 
 
 @pytest.mark.parametrize("strategy", ["fast-adaptive", "fast-fixed"])

@@ -12,7 +12,7 @@ under every method, plain and with ``--panel-grid --show-split
 agree in exit code, stderr and the sha256 of each artifact.
 
 Engine: ``merge_factors`` runs on the ``make_fixture`` inputs of
-``ENGINE_CASES``, 134 paths.  The paths must agree in merged pairs, the bits
+``ENGINE_CASES``, 135 paths.  The paths must agree in merged pairs, the bits
 of every log-likelihood, flags and evaluation breakdown, or in the error
 raised; a path whose log-likelihoods differ is reported with their largest
 absolute and relative gap.
@@ -44,13 +44,15 @@ sys.dont_write_bytecode = _bytecode
 VARIANTS = ((), ("--panel-grid", "--show-split", "--nodes-spacing", "effects"))
 
 # (kind, k, rows per level, seed, strategy): every kind and strategy at small
-# k, the large-k paths, survival k=32 under adaptive, where Cox candidates
-# start from fits carried over many steps, and survival at about 80,000 event
-# times, where every candidate block is a single row
+# k, the large-k paths (gaussian adaptive among them, which scores its
+# neighbours on the line of means), survival k=32 under adaptive, where Cox
+# candidates start from fits carried over many steps, and survival at about
+# 80,000 event times, where every candidate block is a single row
 ENGINE_CASES = (
     [(kind, k, 20, seed, strategy) for kind in FIXTURE_KINDS for k in (6, 16)
      for seed in range(4) for strategy in STRATEGIES]
     + [(kind, 1024, 10, 0, "fast-fixed") for kind in ("gaussian", "binomial")]
+    + [("gaussian", 1024, 10, 0, "adaptive")]
     + [("survival", 64, 20, 4, "fast-fixed"), ("survival", 32, 20, 4, "adaptive"),
        ("survival", 32, 3125, 0, "fast-fixed"), ("gaussianNd", 32, 3125, 0, "fast-fixed")]
 )
