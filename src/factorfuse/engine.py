@@ -17,14 +17,14 @@ Candidates are scored from per-cluster sufficient statistics and the fit of
 the current partition by the family record's ``score``; only the chosen
 partition is fitted.  A merge re-sums only the merged cluster, and the path
 fit reads the sums the loop keeps.  Where the family's clusters lie on a line
-(``Family.line``, gaussian1d), ``adaptive`` scores only the pairs that can
-reach the near-tie window of the best: the neighbours on the line, and the
-pairs within a radius the family certifies.  The path counts the candidates
-each strategy is defined to score, distances measured and path models
-fitted, so the evaluation-cost contract of each strategy can be asserted.
-Every strategy picks its pair with
-:func:`_select`: scores within ``NEAR_TIE`` of the best are tied and the
-lexicographically smallest pair of cluster labels wins.
+(``Family.line``, gaussian1d), ``adaptive`` scores the neighbours on the
+line, and every pair only on a step where the family cannot certify that
+the other pairs score below the near-tie window of the best.  The path
+counts the candidates each strategy is defined to score, distances measured
+and path models fitted, so the evaluation-cost contract of each strategy can
+be asserted.  Every strategy picks its pair with :func:`_select`: scores
+within ``NEAR_TIE`` of the best are tied and the lexicographically smallest
+pair of cluster labels wins.
 """
 
 from __future__ import annotations
@@ -132,9 +132,7 @@ def merge_factors(
     ranking = _RANKINGS[strategy](clusters)
     steps = [PathStep(None, clusters.model)]
     while clusters.size > 1:
-        i, j = ranking.pairs()
-        best = _select(ranking.scores(i, j), clusters.model.partition.labels, i, j)
-        a, b = int(i[best]), int(j[best])
+        a, b = ranking.choose(clusters.model.partition.labels)
         steps.append(clusters.merge(a, b))
         ranking.merged(a, b)
     return MergingPath(
@@ -163,13 +161,15 @@ def _select(scores: np.ndarray, labels, i: np.ndarray, j: np.ndarray) -> int:
     return int(tied[0])
 
 
+def _choose(scores: np.ndarray, labels, i: np.ndarray, j: np.ndarray) -> tuple[int, int]:
+    """The positions (a, b) of the pair :func:`_select` picks."""
+    best = _select(scores, labels, i, j)
+    return int(i[best]), int(j[best])
+
+
 def _adjacent(size: int) -> tuple[np.ndarray, np.ndarray]:
     i = np.arange(size - 1)
     return i, i + 1
-
-
-def _all_pairs(size: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.triu_indices(size, k=1)
 
 
 class _Clusters:
@@ -218,77 +218,55 @@ class _Clusters:
 
 
 # ------------------------------------------------------------------ #
-# Rankings: the candidate pairs of a step, the score of each (higher merges
-# first), and the bookkeeping after each merge
+# Rankings: each step's pair (higher scores merge first) and the
+# bookkeeping after each merge
 # ------------------------------------------------------------------ #
 
 
 class _Likelihood:
-    """Each candidate scored by the log-likelihood after its merge; the
-    candidates are the ``pairs_of`` the number of current clusters."""
+    """Every pair of clusters scored by the log-likelihood after its merge.
 
-    def __init__(self, clusters: _Clusters, pairs_of=_all_pairs):
-        self.clusters, self.pairs_of = clusters, pairs_of
+    Where the family's clusters lie on a line (``Family.line``), the
+    neighbours on the line are scored first.  If every other pair is at least
+    the radius apart at which the family certifies that it scores below the
+    near-tie window of the best neighbour, as on most steps, the best score
+    and every pair tied with it are among the neighbours, and :func:`_select`
+    picks from them the pair it picks from all pairs.  Otherwise every pair
+    is scored.  The count is of every pair, which ``adaptive`` is defined to
+    score."""
 
-    def pairs(self):
-        return self.pairs_of(self.clusters.size)
+    def __init__(self, clusters: _Clusters):
+        self.clusters = clusters
 
-    def scores(self, i, j):
-        self.clusters.counts["candidates"] += len(i)
-        return self.clusters.score(i, j)
+    def choose(self, labels) -> tuple[int, int]:
+        clusters, c = self.clusters, self.clusters.size
+        clusters.counts["candidates"] += c * (c - 1) // 2
+        if clusters.stats.family.line is not None:
+            value, radius = clusters.stats.family.line(clusters.stats, clusters.sums, clusters.model)
+            order = np.argsort(value, kind="stable")
+            i, j = np.minimum(order[:-1], order[1:]), np.maximum(order[:-1], order[1:])
+            scores = clusters.score(i, j)
+            r = radius(scores.max() - NEAR_TIE)
+            # every pair but the neighbours spans a pair two apart on the
+            # line, so is at least as far apart
+            line = value[order]
+            if r is not None and (line[2:] - line[:-2] >= r).all():
+                return _choose(scores, labels, i, j)
+        self.pairs = i, j = np.triu_indices(c, k=1)  # kept: see _CompleteLinkage
+        return _choose(clusters.score(i, j), labels, i, j)
 
     def merged(self, a, b):
         pass
 
 
-class _LineLikelihood(_Likelihood):
-    """``adaptive`` for a family whose clusters lie on a line (``Family.line``):
-    the neighbours on the line are scored, and then only the other pairs
-    closer than the radius at which the family certifies that every pair
-    scores below the near-tie window of the best neighbour.  So the best
-    score and every pair tied with it are among those scored, and
-    :func:`_select` picks what it picks from all pairs.  Where no radius is
-    certified, every pair is scored.  The count is of every pair, which
-    ``adaptive`` is defined to score.  :meth:`pairs` scores the neighbours,
-    and :meth:`scores` of its pairs scores the rest."""
+class _NeighbourLikelihood(_Likelihood):
+    """Each pair of neighbouring clusters scored by the log-likelihood after
+    its merge."""
 
-    def pairs(self):
-        clusters, c = self.clusters, self.clusters.size
-        value, radius = clusters.stats.family.line(clusters.stats, clusters.sums, clusters.model)
-        order = np.argsort(value, kind="stable")
-        i, j = np.minimum(order[:-1], order[1:]), np.maximum(order[:-1], order[1:])
-        self.known = clusters.score(i, j)
-        r = radius(self.known.max() - NEAR_TIE)
-        if r is None:
-            self.known = self.known[:0]
-            return _all_pairs(c)
-        line = value[order]
-        if (line[2:] - line[:-2] >= r).all():  # as on most steps: no pair within r but neighbours
-            return i, j
-        # end[p]: the first position on the line whose computed gap from p is
-        # at least r (or c); rounding in line + r is corrected past equal values
-        end = np.searchsorted(line, line + r)
-        short = np.flatnonzero(end < c)
-        while len(short := short[line[end[short]] - line[short] < r]):
-            end[short] = np.searchsorted(line, line[end[short]], side="right")
-            short = short[end[short] < c]
-        # the pairs (p, q), p + 1 < q < end[p], beside the neighbours
-        extra = np.maximum(end - np.arange(c) - 2, 0)
-        p = np.repeat(np.arange(c), extra)
-        q = p + 2 + np.arange(len(p)) - np.repeat(np.cumsum(extra) - extra, extra)
-        return (np.concatenate((i, np.minimum(order[p], order[q]))),
-                np.concatenate((j, np.maximum(order[p], order[q]))))
-
-    def scores(self, i, j):
-        c, known = self.clusters.size, self.known
-        self.clusters.counts["candidates"] += c * (c - 1) // 2
-        if len(i) == len(known):
-            return known
-        return np.concatenate((known, self.clusters.score(i[len(known):], j[len(known):])))
-
-
-def _adaptive(clusters: _Clusters) -> _Likelihood:
-    return (_Likelihood if clusters.stats.family.line is None else _LineLikelihood)(clusters)
+    def choose(self, labels) -> tuple[int, int]:
+        i, j = _adjacent(self.clusters.size)
+        self.clusters.counts["candidates"] += len(i)
+        return _choose(self.clusters.score(i, j), labels, i, j)
 
 
 class _CompleteLinkage:
@@ -297,16 +275,18 @@ class _CompleteLinkage:
     that holds the cluster at position s."""
 
     def __init__(self, clusters: _Clusters):
-        i, j = _all_pairs(clusters.size)
+        i, j = np.triu_indices(clusters.size, k=1)
         self.dist = np.zeros((clusters.size, clusters.size))
         self.dist[i, j] = self.dist[j, i] = clusters.distance(i, j)
         self.row = np.arange(clusters.size)
 
-    def pairs(self):
-        return _all_pairs(len(self.row))
-
-    def scores(self, i, j):
-        return -self.dist[self.row[i], self.row[j]]
+    def choose(self, labels) -> tuple[int, int]:
+        # the pairs are kept until the next step's replace them: freed with
+        # the scores, the heap goes back to the system and the next step
+        # faults it in again (``fixed`` on gaussian k=1024: twice the page
+        # faults, a third more time)
+        self.pairs = i, j = np.triu_indices(len(self.row), k=1)
+        return _choose(-self.dist[self.row[i], self.row[j]], labels, i, j)
 
     def merged(self, a, b):
         # Lance-Williams update for complete linkage: the merged cluster is as
@@ -324,11 +304,8 @@ class _AdjacentLinkage:
         self.clusters = clusters
         self.dist = clusters.distance(*_adjacent(clusters.size)).tolist()
 
-    def pairs(self):
-        return _adjacent(len(self.dist) + 1)
-
-    def scores(self, i, j):
-        return -np.array(self.dist)
+    def choose(self, labels) -> tuple[int, int]:
+        return _choose(-np.array(self.dist), labels, *_adjacent(len(self.dist) + 1))
 
     def merged(self, a, b):
         # Complete-linkage update for the two adjacencies of the new cluster.
@@ -345,8 +322,8 @@ class _AdjacentLinkage:
 
 
 _RANKINGS = {
-    "adaptive": _adaptive,
-    "fast-adaptive": lambda clusters: _Likelihood(clusters, _adjacent),
+    "adaptive": _Likelihood,
+    "fast-adaptive": _NeighbourLikelihood,
     "fixed": _CompleteLinkage,
     "fast-fixed": _AdjacentLinkage,
 }

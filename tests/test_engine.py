@@ -221,81 +221,90 @@ def test_identical_clusters_merge_first(rng):
 # gaussian1d adaptive on the line of means
 
 
-def _ward_cost(w_x, m_x, w_y, m_y):
-    return w_x * w_y / (w_x + w_y) * (m_x - m_y) ** 2
-
-
 _WEIGHTS = st.floats(1e-3, 1e3)
 _MEANS = st.floats(-1e3, 1e3)
 
 
 @given(weights=st.tuples(_WEIGHTS, _WEIGHTS, _WEIGHTS), means=st.tuples(_MEANS, _MEANS, _MEANS))
 def test_ward_costs_keep_the_cheapest_merge_adjacent_in_mean_order(weights, means):
-    # min(c_ij, c_jl) <= c_il for means mu_i <= mu_j <= mu_l, in exact arithmetic
-    (w_i, m_i), (w_j, m_j), (w_l, m_l) = sorted(zip(map(Fraction, weights), map(Fraction, means)),
-                                                 key=lambda wm: wm[1])
-    assert min(_ward_cost(w_i, m_i, w_j, m_j), _ward_cost(w_j, m_j, w_l, m_l)) <= _ward_cost(
-        w_i, m_i, w_l, m_l)
+    # min(c_ij, c_jl) <= c_il for means mu_i <= mu_j <= mu_l, in exact
+    # arithmetic, with the scorer's Ward weight w_i w_j / (w_i + w_j)
+    w, m = zip(*sorted(zip(map(Fraction, weights), map(Fraction, means)), key=lambda wm: wm[1]))
+    w = np.array(w, dtype=object)
+
+    def cost(x, y):
+        return families._ward(w, np.array([x]), np.array([y]))[0] * (m[x] - m[y]) ** 2
+
+    assert min(cost(0, 1), cost(1, 2)) <= cost(0, 2)
 
 
 def _line_steps(monkeypatch, data, g):
-    """Run gaussian1d adaptive, and at each step check the pairs the line route
-    scores against all pairs: each scored pair's score to the bit, the pairs
-    within NEAR_TIE of the best and the pair selected.  Returns per step
-    whether a radius was certified, the clusters and the pairs scored."""
-    steps, line = [], families.FAMILIES["gaussian1d"].line
-    line_scores = engine._LineLikelihood.scores
+    """Run gaussian1d adaptive, and at each step check the pair chosen, the
+    scores it was chosen from to the bit and the pairs within NEAR_TIE of the
+    best against all pairs.  Returns per step whether a radius was certified,
+    the number of clusters and the number of pairs the pair was chosen from."""
+    steps, last, line = [], [], families.FAMILIES["gaussian1d"].line
+    choose, score = engine._Likelihood.choose, engine._Clusters.score
 
     def recorded_line(stats, sums, model):
         value, radius = line(stats, sums, model)
 
         def recorded_radius(threshold):
             r = radius(threshold)
-            steps.append([r is not None])
+            steps[-1][0] = r is not None
             return r
 
         return value, recorded_radius
 
-    def checked(ranking, i, j):
+    def recorded_score(clusters, i, j):
+        last[:] = i, j, score(clusters, i, j)
+        return last[2]
+
+    def checked(ranking, labels):
         clusters = ranking.clusters
-        scores = line_scores(ranking, i, j)
+        steps.append([None, clusters.size, 0])
+        a, b = choose(ranking, labels)
+        i, j, scores = last  # the pairs the pair was chosen from
         all_i, all_j = np.triu_indices(clusters.size, k=1)
-        every = clusters.score(all_i, all_j)
+        every = score(clusters, all_i, all_j)
         at = {pair: t for t, pair in enumerate(zip(all_i.tolist(), all_j.tolist()))}
         scored = [at[pair] for pair in zip(i.tolist(), j.tolist())]
         assert len(set(scored)) == len(scored)
         assert [s.hex() for s in scores.tolist()] == [every[t].hex() for t in scored]
         assert set(np.array(scored)[scores >= scores.max() - NEAR_TIE].tolist()) == set(
             np.flatnonzero(every >= every.max() - NEAR_TIE).tolist())
-        labels = clusters.model.partition.labels
-        best, want = _select(scores, labels, i, j), _select(every, labels, all_i, all_j)
-        assert (i[best], j[best]) == (all_i[want], all_j[want])
-        steps[-1] += [clusters.size, len(i)]
-        return scores
+        want = _select(every, labels, all_i, all_j)
+        assert (a, b) == (all_i[want], all_j[want])
+        steps[-1][2] = len(i)
+        return a, b
 
     monkeypatch.setitem(families.FAMILIES, "gaussian1d",
                         dataclasses.replace(families.FAMILIES["gaussian1d"], line=recorded_line))
-    monkeypatch.setattr(engine._LineLikelihood, "scores", checked)
+    monkeypatch.setattr(engine._Clusters, "score", recorded_score)
+    monkeypatch.setattr(engine._Likelihood, "choose", checked)
     path = merge_factors(data, g, "adaptive")
     assert len(steps) == g.k - 1
     assert path.evaluation_breakdown == expected_breakdown("adaptive", g.k)
     return steps
 
 
-def test_line_route_scores_pairs_of_equal_means_beyond_the_neighbours(monkeypatch):
+def test_line_route_scores_every_pair_where_equal_means_tie_beyond_the_neighbours(monkeypatch):
     # three copies each of four levels' rows: exactly equal means, so the
-    # window holds pairs of copies that are not neighbours on the line
+    # window holds pairs of copies that are not neighbours on the line and
+    # every pair is scored; once the copies are merged, only neighbours are
     rng = np.random.default_rng(11)
     rows = [np.round(rng.normal(mean, 0.5, 6), 1).tolist() for mean in (0.0, 1.0, 2.0, 3.0)]
     data, g = make_gaussian_data({f"L{t}": rows[t % 4] for t in range(12)})
     steps = _line_steps(monkeypatch, data, g)
     assert all(certified for certified, _, _ in steps)
-    assert any(scored > size - 1 for _, size, scored in steps)
+    assert steps[0][2] == 66
+    assert [scored for _, _, scored in steps[-3:]] == [3, 2, 1]
 
 
 def test_line_route_scores_every_pair_at_the_variance_floor(monkeypatch):
     # all responses equal: every candidate is clamped at the variance floor
-    # and ties, so every pair is scored
+    # and ties; every mean is equal, so every pair is within the radius and
+    # every pair is scored
     data, g = make_gaussian_data({f"L{t}": [102.224] * 5 for t in range(8)})
     steps = _line_steps(monkeypatch, data, g)
     assert all(scored == size * (size - 1) // 2 for _, size, scored in steps)
@@ -305,18 +314,20 @@ def test_line_route_scores_every_pair_at_the_variance_floor(monkeypatch):
 
 def test_line_route_keeps_clamped_near_ties_of_distinct_means(monkeypatch):
     # constant levels 1e-7 apart beside one at 1: merging two close levels
-    # leaves the variance at its floor, so those candidates tie exactly
+    # leaves the variance at its floor, so those candidates tie exactly and
+    # every pair is scored
     by = {f"L{t}": [t * 1e-7] * 5 for t in range(6)}
     by["far"] = [1.0] * 5
     steps = _line_steps(monkeypatch, *make_gaussian_data(by))
-    assert steps[0] == [True, 7, 16]  # the 15 tied pairs of close levels and one neighbour of far
+    assert steps[0] == [True, 7, 21]
 
 
 @pytest.mark.parametrize("weight, certified", [(1e-7, True), (1e-305, False)])
 def test_line_route_with_one_tiny_weight_level(weight, certified, monkeypatch):
     # a level of tiny weight far out costs little to merge with anything, so
     # the radius of the first step spans the line; with a weight beyond the
-    # range the bound holds in, no radius is certified and all pairs are scored
+    # range the bound holds in, no radius is certified.  Either way every
+    # pair is scored
     rng = np.random.default_rng(3)
     y = rng.normal(np.arange(80) % 8, 1.0)
     y[np.arange(80) % 8 == 7] += 23.0
@@ -326,6 +337,21 @@ def test_line_route_with_one_tiny_weight_level(weight, certified, monkeypatch):
     g = Grouping(tuple(f"L{t % 8}" for t in range(80)))
     steps = _line_steps(monkeypatch, data, g)
     assert steps[0] == [certified, 8, 28]
+
+
+def test_line_route_scores_every_pair_where_a_pair_two_apart_is_within_the_radius(monkeypatch):
+    # three levels of the same rows 1.3e-5 apart in mean: every merge lowers
+    # the loglik by less than NEAR_TIE, so A-C, whose gap is more than half
+    # the radius, is tied with the neighbours
+    data, g = make_gaussian_data({lv: [t * 1.3e-5 - 1.0, t * 1.3e-5, t * 1.3e-5 + 1.0]
+                                  for t, lv in enumerate("ABC")})
+    assert _line_steps(monkeypatch, data, g)[0] == [True, 3, 3]
+
+
+def test_line_route_scores_only_neighbours_without_near_ties(monkeypatch):
+    fx = make_fixture("gaussian", 16, 10, 1.0, 0)
+    steps = _line_steps(monkeypatch, fx.data, fx.grouping)
+    assert steps == [[True, size, size - 1] for size in range(16, 1, -1)]
 
 
 @pytest.mark.parametrize("k", [6, 16, 64])
