@@ -8,13 +8,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
 import time
 from array import array
 from collections import defaultdict
-from functools import partial
+from functools import cache, partial
 from itertools import chain
 from pathlib import Path
 
@@ -131,31 +132,42 @@ def _parse_float(raw: str) -> float:
         return np.nan
 
 
-# Characters of whole lines read at a time.  Each block's cells become numbers
-# and level codes before the next block is read, so no cell outlives its block.
-_BLOCK_CHARS = 1 << 20
+# Characters read at a time, topped up to a line end; about 3,000 rows.  Each
+# block's cells become numbers and level codes before the next block is read,
+# so no cell outlives its block.  Half the default ``csv.field_size_limit()``:
+# only a block that its top-up made longer than the limit can hold a longer cell.
+_BLOCK_CHARS = 1 << 16
 # Rows whose cells are held at a time once the rest of the file goes through
 # ``csv.reader``
 _CSV_ROWS = 1 << 14
 _FIXTURE_ROWS = 1 << 14  # rows of a fixture's data.csv formatted and written at a time
 
 
-def _plain_cells(lines: list[str], width: int, limit: int) -> list[str] | None:
-    """The cells of ``lines``, row after row, split at commas, when ``csv``
-    would read each line as ``width`` cells the same way: no line holds a
-    quote, a carriage return or a NUL, none is longer than ``limit``, and each
-    splits into exactly ``width`` cells.  None otherwise, and with fewer than
-    two columns, where a blank line would split into one empty cell.  A
-    line's last cell keeps its line end."""
-    text = ",".join(lines)
-    if (width < 2 or '"' in text or "\r" in text or "\0" in text
-            or max(map(len, lines)) > limit):
+def _read_block(fh) -> str:
+    """The next ``_BLOCK_CHARS`` characters of ``fh`` and the rest of their last line."""
+    text = fh.read(_BLOCK_CHARS)
+    return text if text.endswith("\n") else text + fh.readline()
+
+
+def _plain_cells(text: str, width: int, limit: int) -> list[str] | None:
+    """The cells of the lines of ``text``, row after row, split at commas,
+    when ``csv`` would read each line as ``width`` cells the same way: no line
+    holds a quote, a carriage return or a NUL, no cell is longer than
+    ``limit``, and each line splits into exactly ``width`` cells.  None
+    otherwise, and with fewer than two columns, where a blank line would
+    split into one empty cell.  A line's last cell keeps its line end: the
+    text is split once, at commas and after each line end."""
+    if width < 2 or '"' in text or "\r" in text or "\0" in text:
         return None
-    cells = text.split(",")
+    cells = text.replace("\n", "\n,").split(",")
+    ends = text.count("\n")
+    if text.endswith("\n"):
+        del cells[-1]  # the empty cell after the last line end
     # a line end always ends a cell; with ``width`` cells to every line, each
     # line end falls in the last column
-    ends = len(lines) - (not lines[-1].endswith("\n"))
-    if len(cells) != width * len(lines) or "".join(cells[width - 1::width]).count("\n") != ends:
+    if (len(cells) != width * (ends + (not text.endswith("\n")))
+            or "".join(cells[width - 1::width]).count("\n") != ends
+            or len(text) > limit and max(map(len, cells)) > limit):
         return None
     return cells
 
@@ -165,12 +177,13 @@ def _read_columns(path: Path, feeds: list) -> tuple[int, dict[str, int]]:
     ``name``, one list per block of rows, if the header has that column;
     return the number of rows and the header's column index.
 
-    The header is read with ``csv.reader``, the body in blocks of whole lines.
-    Plain blocks (:func:`_plain_cells`) are split at commas; from the first
-    block that is not plain, the rest of the file goes through one
-    ``csv.reader``.  Blank lines are dropped, as ``csv.DictReader`` drops
-    them, and take no row number.  A repeated header name reads its last
-    column, and a row too short to reach a column reads an empty cell there.
+    The header is read with ``csv.reader``, the body in blocks of whole lines
+    (:func:`_read_block`).  Plain blocks (:func:`_plain_cells`) are split at
+    commas; from the first block that is not plain, the rest of the file goes
+    through one ``csv.reader``, which breaks lines where the file does.  Blank
+    lines are dropped, as ``csv.DictReader`` drops them, and take no row
+    number.  A repeated header name reads its last column, and a row too short
+    to reach a column reads an empty cell there.
     """
     offset = 0  # lines read before ``reader``'s first, for its error messages
     try:
@@ -182,13 +195,13 @@ def _read_columns(path: Path, feeds: list) -> tuple[int, dict[str, int]]:
             index = {h: i for i, h in enumerate(header)}
             picks = [(index[name], feed) for name, feed in feeds if name in index]
             width, limit, n = len(header), csv.field_size_limit(), 0
-            lines = fh.readlines(_BLOCK_CHARS)
-            while lines and (cells := _plain_cells(lines, width, limit)) is not None:
+            text = _read_block(fh)
+            while text and (cells := _plain_cells(text, width, limit)) is not None:
                 for j, feed in picks:
                     feed(cells[j::width])
-                n += len(lines)
-                lines = fh.readlines(_BLOCK_CHARS)
-            offset, reader = reader.line_num + n, csv.reader(chain(lines, fh))
+                n += len(cells) // width
+                text = _read_block(fh)
+            offset, reader = reader.line_num + n, csv.reader(chain(io.StringIO(text, newline=""), fh))
             # each row's cells go to column lists at once, so no row list
             # outlives its line (a batch of live rows sets off the collector)
             cols = [[] for _ in picks]
@@ -669,9 +682,12 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# main's parser, built on its first call rather than at import, and reused
+_parser = cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ConfigError, IncompatiblePanel) as exc:

@@ -92,6 +92,25 @@ def test_merge_byte_identical_reruns(gaussian_csv, tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
+def test_main_reuses_its_parser(gaussian_csv, tmp_path):
+    # main builds its parser on the first call only; after a call that exits
+    # on a bad argument, it reads a merge as a freshly built parser does
+    from factorfuse import cli
+
+    argv = ["merge", "--input", gaussian_csv, "--family", "gaussian", "--response", "y",
+            "--factor", "group", "--method", "fixed", "--show-split"]
+    cli._parser.cache_clear()
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, "--response", "z", "--value", "x", "--out", tmp_path / "bad"])
+    assert exc.value.code == 2
+    assert run([*argv, "--out", tmp_path / "reused"]) == 0
+    assert cli._parser.cache_info().misses == 1
+    cli._parser.cache_clear()
+    assert run([*argv, "--out", tmp_path / "fresh"]) == 0
+    for name in ARTIFACTS:
+        assert (tmp_path / "reused" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+
+
 @pytest.mark.parametrize("flags, profiles", [
     ([], 1),
     (["--criterion", "gic", "--value", "3"], 2),  # the cut's penalty differs from the plot's
@@ -1007,6 +1026,62 @@ def test_ingest_after_plain_blocks(text, flags, message, blocks, tmp_path, monke
     assert got == _ingest_outcome(reference_build_dataset, args)
     if message is not None:
         assert got == (cli.DataError, message.format(path=path))
+
+
+# what a block read as one string must read as csv does: characters that
+# ``str.splitlines`` breaks lines at and csv does not, cells and lines about
+# the field size limit, and where blocks and files end: (id, file text, or its
+# text for the block size, the message of the error it raises or None)
+_LIMIT = csv.field_size_limit()
+_BREAKS = "\u2028\x85\v\f\x1c"
+_BREAK_ROWS = "".join(f'{i}.5,a{c}b,"q"\n{i}.5,"c{c}d",q\n{i}.5,e{c}f,q\n'
+                      for i, c in enumerate(_BREAKS))
+
+
+def _cr_lf_across_blocks(chars):
+    """A first body line whose ``\\r`` is the block's last character, then
+    CRLF lines and a cell over the limit on line 203."""
+    first = f"1,{'a' * (chars - 3)}\r\n" if chars > 3 else "\r\n"
+    return ("y,g\n" + first + _PLAIN.replace("\n", "\r\n")
+            + "2," + "x" * (_LIMIT + 1) + "\r\n")
+
+
+ONE_STRING_CASES = [
+    ("line-breaks-beside-quotes", "y,g,z\n" + _BREAK_ROWS + _PLAIN.replace("\n", ",q\n"), None),
+    ("line-breaks-then-oversized-cell", "y,g,z\n" + _BREAK_ROWS + _PLAIN.replace("\n", ",q\n")
+     + "2,b," + "x" * (_LIMIT + 1) + "\n", f"cannot read {{path}}: line 217: {_FIELD_LIMIT}"),
+    ("oversized-first-cell-in-top-up", "y,g\n" + _PLAIN + "x" * (_LIMIT + 1) + ",b\n3,a\n",
+     f"cannot read {{path}}: line 202: {_FIELD_LIMIT}"),
+    ("first-cell-at-the-limit", "y,g\n" + _PLAIN + "x" * _LIMIT + ",b\n3,a\n", None),
+    ("last-cell-at-the-limit", "y,g\n" + _PLAIN + "2," + "x" * _LIMIT + "\n3,a\n", None),
+    ("long-line-of-short-cells",
+     "y,g,z\n" + _PLAIN.replace("\n", ",q\n") + "2," + "b" * (_LIMIT // 2) + ","
+     + "z" * (_LIMIT // 2) + "\n3,a,q\n", None),
+    ("last-line-without-end", "y,g\n" + _PLAIN + "7,c", None),
+    ("last-line-without-end-empty-cell", "y,g,z\n" + _PLAIN.replace("\n", ",q\n") + "7,c,", None),
+    ("cr-lf-across-blocks", _cr_lf_across_blocks,
+     f"cannot read {{path}}: line 203: {_FIELD_LIMIT}"),
+]
+
+
+@pytest.mark.parametrize("text,message", [row[1:] for row in ONE_STRING_CASES],
+                         ids=[row[0] for row in ONE_STRING_CASES])
+@pytest.mark.parametrize("blocks", [*SMALL_BLOCKS, None], ids=str)
+def test_ingest_one_string_blocks(text, message, blocks, tmp_path, monkeypatch):
+    from factorfuse import cli
+
+    _small_blocks(monkeypatch, blocks)
+    if callable(text):
+        text = text(cli._BLOCK_CHARS)
+    path = tmp_path / "in.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    args = _ingest_args(path, {})
+    got = _ingest_outcome(cli._build_dataset, args)
+    assert got == _ingest_outcome(reference_build_dataset, args)
+    if message is not None:
+        assert got == (cli.DataError, message.format(path=path))
+    else:
+        assert len(got) > 2  # read, not raised
 
 
 # ---------------------------------------------------------------------------
