@@ -221,10 +221,26 @@ def _read_columns(path: Path, feeds: list) -> tuple[int, dict[str, int]]:
                     full += _CSV_ROWS
             _feed_columns(picks, cols)
             return n, index
-    except (OSError, UnicodeDecodeError) as exc:
+    except UnicodeDecodeError as exc:
+        raise DataError(f"cannot read {path}: {_undecodable(path) or exc}") from exc
+    except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     except csv.Error as exc:
         raise DataError(f"cannot read {path}: line {offset + reader.line_num}: {exc}") from exc
+
+
+def _undecodable(path: Path) -> str | None:
+    """The decode error of the first bytes of ``path`` that are not UTF-8, by
+    file offset and by line, as csv ends lines (LF, CRLF or a lone CR); None
+    if the file no longer reads so.  Only this error path reads it whole."""
+    try:
+        path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = exc.object[:exc.start]
+        line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        return f"line {line}: {exc}"
+    except OSError:
+        return None
 
 
 def _feed_columns(picks: list, cols: list[list[str]]):

@@ -13,9 +13,10 @@ pair of clusters per step.  The strategies differ in two choices:
   levels and carried through the merges.  ``fast-fixed`` keeps distances
   only between neighbours and measures a single fresh distance per merge.
 
-Candidates are scored from per-cluster sufficient statistics and the fit of
-the current partition by the family record's ``score``; only the chosen
-partition is fitted.  A merge re-sums only the merged cluster, and the path
+Candidates are scored from per-cluster sufficient statistics by the path's
+scorer, which the family record builds; it also fits the chosen partition,
+told which pair was merged, and keeps what the next scoring needs, never in
+a model it returned.  A merge re-sums only the merged cluster, and the path
 fit reads the sums the loop keeps.  Where the family's clusters lie on a line
 (``Family.line``, gaussian1d), ``adaptive`` scores the neighbours on the
 line, and every pair only on a step where the family cannot certify that
@@ -120,15 +121,15 @@ def merge_factors(
         raise InvalidStrategy("need at least 2 factor levels to merge")
     if strategy not in _RANKINGS:
         raise InvalidStrategy(strategy)
-    fast = strategy.startswith("fast-")
     stats = LevelStats(data, grouping)
-    ordering, full = (), None
-    if fast:
+    scorer, ordering = stats.family.scorer(stats), ()
+    if strategy.startswith("fast-"):
         # the ordering reads a full model fitted in level order; the path
         # starts from the full model refitted in the new order, from that fit
-        full = fit_stats(stats, Partition.singletons(grouping.levels))
+        levels = Partition.singletons(grouping.levels)
+        full = scorer.fit(levels, cluster_sums(stats, stats.cluster_rows(levels)))
         ordering = ordering_statistic(data, grouping, full)
-    clusters = _Clusters(stats, Partition.singletons(ordering or grouping.levels), full)
+    clusters = _Clusters(stats, Partition.singletons(ordering or grouping.levels), scorer)
     ranking = _RANKINGS[strategy](clusters)
     steps = [PathStep(None, clusters.model)]
     while clusters.size > 1:
@@ -174,14 +175,14 @@ def _adjacent(size: int) -> tuple[np.ndarray, np.ndarray]:
 
 class _Clusters:
     """The current partition, per cluster its level codes in declared order and
-    its sums, and its fitted model, merged in step; and the evaluations spent.
-    Each fit starts from the one before it (see :func:`fit_stats`)."""
+    its sums, and its model, which the path's scorer fits, merged in step; and
+    the evaluations spent."""
 
-    def __init__(self, stats: LevelStats, partition: Partition, parent: FittedModel | None):
-        self.stats = stats
-        self.model = fit_stats(stats, partition, parent)
+    def __init__(self, stats: LevelStats, partition: Partition, scorer):
+        self.stats, self.scorer = stats, scorer
         self.codes = stats.cluster_rows(partition)
-        self.sums = cluster_sums(stats, partition)
+        self.sums = cluster_sums(stats, self.codes)
+        self.model = scorer.fit(partition, self.sums)
         self.counts = Counter(path=1)
 
     @property
@@ -191,7 +192,7 @@ class _Clusters:
     def score(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """Log-likelihood after merging each pair (i[t], j[t]); the caller
         counts the evaluations."""
-        return self.stats.family.score(self.stats, self.sums, i, j, self.model)
+        return self.scorer.score(self.sums, i, j)
 
     def distance(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """LRT distance of merging each pair (i[t], j[t])."""
@@ -210,9 +211,7 @@ class _Clusters:
         for name, s in self.sums.items():
             s[a] = np.add.reduce(getattr(stats, name)[codes[a]])
         partition = self.model.partition.merge(a, b)
-        replaced, self.model = self.model, stats.family.fit(stats, partition, self.sums, self.model)
-        for state in stats.family.scoring_only:  # only the current fit is scored
-            replaced.nuisance.pop(state, None)
+        self.model = self.scorer.fit(partition, self.sums, (a, b))
         self.counts["path"] += 1
         return PathStep((a, b), self.model)
 

@@ -13,9 +13,10 @@ reads per-level sufficient statistics, computed once per dataset in
 (bitwise): Gaussian and binomial sums from one sort of the rows by level,
 value and weight; for survival (Cox, Breslow ties), each level's events and
 rows at risk at each event time, and the events per event time, which all
-partitions share.  Fits and the family's ``score`` (for many candidate
-merges at once) read the same per-cluster sums (:func:`cluster_sums`); the
-engine fits only the partition it chooses.
+partitions share.  A path's scorer, which the family builds, fits and scores
+many candidate merges at once from the same per-cluster sums
+(:func:`cluster_sums`), and keeps what the next scoring needs, never in a
+model; the engine fits only the partition it chooses.
 
 The shared nuisance parameters (sigma^2 for gaussian1d, the pooled
 covariance for gaussianNd) are profiled: each partition gets the pooled MLE
@@ -103,14 +104,12 @@ class Family:
     level_stats: Callable
     # per-level statistics that cluster_sums adds up per cluster
     sums: tuple[str, ...]
-    # (stats, partition, cluster sums, parent) -> FittedModel; ``parent`` is
-    # None or a fit of the same levels that the fit may start from, or whose
-    # scoring may already have fitted ``partition``
-    fit: Callable
-    # (stats, cluster sums, i, j, fitted model of the partition the sums are
-    # of) -> loglik with each pair (i[t], j[t]) merged, which equals the fit
-    # of the merged partition up to rounding
-    score: Callable
+    # (stats) -> the scorer of one merging path: ``fit(partition, sums,
+    # merged=None)`` fits a partition from its cluster sums, ``merged`` being
+    # None or the pair (a, b) of the last fit's clusters merged into it;
+    # ``score(sums, i, j)`` is the last fit's loglik with each pair (i[t],
+    # j[t]) merged, which equals the merged partition's fit up to rounding
+    scorer: Callable
     # (full model, positions, 1-D projection) -> ordering value of the clusters
     # at ``positions``; gaussianNd projects their means in the Mahalanobis metric
     order_value: Callable
@@ -118,9 +117,6 @@ class Family:
     estimate: str
     # response panels the plot accepts for this family, default first
     panels: tuple[str, ...]
-    # nuisance entries only ``score`` and the next ``fit`` read, dropped from
-    # a fit once replaced
-    scoring_only: tuple[str, ...] = ()
     # None, or for a family whose ``score`` falls as a merge cost grows that
     # grows with the gap between two clusters' values on a line:
     # (stats, cluster sums, their fitted model) -> (value per cluster, radius), radius(threshold)
@@ -157,17 +153,9 @@ def fit(data: ResponseData, grouping: Grouping, partition: Partition) -> FittedM
     return fit_stats(LevelStats(data, grouping), partition)
 
 
-def fit_stats(stats: LevelStats, partition: Partition,
-              parent: FittedModel | None = None) -> FittedModel:
+def fit_stats(stats: LevelStats, partition: Partition) -> FittedModel:
     """Fit from precomputed level statistics, after checking that
-    ``partition`` holds each level once; the merge loop fits its full model here.
-
-    When ``parent``, a fit of the same levels, is given, a Cox fit starts
-    each cluster at the event-weighted mean of its levels' coefficients in
-    ``parent``, unless ``partition`` merges two of its clusters and scoring
-    ``parent`` kept that candidate's fit: then that fit is returned without a
-    Newton step.  The other families ignore ``parent``.
-    """
+    ``partition`` holds each level once, by a scorer of its own."""
     have = frozenset(stats.levels)
     members = Counter(m for c in partition.clusters for m in c.members)
     missing = members.keys() - have
@@ -181,21 +169,34 @@ def fit_stats(stats: LevelStats, partition: Partition,
         raise DegenerateData(f"level {shared[0]!r} is in more than one cluster")
     if members.keys() != have:
         raise DegenerateData("partition does not cover the grouping levels")
-    return stats.family.fit(stats, partition, cluster_sums(stats, partition), parent)
+    sums = cluster_sums(stats, stats.cluster_rows(partition))
+    return stats.family.scorer(stats).fit(partition, sums)
 
 
-def cluster_sums(stats: LevelStats, partition: Partition) -> dict[str, np.ndarray]:
-    """Level statistics summed per cluster: one row per cluster of ``partition``.
-
-    Each row adds up its levels in declared order; the engine re-sums a merged
-    cluster's row the same way, so its path fits read the same bits.
-    """
-    rows = stats.cluster_rows(partition)
+def cluster_sums(stats: LevelStats, rows: list[np.ndarray]) -> dict[str, np.ndarray]:
+    """Level statistics summed per cluster, one row per cluster's level indices
+    (:meth:`LevelStats.cluster_rows`), in declared order; the engine re-sums a
+    merged cluster the same way, so its path fits read the same bits."""
     # add.reduce sums along the first axis like .sum(axis=0), with less call overhead
     return {
         name: np.array([np.add.reduce(getattr(stats, name)[r]) for r in rows])
         for name in stats.family.sums
     }
+
+
+class _Scorer:
+    """The scorer of a family whose ``fit`` and ``score`` functions need no
+    state beyond the current model."""
+
+    def __init__(self, stats: LevelStats, fit: Callable, score: Callable):
+        self.stats, self._fit, self._score, self.model = stats, fit, score, None
+
+    def fit(self, partition: Partition, sums, merged=None) -> FittedModel:
+        self.model = self._fit(self.stats, partition, sums)
+        return self.model
+
+    def score(self, sums, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        return self._score(self.stats, sums, i, j, self.model)
 
 
 def _sorted_rows(stats: LevelStats) -> tuple[np.ndarray, np.ndarray, list[slice]]:
@@ -300,7 +301,7 @@ def _rss_loglik(stats: LevelStats, rss, log):
     return -0.5 * n * (LOG_2PI + log(sigma2) + 1.0), sigma2
 
 
-def _fit_gaussian_1d(stats: LevelStats, partition: Partition, sums, parent=None) -> FittedModel:
+def _fit_gaussian_1d(stats: LevelStats, partition: Partition, sums) -> FittedModel:
     rss = float(_pooled(sums["swy2"] - sums["swy"] * sums["swy"] / sums["sw"]))
     loglik, sigma2 = _rss_loglik(stats, rss, math.log)
     return FittedModel(
@@ -376,7 +377,7 @@ def _scatter_loglik(stats: LevelStats, sums, added=0.0):
     return -0.5 * n * (d * LOG_2PI + logdet + d), cov, flags
 
 
-def _fit_gaussian_nd(stats: LevelStats, partition: Partition, sums, parent=None) -> FittedModel:
+def _fit_gaussian_nd(stats: LevelStats, partition: Partition, sums) -> FittedModel:
     loglik, cov, flags = _scatter_loglik(stats, sums)
     return FittedModel(
         family=GAUSSIAN_ND,
@@ -442,7 +443,7 @@ def _binomial_loglik(sw: np.ndarray, swy: np.ndarray, log=np.log) -> np.ndarray:
     return ll + np.where(p < 1.0, (sw - swy) * log(np.where(p < 1.0, 1.0 - p, 1.0)), 0.0)
 
 
-def _fit_binomial(stats: LevelStats, partition: Partition, sums, parent=None) -> FittedModel:
+def _fit_binomial(stats: LevelStats, partition: Partition, sums) -> FittedModel:
     sw, swy = sums["sw"], sums["swy"]
     p = swy / sw
     with np.errstate(divide="ignore"):  # p = 0 or 1 gives a logit of -inf or inf
@@ -452,7 +453,6 @@ def _fit_binomial(stats: LevelStats, partition: Partition, sums, parent=None) ->
         partition=partition,
         loglik=float(_pooled(_binomial_loglik(sw, swy, _math_log))),
         estimates=estimates,
-        nuisance=None,
     )
 
 
@@ -676,67 +676,6 @@ def _cox_fit_rows(sets: _RiskSets, start: np.ndarray, tie=None):
     return coef, ll, hess, min(failed.items()) if failed else None
 
 
-def _fit_cox(stats: LevelStats, partition: Partition, sums, parent=None) -> FittedModel:
-    """The Cox fit of ``partition``.  If it merges clusters a < b of
-    ``parent``, leaving the others unchanged, and scoring ``parent`` kept
-    that candidate's fit with its Hessian (:func:`_score_cox`), the fit is
-    adopted: the candidate's coefficients, its score as the loglik, bit for
-    bit, and minus its Hessian as the information.  Otherwise Newton runs
-    from ``parent``'s coefficients pooled by events, or from 0 without one."""
-    if not len(stats.per_time):
-        raise NoEvents("survival data has no uncensored events")
-    c = len(sums["R"])
-    never, eventless = ~sums["R"].any(axis=1), sums["events"] == 0
-    if never.any():
-        raise NonConvergence(f"cluster {partition.labels[np.argmax(never)]} has no row at risk "
-                             "at any event time: its Cox coefficient is not identifiable")
-    if eventless.any():
-        raise MonotoneLikelihood(f"cluster {partition.labels[np.argmax(eventless)]} has no "
-                                 "events: its Cox coefficient may be infinite")
-    carry, adopted = {}, None
-    if parent is None:
-        start = np.zeros((1, c))
-    else:
-        # each level carries its parent cluster's coefficient and its events
-        prev, now = parent.partition.positions(stats.levels), partition.positions(stats.levels)
-        alpha = parent.estimates["alpha"][prev]
-        if "fits" in parent.nuisance:  # the parent's candidate fits, for the next scoring
-            fits = parent.nuisance["fits"]
-            carry["carried"] = (*fits[:3], prev, now, alpha)
-            adopted = _adopted_row(fits, prev, now)
-        if adopted is None:
-            start = _pooled_start(alpha, stats.events, now[None], c)
-    if adopted is None:
-        coef, ll, hess, failed = _cox_fit_rows(
-            _RiskSets(sums["events"], stats.per_time, sums["R"], 1), start)
-        if failed:
-            raise failed[1]
-        fitted, loglik, information = coef[0], ll[0], -hess[0]
-    else:
-        # scoring fitted this very merge to convergence: its fit is this one
-        _, _, coef, ll, hess = fits
-        fitted, loglik, information = coef[adopted].copy(), ll[adopted], -hess[adopted]
-    return FittedModel(family=SURVIVAL, partition=partition, loglik=float(loglik),
-                       estimates={"alpha": fitted, "hazard_ratio": _math_exp(fitted)},
-                       nuisance={"information": information, **carry})
-
-
-def _adopted_row(fits, prev: np.ndarray, now: np.ndarray) -> int | None:
-    """The row of a parent's candidate fits (i, j, coefficients, logliks,
-    Hessians or None; see :func:`_score_cox`) that fitted the partition whose
-    level positions are ``now``, from the parent's ``prev``: clusters
-    i[t] < j[t] merged and every other cluster unchanged.  None if no row
-    did or the Hessians were not kept."""
-    fi, fj, _, _, hess = fits
-    moved = np.flatnonzero(prev != now)
-    if hess is None or not len(moved):
-        return None
-    first = moved[np.argmin(prev[moved])]  # a level of cluster b, which went into a
-    a, b = now[first:first + 1], prev[first:first + 1]
-    row = np.flatnonzero((fi == a) & (fj == b))
-    return int(row[0]) if len(row) and np.array_equal(now, _tied(a, b, prev)[0]) else None
-
-
 def _pooled_start(alpha: np.ndarray, events: np.ndarray, into: np.ndarray, c: int) -> np.ndarray:
     """Starting coefficients of c clusters from a finer fit: unit u (a level
     or a cluster) has coefficient alpha[u] (or alpha[t, u]) and events[u]
@@ -770,11 +709,11 @@ def _inverse_information(information: np.ndarray) -> np.ndarray | None:
 
 
 def _tied_optimum(alpha, inverse, a, b):
-    """Row t: the maximum of the parent fit's quadratic model with clusters
+    """Row t: the maximum of the current fit's quadratic model with clusters
     a[t] and b[t] tied, b[t] dropped and cluster 0 the reference; and which
     rows are usable.
 
-    The parent fit ``alpha`` maximises the partial likelihood, so near it
+    The current fit ``alpha`` maximises the partial likelihood, so near it
     the likelihood is alpha's value less half the information quadratic
     form of the distance from alpha.  Under alpha_a = alpha_b its maximum
     is alpha - u (alpha_a - alpha_b) / (u_a - u_b), with u the inverse
@@ -792,69 +731,114 @@ def _tied_optimum(alpha, inverse, a, b):
     return start - start[:, :1], usable
 
 
-def _carried_rows(model: FittedModel, i, j) -> np.ndarray:
-    """Per candidate (i[t], j[t]), the row of the carried fits (:func:`_fit_cox`)
-    of the same two clusters, both unchanged since; -1 where there is none."""
-    fi, fj, coef, prev, now, _ = model.nuisance["carried"]
-    into = np.zeros(coef.shape[1] + 1, int)  # the cluster each previous one went into
-    into[prev] = now
-    was = np.full(model.partition.size, -1)  # and the one it was, if unchanged
-    if (into[prev] == now).all():  # a coarsening of the previous partition
-        was[into] = np.arange(len(into))
-        was[np.bincount(into, minlength=len(was)) != 1] = -1
-    p, q = was[i], was[j]
-    # the fits' pairs are sorted as the engine's are; unsorted ones are found less often
-    keys, want = fi * len(into) + fj, p * len(into) + q
-    found = np.searchsorted(keys, want).clip(max=len(keys) - 1)
-    return np.where((p >= 0) & (q >= 0) & (keys[found] == want), found, -1)
+class _CoxScorer:
+    """The Cox scorer of one merging path.  It keeps the current fit, ``model``,
+    with its ``information`` and level ``positions``; and the candidate fits
+    of the last scoring call that kept them, of the pairs ``i`` < ``j``:
+    ``coef`` (None while there are none), ``logliks`` and ``hessians`` (None
+    where not kept), with the level positions ``at`` and per-level alpha
+    ``before`` of the fit they were made at.  ``merged`` is None, or the pair
+    (a, b) whose merge of that fit's clusters gave the current fit."""
 
+    def __init__(self, stats: LevelStats):
+        self.stats, self.model, self.coef, self.merged = stats, None, None, None
 
-def _score_cox(stats: LevelStats, sums, i, j, model: FittedModel) -> np.ndarray:
-    # the partial likelihood has no closed-form merge update: fit every
-    # candidate by Newton, in blocks of rows within the budget, from its fit
-    # in the previous call if both its clusters are unchanged (read level by
-    # level, moved by the path fit's change); else at the tied optimum of the
-    # current fit's quadratic model, or with the merged pair pooled by events
-    # where the information is singular.  Fits within the budget are kept
-    # with their logliks, and with their Hessians within the budget too: the
-    # path fit of the chosen merge adopts them (see _fit_cox).
-    labels, alpha = model.partition.labels, model.estimates["alpha"]
-    c = len(sums["R"])
-    sets = _RiskSets(sums["events"], stats.per_time, sums["R"], len(i))
-    inverse = _inverse_information(model.nuisance["information"])
-    carried = _carried_rows(model, i, j) if "carried" in model.nuisance else np.full(len(i), -1)
-    keep = len(i) * (c - 1) <= COX_CELLS
-    hessians = keep and len(i) * (c - 2) ** 2 <= COX_CELLS
-    scores, fits, hess = [], [], []
-    for s in range(0, len(i), sets.block):
-        a, b, rows = i[s:s + sets.block], j[s:s + sets.block], carried[s:s + sets.block]
-        tie, start, cold = _tie(a, b, c), np.empty((len(a), c - 1)), rows < 0
-        pooled = cold.copy()
-        if inverse is not None:
-            start[cold], usable = _tied_optimum(alpha, inverse, a[cold], b[cold])
-            pooled[cold] = ~usable
-        if pooled.any():
-            start[pooled] = _pooled_start(alpha, sets.events, tie[0][pooled], c - 1)
-        if not cold.all():
-            fi, fj, fitted, prev, now, before = model.nuisance["carried"]
-            rows = rows[~cold]
-            level = fitted[rows[:, None], _tied(fi[rows], fj[rows], prev)] + (alpha[now] - before)
-            start[~cold] = _pooled_start(level, stats.events, tie[0][~cold][:, now], c - 1)
-        coef, ll, h, failed = _cox_fit_rows(sets, start, tie)
-        if failed:
-            row, exc = failed
-            raise type(exc)(f"{exc}: candidate merge of {labels[a[row]]} and {labels[b[row]]} "
-                            f"at {len(labels)} clusters") from exc
-        scores.append(ll)
+    def fit(self, partition: Partition, sums, merged=None) -> FittedModel:
+        """The Cox fit of ``partition``.  If it merges the pair ``merged`` of
+        the current fit's clusters, and scoring that fit kept this candidate's
+        fit with its Hessian, the fit is adopted: the candidate's coefficients,
+        its score as the loglik, bit for bit, and minus its Hessian as the
+        information.  Otherwise Newton runs from the current fit's
+        coefficients pooled by events, or from 0 at the first fit."""
+        stats = self.stats
+        if not len(stats.per_time):
+            raise NoEvents("survival data has no uncensored events")
+        c = len(sums["R"])
+        never, eventless = ~sums["R"].any(axis=1), sums["events"] == 0
+        if never.any():
+            raise NonConvergence(f"cluster {partition.labels[np.argmax(never)]} has no row at risk "
+                                 "at any event time: its Cox coefficient is not identifiable")
+        if eventless.any():
+            raise MonotoneLikelihood(f"cluster {partition.labels[np.argmax(eventless)]} has no "
+                                     "events: its Cox coefficient may be infinite")
+        carried = merged is not None and self.merged is None and self.coef is not None
+        row = []
+        if carried and self.hessians is not None:
+            row = np.flatnonzero((self.i == merged[0]) & (self.j == merged[1]))[:1]
+        now = partition.positions(stats.levels)
+        if len(row):
+            # scoring fitted this very merge to convergence: its fit is this one
+            coef, ll, hess = self.coef[row], self.logliks[row], self.hessians[row]
+        else:
+            start = np.zeros((1, c))
+            if self.model is not None:
+                # each level carries its cluster's coefficient and its events
+                start = _pooled_start(self.model.estimates["alpha"][self.positions],
+                                      stats.events, now[None], c)
+            coef, ll, hess, failed = _cox_fit_rows(
+                _RiskSets(sums["events"], stats.per_time, sums["R"], 1), start)
+            if failed:
+                raise failed[1]
+        self.model = FittedModel(family=SURVIVAL, partition=partition, loglik=float(ll[0]),
+                                 estimates={"alpha": coef[0], "hazard_ratio": _math_exp(coef[0])})
+        self.information, self.positions = -hess[0], now
+        self.merged, self.coef = (merged, self.coef) if carried else (None, None)
+        return self.model
+
+    def score(self, sums, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        # the partial likelihood has no closed-form merge update: fit every
+        # candidate by Newton, in blocks of rows within the budget, from its
+        # kept fit if both its clusters are unchanged since (read level by
+        # level, moved by the current fit's change); else at the tied optimum
+        # of the current fit's quadratic model, or with the merged pair pooled
+        # by events where the information is singular.  Fits within the
+        # budget are kept with their logliks, and with their Hessians within
+        # the budget too: the fit of the chosen merge adopts them.
+        stats, now = self.stats, self.positions
+        labels, alpha = self.model.partition.labels, self.model.estimates["alpha"]
+        c = len(sums["R"])
+        sets = _RiskSets(sums["events"], stats.per_time, sums["R"], len(i))
+        inverse = _inverse_information(self.information)
+        carried = np.full(len(i), -1)  # per candidate, its row of the kept fits
+        if self.merged is not None:
+            # the merge of (a, b) moved cluster p of the kept fits to p - (p > b)
+            (a, b), size = self.merged, self.coef.shape[1] + 1
+            keys, want = self.i * size + self.j, (i + (i >= b)) * size + j + (j >= b)
+            found = np.searchsorted(keys, want).clip(max=len(keys) - 1)  # pairs sorted as i, j
+            carried = np.where((i != a) & (j != a) & (keys[found] == want), found, -1)
+        keep = len(i) * (c - 1) <= COX_CELLS
+        hessians = keep and len(i) * (c - 2) ** 2 <= COX_CELLS
+        scores, fits, hess = [], [], []
+        for s in range(0, len(i), sets.block):
+            a, b, rows = i[s:s + sets.block], j[s:s + sets.block], carried[s:s + sets.block]
+            tie, start, cold = _tie(a, b, c), np.empty((len(a), c - 1)), rows < 0
+            pooled = cold.copy()
+            if inverse is not None:
+                start[cold], usable = _tied_optimum(alpha, inverse, a[cold], b[cold])
+                pooled[cold] = ~usable
+            if pooled.any():
+                start[pooled] = _pooled_start(alpha, sets.events, tie[0][pooled], c - 1)
+            if not cold.all():
+                rows = rows[~cold]
+                tied = _tied(self.i[rows], self.j[rows], self.at)
+                level = self.coef[rows[:, None], tied] + (alpha[now] - self.before)
+                start[~cold] = _pooled_start(level, stats.events, tie[0][~cold][:, now], c - 1)
+            coef, ll, h, failed = _cox_fit_rows(sets, start, tie)
+            if failed:
+                row, exc = failed
+                raise type(exc)(f"{exc}: candidate merge of {labels[a[row]]} and {labels[b[row]]} "
+                                f"at {len(labels)} clusters") from exc
+            scores.append(ll)
+            if keep:
+                fits.append(coef)
+            if hessians:
+                hess.append(h)
+        scores = np.concatenate(scores)
         if keep:
-            fits.append(coef)
-        if hessians:
-            hess.append(h)
-    scores = np.concatenate(scores)
-    if keep:
-        model.nuisance["fits"] = (i, j, np.concatenate(fits), scores,
-                                  np.concatenate(hess) if hessians else None)
-    return scores
+            self.i, self.j, self.coef, self.logliks = i, j, np.concatenate(fits), scores
+            self.hessians = np.concatenate(hess) if hessians else None
+            self.at, self.before, self.merged = now, alpha[now], None
+        return scores
 
 
 # ------------------------------------------------------------------ #
@@ -864,24 +848,24 @@ def _score_cox(stats: LevelStats, sums, i, j, model: FittedModel) -> np.ndarray:
 
 FAMILIES = {
     GAUSSIAN_1D: Family(
-        level_stats=_gaussian_1d_stats, sums=("sw", "swy", "swy2"), fit=_fit_gaussian_1d,
-        score=_score_gaussian_1d, order_value=_estimate("mean"), estimate="mean",
+        level_stats=_gaussian_1d_stats, sums=("sw", "swy", "swy2"),
+        scorer=functools.partial(_Scorer, fit=_fit_gaussian_1d, score=_score_gaussian_1d),
+        order_value=_estimate("mean"), estimate="mean",
         panels=("means", "boxplot", "frequency"), line=_gaussian_1d_line,
     ),
     GAUSSIAN_ND: Family(
-        level_stats=_gaussian_nd_stats, sums=("sw", "swy", "swyyt"), fit=_fit_gaussian_nd,
-        score=_score_gaussian_nd, order_value=_projected_means, estimate="mean",
-        panels=("frequency",),
+        level_stats=_gaussian_nd_stats, sums=("sw", "swy", "swyyt"),
+        scorer=functools.partial(_Scorer, fit=_fit_gaussian_nd, score=_score_gaussian_nd),
+        order_value=_projected_means, estimate="mean", panels=("frequency",),
     ),
     BINOMIAL: Family(
-        level_stats=_moment_stats, sums=("sw", "swy"), fit=_fit_binomial,
-        score=_score_binomial, order_value=_estimate("p"), estimate="p",
-        panels=("proportion", "frequency"),
+        level_stats=_moment_stats, sums=("sw", "swy"),
+        scorer=functools.partial(_Scorer, fit=_fit_binomial, score=_score_binomial),
+        order_value=_estimate("p"), estimate="p", panels=("proportion", "frequency"),
     ),
     SURVIVAL: Family(
-        level_stats=_survival_stats, sums=("events", "R"), fit=_fit_cox,
-        score=_score_cox, order_value=_estimate("alpha"), estimate="hazard_ratio",
-        panels=("survival", "frequency"), scoring_only=("information", "fits", "carried"),
+        level_stats=_survival_stats, sums=("events", "R"), scorer=_CoxScorer,
+        order_value=_estimate("alpha"), estimate="hazard_ratio", panels=("survival", "frequency"),
     ),
 }
 

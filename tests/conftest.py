@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from itertools import compress
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from factorfuse import cli
+from factorfuse import cli, families
 from factorfuse.data import (BINOMIAL, DOMAINS, GAUSSIAN_1D, GAUSSIAN_ND, SURVIVAL, Grouping,
                              Partition, ResponseData)
 from factorfuse.errors import MonotoneLikelihood, NonConvergence, WeightsNotSupported
@@ -466,13 +467,22 @@ def cox_newton(events, per_time, R, alpha):
     raise NonConvergence("Cox Newton-Raphson did not converge")
 
 
-def reference_cox_scores(stats, sums, i, j, model=None):
+def reference_cox_scores(stats, sums, i, j):
     """Cox candidate scores fitted cold: Newton from alpha = 0 on each
     candidate's merged sums, one candidate and one coefficient vector at a
-    time, with log-sum-exp risk sets; ``model`` is unused."""
+    time, with log-sum-exp risk sets."""
     merged = (merge_sums(sums, a, b) for a, b in zip(i.tolist(), j.tolist()))
     return np.array([cox_newton(m["events"], stats.per_time, m["R"], np.zeros(len(m["R"])))[1]
                      for m in merged])
+
+
+def fitted_scorer(stats, partition):
+    """A new scorer of ``stats``'s family that has fitted ``partition``, and
+    the partition's cluster sums, which it scores."""
+    sums = families.cluster_sums(stats, stats.cluster_rows(partition))
+    scorer = stats.family.scorer(stats)
+    scorer.fit(partition, sums)
+    return scorer, sums
 
 
 def reference_kaplan_meier(times, events):
@@ -514,7 +524,16 @@ def _reference_load_csv(path: Path) -> tuple[list[str], list[list[str]]]:
             if header is None:
                 raise cli.DataError(f"{path}: empty file")
             return header, [row for row in reader if row]
-    except (OSError, UnicodeDecodeError) as exc:
+    except UnicodeDecodeError:
+        # the first bytes that are not UTF-8 in the whole file, on the line
+        # that csv's line ends start
+        data = path.read_bytes()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = len(re.split(rb"\r\n|\r|\n", data[:exc.start]))
+            raise cli.DataError(f"cannot read {path}: line {line}: {exc}") from exc
+    except OSError as exc:
         raise cli.DataError(f"cannot read {path}: {exc}") from exc
     except csv.Error as exc:
         raise cli.DataError(f"cannot read {path}: line {reader.line_num}: {exc}") from exc

@@ -822,8 +822,12 @@ INGEST_TABLE = [
     # file and column errors
     ("empty-file", "", {}, ("DataError", "{path}: empty file")),
     ("undecodable-byte", UNDECODABLE, {},
-     ("DataError", "cannot read {path}: 'utf-8' codec can't decode byte 0xe9 in position 10: "
-                   "invalid continuation byte")),
+     ("DataError", "cannot read {path}: line 3: 'utf-8' codec can't decode byte 0xe9 in "
+                   "position 10: invalid continuation byte")),
+    # lines end as csv ends them, the last one before the byte a lone CR
+    ("undecodable-byte-after-lone-cr", b"y,g\r\n1,a\n2,b\r\xe9,c\n", {},
+     ("DataError", "cannot read {path}: line 4: 'utf-8' codec can't decode byte 0xe9 in "
+                   "position 13: invalid continuation byte")),
     ("oversized-cell", OVERSIZED, {},
      ("DataError", "cannot read {path}: line 3: field larger than field limit (131072)")),
     ("blank-header", "\ny,g\n1,a\n2,b\n", {}, ("DataError", "missing columns: ['y', 'g']")),
@@ -1002,7 +1006,7 @@ BLOCK_BOUNDARY_CASES = [
     # Python 3.10's csv raises on a NUL; later versions read it as part of a cell
     ("nul", "y,g\n" + _PLAIN + "2,b\0c\n" + _PLAIN, {}, None),
     ("undecodable-byte-past-first-chunk", ("y,g\n" + _PLAIN * 6).encode() + b"2,\xe9b\n", {},
-     "cannot read {path}: 'utf-8' codec can't decode byte 0xe9 in position 754: "
+     "cannot read {path}: line 1202: 'utf-8' codec can't decode byte 0xe9 in position 8946: "
      "invalid continuation byte"),
     ("oversized-header-cell", '"' + "y" * 200_000 + '",g\n' + _PLAIN, {},
      f"cannot read {{path}}: line 1: {_FIELD_LIMIT}"),

@@ -1,6 +1,8 @@
 """Merging strategies: path validity, counts, adjacency, determinism."""
 
+import copy
 import dataclasses
+import pickle
 import tracemalloc
 from fractions import Fraction
 
@@ -17,6 +19,7 @@ from factorfuse.fixtures import make_fixture
 
 from conftest import (
     COLLIDING_LABELS,
+    fitted_scorer,
     make_binomial_data,
     make_gaussian_data,
     make_gaussian_nd_data,
@@ -672,26 +675,23 @@ def test_repeat_runs_identical(strategy, rng):
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_kept_sums_equal_cluster_sums(kind, strategy, monkeypatch):
     # path fits read the sums the loop keeps; a fresh cluster_sums of each
-    # partition must give the same bits, and so the same fit from the same
-    # parent, as the path fit saw it: before the merge drops its scoring-only
-    # state (a Cox path fit may adopt a candidate fit kept there); a cold fit
-    # agrees to rounding
+    # partition must give the same bits, and so the same fit from the path's
+    # scorer as it stood before the merge (a Cox path fit may adopt a
+    # candidate fit kept there); a cold fit agrees to rounding
     merge = engine._Clusters.merge
     merges = []
 
     def checked_merge(clusters, a, b):
-        parent = clusters.model
-        if parent.nuisance is not None:
-            parent = dataclasses.replace(parent, nuisance=dict(parent.nuisance))
+        before = copy.copy(clusters.scorer)  # a fit replaces the fields, never writes into them
         step = merge(clusters, a, b)
         partition = step.model.partition
-        fresh = families.cluster_sums(clusters.stats, partition)
+        fresh = families.cluster_sums(clusters.stats, clusters.stats.cluster_rows(partition))
         assert fresh.keys() == clusters.sums.keys()
         for name, want in fresh.items():
             got = clusters.sums[name]
             assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape,
                                                              want.tobytes()), name
-        refit = families.fit_stats(clusters.stats, partition, parent)
+        refit = before.fit(partition, fresh, (a, b))
         assert (step.model.loglik, step.model.flags) == (refit.loglik, refit.flags)
         cold = families.fit_stats(clusters.stats, partition)
         assert abs(step.model.loglik - cold.loglik) <= 1e-12 * abs(cold.loglik)
@@ -707,6 +707,59 @@ def test_kept_sums_equal_cluster_sums(kind, strategy, monkeypatch):
         data, g = fx.data, fx.grouping
     merge_factors(data, g, strategy)
     assert len(merges) == g.k - 1
+
+
+def _nuisance_bytes(model):
+    """A model's nuisance as its keys and the pickled bytes of each value."""
+    return {key: pickle.dumps(value) for key, value in (model.nuisance or {}).items()}
+
+
+# what a model's nuisance holds: facts about the model, no scoring state
+MODEL_FACTS = {"gaussian": {"sigma2", "rss"}, "gaussianNd": {"cov"}, "binomial": set(),
+               "survival": set()}
+
+
+@pytest.mark.parametrize("kind", sorted(MODEL_FACTS))
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_path_models_are_never_written_once_returned(kind, strategy, monkeypatch):
+    # each model is snapshotted as the loop returns it, the full model after
+    # _Clusters is built and every other with its step, and reads the same
+    # once the path is done: what scoring needs lives in the path's scorer
+    init, merge = engine._Clusters.__init__, engine._Clusters.merge
+    made, snapshots = [], []
+
+    def recorded_init(clusters, *args):
+        init(clusters, *args)
+        made.append(clusters)
+        snapshots.append((clusters.model, _nuisance_bytes(clusters.model)))
+
+    def recorded_merge(clusters, a, b):
+        step = merge(clusters, a, b)
+        snapshots.append((step.model, _nuisance_bytes(step.model)))
+        return step
+
+    monkeypatch.setattr(engine._Clusters, "__init__", recorded_init)
+    monkeypatch.setattr(engine._Clusters, "merge", recorded_merge)
+    fx = make_fixture(kind, 8, 10, 1.0, 0)
+    path = merge_factors(fx.data, fx.grouping, strategy)
+    assert len(snapshots) == len(path.steps) == 8
+    for step, (model, nuisance) in zip(path.steps, snapshots):
+        assert step.model is model
+        assert _nuisance_bytes(model) == nuisance
+        assert nuisance.keys() <= MODEL_FACTS[kind]
+    if kind == "survival":
+        # the scorer holds one information, of the last fit (one cluster),
+        # and one set of fits, of the last scoring call (two clusters), which
+        # the last fit adopted; fixed scores only the levels, whose fits no
+        # fit after the first reads
+        (clusters,) = made
+        scorer = clusters.scorer
+        assert scorer.model is path.steps[-1].model
+        assert scorer.information.shape == (0, 0)
+        if strategy == "fixed":
+            assert scorer.coef is None
+        else:
+            assert scorer.coef.shape == (1, 1) and scorer.merged == (0, 1)
 
 
 def _count_rows(monkeypatch):
@@ -758,18 +811,20 @@ def test_fast_strategies_refit_the_full_model_from_the_level_order_fit(strategy,
     # the ordering reads the full model fitted in level order; step 0 refits
     # it in the new order from those coefficients, a Newton step from done
     fx = make_fixture("survival", 16, 20, 1.0, 0)
-    rows, fit_stats, fits = _count_rows(monkeypatch), engine.fit_stats, []
+    rows, fit, fits = _count_rows(monkeypatch), families._CoxScorer.fit, []
 
-    def counted_fit(stats, partition, parent=None):
+    def counted_fit(scorer, partition, sums, merged=None):
         del rows[:]
-        model = fit_stats(stats, partition, parent)
-        fits.append((model, parent, sum(rows)))
+        model = fit(scorer, partition, sums, merged)
+        fits.append((scorer, model, merged, sum(rows)))
         return model
 
-    monkeypatch.setattr(engine, "fit_stats", counted_fit)
+    monkeypatch.setattr(families._CoxScorer, "fit", counted_fit)
     path = merge_factors(fx.data, fx.grouping, strategy)
-    (full, none, cold), (step0, parent, warm) = fits
-    assert none is None and parent is full and step0 is path.full_model
+    (scorer, full, none, cold), (same, step0, unmerged, warm) = fits[:2]
+    # one scorer fits both, the second with no merge told
+    assert same is scorer and none is None and unmerged is None and step0 is path.full_model
+    assert full.partition.labels == Partition.singletons(fx.grouping.levels).labels
     assert path.ordering == ordering_statistic(fx.data, fx.grouping)
     assert warm <= 2 < cold
     position = {c.members[0]: s for s, c in enumerate(full.partition.clusters)}
@@ -831,22 +886,21 @@ def test_cox_scores_do_not_depend_on_the_cell_budget(cells, monkeypatch):
         seen.append((self.table is not None, len(A)))
         return evaluate(self, A)
 
-    def taken(score, *args):
+    def taken(fitted, i, j):
         # (routes taken, most rows in one evaluation) of a scoring call
-        seen.clear()
-        return score(*args), ({table for table, _ in seen}, max(m for _, m in seen))
+        (scorer, sums), _ = fitted, seen.clear()
+        return scorer.score(sums, i, j), ({table for table, _ in seen}, max(m for _, m in seen))
 
     monkeypatch.setattr(families._RiskSets, "evaluate", recorded)
     for merges in ((), (0, 3, 7)):
         for a in merges:
             part = part.merge(a, a + 1)
-        sums, model = families.cluster_sums(stats, part), families.fit_stats(stats, part)
         i, j = np.triu_indices(part.size, k=1)
-        whole, route = taken(stats.family.score, stats, sums, i, j, model)
+        whole, route = taken(fitted_scorer(stats, part), i, j)
         assert route == ({True}, len(i))
         with monkeypatch.context() as m:
             m.setattr(families, "COX_CELLS", cells)
-            blocked, route = taken(stats.family.score, stats, sums, i, j, model)
+            blocked, route = taken(fitted_scorer(stats, part), i, j)
         assert route == {1: ({False}, 1), 4096: ({False}, 2), 20000: ({True}, 78)}[cells]
         assert np.allclose(blocked, whole, rtol=1e-12, atol=0.0)
         labels = part.labels
@@ -865,10 +919,7 @@ def test_cox_scoring_memory_is_bounded(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
-    # only the fit being scored keeps its scoring state: a path of k steps
-    # holds one information, not about k^3/3 floats, and one set of fits
-    state = ("information", "fits", "carried")
-    assert [any(key in s.model.nuisance for key in state) for s in path.steps] == [False] * 63 + [True]
+    assert len(path.steps) == 64
     # a scoring call keeps its m candidates' fits only if their m (c - 1)
     # coefficients fit COX_CELLS
     fx = make_fixture("survival", 8, 20, 1.0, 4)
@@ -876,12 +927,12 @@ def test_cox_scoring_memory_is_bounded(monkeypatch):
     part = Partition.singletons(fx.grouping.levels)
     i, j = np.triu_indices(part.size, k=1)
     for cells, kept in ((len(i) * (part.size - 1) - 1, False), (len(i) * (part.size - 1), True)):
-        model = families.fit_stats(stats, part)
+        scorer, sums = fitted_scorer(stats, part)
         with monkeypatch.context() as m:
             m.setattr(families, "COX_CELLS", cells)
-            stats.family.score(stats, families.cluster_sums(stats, part), i, j, model)
-        assert ("fits" in model.nuisance) == kept
-    assert model.nuisance["fits"][2].shape == (len(i), part.size - 1)
+            scorer.score(sums, i, j)
+        assert (scorer.coef is not None) == kept
+    assert scorer.coef.shape == (len(i), part.size - 1)
 
 
 def test_survival_level_stats_memory_is_bounded():
@@ -924,14 +975,14 @@ def test_cox_path_fits_adopt_the_chosen_candidate_fit(strategy, monkeypatch):
     # merge is that fit, bit for bit, and only the full model runs Newton
     # (fast-adaptive fits it in level order, then in the new order)
     fx = make_fixture("survival", 16, 20, 1.0, 0)
-    survival, scored = families.FAMILIES["survival"], []
+    score, scored = families._CoxScorer.score, []
 
-    def recorded(stats, sums, i, j, model):
-        scored.append((i, j, survival.score(stats, sums, i, j, model)))
+    def recorded(scorer, sums, i, j):
+        scored.append((i, j, score(scorer, sums, i, j)))
         return scored[-1][2]
 
     sizes = _newton_sizes(monkeypatch)
-    monkeypatch.setitem(families.FAMILIES, "survival", dataclasses.replace(survival, score=recorded))
+    monkeypatch.setattr(families._CoxScorer, "score", recorded)
     path = merge_factors(fx.data, fx.grouping, strategy)
     assert sizes == [16] * (1 + strategy.startswith("fast-"))
     assert len(scored) == len(path.steps) - 1 == 15
@@ -941,23 +992,30 @@ def test_cox_path_fits_adopt_the_chosen_candidate_fit(strategy, monkeypatch):
 
 
 def test_cox_fits_adopt_only_a_scored_merge_of_their_parent(monkeypatch):
-    # a fit adopts a candidate's fit only for that merge of the parent's
-    # clusters, others unchanged; any other partition runs Newton
+    # a fit adopts a candidate's fit only for the pair of the scored fit's
+    # clusters it is told was merged; without a merge told, or with fits one
+    # merge behind, it runs Newton
     fx = make_fixture("survival", 8, 20, 1.0, 4)
     stats = families.LevelStats(fx.data, fx.grouping)
     part = Partition.singletons(fx.grouping.levels)
-    model = families.fit_stats(stats, part)
+    scored, sums = fitted_scorer(stats, part)
     i, j = np.triu_indices(part.size, k=1)
-    scores = stats.family.score(stats, families.cluster_sums(stats, part), i, j, model)
+    scores = scored.score(sums, i, j)
     sizes = _newton_sizes(monkeypatch)
+    told = copy.copy(scored)
+    first = part.merge(2, 5)
+    told.fit(first, families.cluster_sums(stats, stats.cluster_rows(first)), (2, 5))
     reordered = Partition(part.merge(2, 5).clusters[::-1])
-    for partition, newton in ((part.merge(2, 5), []), (part.merge(5, 2), []),
-                              (part.merge(2, 5).merge(0, 1), [6]), (reordered, [7])):
+    for scorer, partition, merged, newton in (
+            (scored, part.merge(2, 5), (2, 5), []), (scored, part.merge(0, 1), (0, 1), []),
+            (scored, part.merge(2, 5), None, [7]), (scored, reordered, None, [7]),
+            (told, part.merge(2, 5).merge(0, 1), (0, 1), [6])):
         del sizes[:]
-        got = families.fit_stats(stats, partition, model)
+        sums = families.cluster_sums(stats, stats.cluster_rows(partition))
+        got = copy.copy(scorer).fit(partition, sums, merged)
         assert sizes == newton
         if not newton:
-            assert got.loglik.hex() == scores[(i == 2) & (j == 5)][0].hex()
+            assert got.loglik.hex() == scores[(i == merged[0]) & (j == merged[1])][0].hex()
         cold = families.fit_stats(stats, partition)
         assert abs(got.loglik - cold.loglik) <= 1e-12 * abs(cold.loglik)
 
@@ -987,9 +1045,8 @@ def test_warm_started_cox_scores_keep_survival_paths(k, monkeypatch):
         fx = make_fixture("survival", k, 20, 1.0, seed)
         for strategy in STRATEGIES:
             with monkeypatch.context() as m:
-                survival = families.FAMILIES["survival"]
-                m.setitem(families.FAMILIES, "survival",
-                          dataclasses.replace(survival, score=reference_cox_scores))
+                m.setattr(families._CoxScorer, "score",
+                          lambda scorer, sums, i, j: reference_cox_scores(scorer.stats, sums, i, j))
                 cold = merge_factors(fx.data, fx.grouping, strategy)
             warm = merge_factors(fx.data, fx.grouping, strategy)
             assert path_merge_sequence(warm) == path_merge_sequence(cold)
@@ -1000,17 +1057,18 @@ def test_warm_started_cox_scores_keep_survival_paths(k, monkeypatch):
 
 def test_carried_cox_fits_keep_survival_paths_and_cut_newton_rows(monkeypatch):
     # a candidate whose two clusters are both unchanged since the step before
-    # starts from its fit there; without that carry (each path fit's carried
-    # state stripped) the path is the same, on more Newton rows
+    # starts from its fit there; without that carry (the fits one merge behind
+    # dropped after each fit) the path is the same, on more Newton rows
     fx = make_fixture("survival", 16, 20, 1.0, 0)
-    survival, evaluate = families.FAMILIES["survival"], families._RiskSets.evaluate
+    fit, score = families._CoxScorer.fit, families._CoxScorer.score
+    evaluate = families._RiskSets.evaluate
 
-    def uncarried(*args):
-        model = survival.fit(*args)
-        model.nuisance.pop("carried", None)
+    def uncarried(scorer, *args):
+        model = fit(scorer, *args)
+        scorer.coef = scorer.merged = None
         return model
 
-    def run(fit):
+    def run(fitted):
         rows, scores = [], []
 
         def counted(self, A):
@@ -1018,17 +1076,17 @@ def test_carried_cox_fits_keep_survival_paths_and_cut_newton_rows(monkeypatch):
             return evaluate(self, A)
 
         def recorded(*args):
-            scores.append(survival.score(*args))
+            scores.append(score(*args))
             return scores[-1]
 
         with monkeypatch.context() as m:
             m.setattr(families._RiskSets, "evaluate", counted)
-            m.setitem(families.FAMILIES, "survival",
-                      dataclasses.replace(survival, fit=fit, score=recorded))
+            m.setattr(families._CoxScorer, "fit", fitted)
+            m.setattr(families._CoxScorer, "score", recorded)
             path = merge_factors(fx.data, fx.grouping, "adaptive")
         return path, scores, sum(rows)
 
-    carried, scores, rows = run(survival.fit)
+    carried, scores, rows = run(fit)
     plain, plain_scores, plain_rows = run(uncarried)
     assert [s.merged_pair for s in carried.steps] == [s.merged_pair for s in plain.steps]
     # path fits adopt their candidates' fits, whose rounding depends on the start

@@ -1,6 +1,5 @@
 """Family fits: closed-form cases, invariants, and error paths."""
 
-import dataclasses
 import math
 import warnings
 
@@ -35,6 +34,7 @@ from factorfuse.mds import mds_project_1d
 import conftest
 from conftest import (
     COLLIDING_LABELS,
+    fitted_scorer,
     make_binomial_data,
     make_gaussian_data,
     make_survival_data,
@@ -507,7 +507,8 @@ def assert_partition_scores_match_fits(data, g, part, i, j):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         stats = LevelStats(data, g)
-        got = stats.family.score(stats, cluster_sums(stats, part), i, j, fit_stats(stats, part))
+        scorer, sums = fitted_scorer(stats, part)
+        got = scorer.score(sums, i, j)
         fits = [fit_stats(stats, part.merge(a, b)) for a, b in zip(i, j)]
     assert len(got) == len(fits)
     for score, m in zip(got, fits):
@@ -645,11 +646,12 @@ class TestPairScorer:
         fx = make_fixture("survival", 16, 20, 1.0, 0)
         stats = LevelStats(fx.data, fx.grouping)
         part = singletons_of(fx.grouping)
-        sums, model = cluster_sums(stats, part), fit_stats(stats, part)
+        scorer, sums = fitted_scorer(stats, part)
+        model = scorer.model
         i, j = np.triu_indices(part.size, k=1)
         # coefficient vectors evaluated: rows of the lockstep fit, and one
-        # per call of the cold reference; the information at the parent's
-        # alpha comes with the fit, so no row is evaluated there again
+        # per call of the cold reference; the scorer keeps the information
+        # at the fit's alpha, so no row is evaluated there again
         rows, calls, at_parent = [], [], []
         evaluate, breslow = _RiskSets.evaluate, conftest.breslow
 
@@ -664,7 +666,7 @@ class TestPairScorer:
 
         monkeypatch.setattr(_RiskSets, "evaluate", counted_rows)
         monkeypatch.setattr(conftest, "breslow", counted)
-        warm = stats.family.score(stats, sums, i, j, model)
+        warm = scorer.score(sums, i, j)
         cold = reference_cox_scores(stats, sums, i, j)
         assert len(i) == 120
         assert sum(rows) < len(calls)
@@ -678,16 +680,16 @@ class TestPairScorer:
     ])
     def test_survival_candidates_start_pooled_without_a_usable_information(
             self, eigenvalues, monkeypatch, rng):
-        # the parent's information comes with its fit; where it cannot be
+        # the scorer keeps the information of its fit; where it cannot be
         # inverted reliably, every candidate starts with the merged pair's
         # coefficients pooled by their events
         fx = make_fixture("survival", 16, 20, 1.0, 0)
         stats = LevelStats(fx.data, fx.grouping)
         part = singletons_of(fx.grouping)
-        sums, model = cluster_sums(stats, part), fit_stats(stats, part)
+        scorer, sums = fitted_scorer(stats, part)
         i, j = np.triu_indices(part.size, k=1)
         basis = np.linalg.qr(rng.normal(size=(15, 15)))[0]
-        model = dataclasses.replace(model, nuisance={"information": (basis * eigenvalues) @ basis.T})
+        scorer.information = (basis * eigenvalues) @ basis.T
         newton, starts = families._cox_fit_rows, []
 
         def recorded(sets, start, tie=None):
@@ -695,9 +697,10 @@ class TestPairScorer:
             return newton(sets, start, tie)
 
         monkeypatch.setattr(families, "_cox_fit_rows", recorded)
-        scores = stats.family.score(stats, sums, i, j, model)
+        scores = scorer.score(sums, i, j)
         at, _ = _tie(i, j, part.size)
-        pooled = families._pooled_start(model.estimates["alpha"], stats.events, at, part.size - 1)
+        pooled = families._pooled_start(scorer.model.estimates["alpha"], stats.events, at,
+                                        part.size - 1)
         assert np.array_equal(np.concatenate(starts), pooled)
         assert np.allclose(scores, reference_cox_scores(stats, sums, i, j), rtol=1e-12, atol=1e-9)
 
@@ -874,7 +877,7 @@ def test_cox_tables_match_row_reference(rng):
             stats = LevelStats(d, gg)
             part = singletons_of(gg)
             while True:
-                sums = cluster_sums(stats, part)
+                sums = cluster_sums(stats, stats.cluster_rows(part))
                 t, e, gi = reference_cox_arrays(d, gg, part)
                 scale = 1e-12 * max(e.sum(), 1.0)
                 alphas = rng.normal(0.0, 3.0, (5, part.size))
@@ -909,7 +912,7 @@ def test_cox_tables_match_row_reference(rng):
                     assert np.allclose(grad[r], grad_ref, rtol=1e-12, atol=scale)
                     assert np.allclose(hess[r], hess_ref, rtol=1e-12, atol=scale)
                 merged = merge_sums(parent, lo, hi)
-                for name, want in cluster_sums(stats, part).items():
+                for name, want in cluster_sums(stats, stats.cluster_rows(part)).items():
                     assert np.array_equal(merged[name], want), name
 
 
