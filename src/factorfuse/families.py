@@ -799,18 +799,18 @@ class _CoxScorer:
         c = len(sums["R"])
         sets = _RiskSets(sums["events"], stats.per_time, sums["R"], len(i))
         inverse = _inverse_information(self.information)
-        carried = np.full(len(i), -1)  # per candidate, its row of the kept fits
+        carry = np.full(len(i), -1)  # per candidate, the row of its kept fit, if any
         if self.merged is not None:
             # the merge of (a, b) moved cluster p of the kept fits to p - (p > b)
             (a, b), size = self.merged, self.coef.shape[1] + 1
             keys, want = self.i * size + self.j, (i + (i >= b)) * size + j + (j >= b)
             found = np.searchsorted(keys, want).clip(max=len(keys) - 1)  # pairs sorted as i, j
-            carried = np.where((i != a) & (j != a) & (keys[found] == want), found, -1)
+            carry = np.where((i != a) & (j != a) & (keys[found] == want), found, -1)
         keep = len(i) * (c - 1) <= COX_CELLS
         hessians = keep and len(i) * (c - 2) ** 2 <= COX_CELLS
         scores, fits, hess = [], [], []
         for s in range(0, len(i), sets.block):
-            a, b, rows = i[s:s + sets.block], j[s:s + sets.block], carried[s:s + sets.block]
+            a, b, rows = i[s:s + sets.block], j[s:s + sets.block], carry[s:s + sets.block]
             tie, start, cold = _tie(a, b, c), np.empty((len(a), c - 1)), rows < 0
             pooled = cold.copy()
             if inverse is not None:

@@ -888,7 +888,8 @@ def test_cox_scores_do_not_depend_on_the_cell_budget(cells, monkeypatch):
 
     def taken(fitted, i, j):
         # (routes taken, most rows in one evaluation) of a scoring call
-        (scorer, sums), _ = fitted, seen.clear()
+        scorer, sums = fitted
+        seen.clear()
         return scorer.score(sums, i, j), ({table for table, _ in seen}, max(m for _, m in seen))
 
     monkeypatch.setattr(families._RiskSets, "evaluate", recorded)
@@ -1005,11 +1006,11 @@ def test_cox_fits_adopt_only_a_scored_merge_of_their_parent(monkeypatch):
     told = copy.copy(scored)
     first = part.merge(2, 5)
     told.fit(first, families.cluster_sums(stats, stats.cluster_rows(first)), (2, 5))
-    reordered = Partition(part.merge(2, 5).clusters[::-1])
+    reordered = Partition(first.clusters[::-1])
     for scorer, partition, merged, newton in (
-            (scored, part.merge(2, 5), (2, 5), []), (scored, part.merge(0, 1), (0, 1), []),
-            (scored, part.merge(2, 5), None, [7]), (scored, reordered, None, [7]),
-            (told, part.merge(2, 5).merge(0, 1), (0, 1), [6])):
+            (scored, first, (2, 5), []), (scored, part.merge(0, 1), (0, 1), []),
+            (scored, first, None, [7]), (scored, reordered, None, [7]),
+            (told, first.merge(0, 1), (0, 1), [6])):
         del sizes[:]
         sums = families.cluster_sums(stats, stats.cluster_rows(partition))
         got = copy.copy(scorer).fit(partition, sums, merged)
